@@ -51,6 +51,7 @@ from .finite_group import (
     NotAGroup,
     NotConjugationClosed,
     brute_force_count,
+    class_datum,
     class_reduce,
     conjugacy_classes,
     conjugacy_closure,

@@ -23,13 +23,10 @@ def affc_datum() -> TqftDatum:
     """Rank-2 datum with the genus-tube matrix stored including its
     overall q(q-1) factor; the engine's end-of-word division removes it
     again, which the test suite checks explicitly."""
-    q = Q
     f = AFFC_E_GROUP
-    inner = (
-        (q**3 - q**2, q**4 - 3 * q**3 + 2 * q**2),
-        (q**3 - 2 * q**2, q**4 - 3 * q**3 + 3 * q**2),
+    genus_tube = tuple(
+        tuple(f * entry for entry in row) for row in affc_inner_genus_matrix()
     )
-    genus_tube = tuple(tuple(f * entry for entry in row) for row in inner)
     return TqftDatum(
         rank=2,
         e_g=f,

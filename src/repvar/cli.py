@@ -22,10 +22,10 @@ from .finite_group import (
     NotAGroup,
     NotConjugationClosed,
     brute_force_count,
+    class_datum,
     conjugacy_classes,
     conjugacy_closure,
     load_group,
-    to_tqft_datum,
 )
 from .poly import LaurentPoly, NonExactDivision, PolyParseError
 from .tqft import (
@@ -176,7 +176,7 @@ def _build_datum_and_spec(args) -> tuple:
             label = f"p{i}"
             subsets[label] = subset
             labels.append(label)
-        datum = to_tqft_datum(group, subsets)
+        datum = class_datum(group, subsets)
         return datum, SurfaceSpec(args.genus, tuple(labels))
 
     if any(kind != "label" for kind, _ in puncture_specs):
@@ -279,7 +279,7 @@ def _verify_finite(args, report: _Report) -> None:
     group = load_group(args.group)
     classes = conjugacy_classes(group)
     class_labels = {i: f"c{i}" for i in range(len(classes))}
-    datum = to_tqft_datum(
+    datum = class_datum(
         group, {class_labels[i]: classes.members[i] for i in range(len(classes))}
     )
     for genus in range(args.max_genus + 1):

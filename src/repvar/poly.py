@@ -45,9 +45,6 @@ class PolyParseError(ValueError):
     """Malformed polynomial text or JSON term list."""
 
 
-ExponentPair = "tuple[int, int]"
-
-
 def _order_key(exponents: tuple[int, int]) -> tuple[int, int]:
     # Total monomial order used for display and division: by total degree
     # a+b, ties broken by the u-exponent.
@@ -72,6 +69,16 @@ class LaurentPoly:
                 if c:
                     clean[(int(a), int(b))] = int(c)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _canonical(cls, terms: dict[tuple[int, int], int]) -> "LaurentPoly":
+        """Wrap a dict that is already canonical (int exponents, no zero
+        coefficients) without copying or re-checking it.  The ring
+        operations build their results this way; ``__init__`` would
+        re-run ``int()`` on every exponent and coefficient."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
@@ -155,13 +162,17 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for key, c in rhs._terms.items():
-            out[key] = out.get(key, 0) + c
-        return LaurentPoly(out)
+            c += out.get(key, 0)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+        return LaurentPoly._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({key: -c for key, c in self._terms.items()})
+        return LaurentPoly._canonical({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         rhs = self._coerce(other)
@@ -184,7 +195,7 @@ class LaurentPoly:
             for (a2, b2), c2 in rhs._terms.items():
                 key = (a1 + a2, b1 + b2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._canonical({key: c for key, c in out.items() if c})
 
     __rmul__ = __mul__
 

@@ -42,10 +42,7 @@ __all__ = [
     "evaluate_raw",
     "epoly_from_word",
     "epoly_rep_variety",
-    "mat_mul",
     "mat_vec",
-    "mat_pow",
-    "mat_identity",
     "dot",
     "datum_to_json_dict",
     "datum_from_json_dict",
@@ -62,10 +59,6 @@ class UnknownPunctureLabel(KeyError):
     """A word references a puncture label the datum does not provide."""
 
 
-Matrix = "tuple[tuple[LaurentPoly, ...], ...]"
-Vector = "tuple[LaurentPoly, ...]"
-
-
 # ----------------------------------------------------------------------
 # Exact matrix algebra over the Laurent ring
 # ----------------------------------------------------------------------
@@ -80,44 +73,6 @@ def dot(row: Sequence[LaurentPoly], col: Sequence[LaurentPoly]) -> LaurentPoly:
 
 def mat_vec(matrix: Sequence[Sequence[LaurentPoly]], vec: Sequence[LaurentPoly]) -> tuple:
     return tuple(dot(row, vec) for row in matrix)
-
-
-def mat_mul(a: Sequence[Sequence[LaurentPoly]], b: Sequence[Sequence[LaurentPoly]]) -> tuple:
-    size = len(b)
-    cols = len(b[0])
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(cols):
-            acc = LaurentPoly.zero()
-            for k in range(size):
-                acc = acc + row[k] * b[k][j]
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def mat_identity(rank: int) -> tuple:
-    one = LaurentPoly.one()
-    zero = LaurentPoly.zero()
-    return tuple(
-        tuple(one if i == j else zero for j in range(rank)) for i in range(rank)
-    )
-
-
-def mat_pow(matrix: Sequence[Sequence[LaurentPoly]], k: int) -> tuple:
-    """k-th power by binary exponentiation; k = 0 gives the identity."""
-    if k < 0:
-        raise ValueError("matrix powers must have exponent >= 0")
-    result = mat_identity(len(matrix))
-    base = tuple(tuple(row) for row in matrix)
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -163,21 +118,17 @@ class SurfaceSpec:
 
 @dataclass(frozen=True)
 class TubeWord:
-    """Generator sequence between the cap and the cup; ``tube_count`` is
-    its length and fixes the normalization exponent."""
+    """Generator sequence between the cap and the cup; its length fixes
+    the normalization exponent."""
 
     generators: tuple[TubeGenerator, ...]
-    tube_count: int
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.tube_count != len(self.generators):
-            raise ValueError("tube_count must equal the number of generators")
 
     @classmethod
     def of(cls, generators: Sequence[TubeGenerator]) -> "TubeWord":
-        gens = tuple(generators)
-        return cls(gens, len(gens))
+        return cls(generators)
 
 
 def assemble_word(spec: SurfaceSpec) -> TubeWord:
@@ -282,29 +233,19 @@ def _check_square(matrix: tuple, rank: int, what: str) -> None:
 def evaluate_raw(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
     """Un-normalized scalar: disc_out . M_t ... M_1 . disc_in.
 
-    Runs of equal generators (in particular the leading genus run) are
-    applied through binary matrix powering.
+    The cap vector is folded through the word one tube at a time, so a
+    word of t tubes costs t matrix-vector products at the datum's rank.
     """
     vec = datum.disc_in
-    gens = word.generators
-    i = 0
-    while i < len(gens):
-        j = i
-        while j < len(gens) and gens[j] == gens[i]:
-            j += 1
-        matrix = datum.tube_matrix(gens[i])
-        run = j - i
-        if run > 1:
-            matrix = mat_pow(matrix, run)
-        vec = mat_vec(matrix, vec)
-        i = j
+    for generator in word.generators:
+        vec = mat_vec(datum.tube_matrix(generator), vec)
     return dot(datum.disc_out, vec)
 
 
 def epoly_from_word(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
-    """Normalized evaluation: raw scalar divided by e_G^tube_count."""
+    """Normalized evaluation: raw scalar divided by e_G^(number of tubes)."""
     raw = evaluate_raw(datum, word)
-    return raw.exact_div(datum.e_g ** word.tube_count)
+    return raw.exact_div(datum.e_g ** len(word.generators))
 
 
 def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:

@@ -1,7 +1,12 @@
 import json
 
+import pytest
+
+import repvar.cli
+import repvar.finite_group
 from repvar.affc import affc_datum
 from repvar.cli import main
+from repvar.finite_group import brute_force_count, conjugacy_classes, named_group
 from repvar.poly import LaurentPoly, Q, parse_poly
 from repvar.tqft import datum_to_json_dict, save_datum
 
@@ -62,7 +67,7 @@ class TestCompute:
             "--genus", "0", "--puncture", "elements=1",
         )
         assert code == 2
-        assert "conjugate" in err
+        assert "conjugate" in err and "of 1 is missing" in err
 
     def test_json_format_round_trips(self, capsys):
         code, out, _ = run(
@@ -227,6 +232,41 @@ class TestVerify:
             capsys, "verify", "--backend", "finite", "--group", str(path)
         )
         assert code == 2
+
+
+class TestClassSpace:
+    """The finite backend never builds a |G| x |G| matrix."""
+
+    FULL_RANK = ("genus_matrix", "puncture_matrix", "tube_matrix_P", "to_tqft_datum", "class_reduce")
+
+    @pytest.fixture(autouse=True)
+    def no_full_rank(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-rank builder called")
+
+        for name in self.FULL_RANK:
+            monkeypatch.setattr(repvar.finite_group, name, refuse)
+            monkeypatch.setattr(repvar.cli, name, refuse, raising=False)
+
+    def test_compute(self, capsys, group_file_factory):
+        path = group_file_factory("a4")
+        code, out, _ = run(
+            capsys,
+            "compute", "--backend", "finite", "--group", str(path),
+            "--genus", "2", "--puncture", "rep=1", "--puncture", "elements=0",
+        )
+        assert code == 0
+        classes = conjugacy_classes(named_group("a4"))
+        lam = classes.members[classes.class_of[1]]
+        assert out.strip() == str(brute_force_count(named_group("a4"), 2, [lam, (0,)]))
+
+    def test_verify(self, capsys, group_file_factory):
+        path = group_file_factory("q8")
+        code, out, _ = run(
+            capsys, "verify", "--backend", "finite", "--group", str(path), "--max-genus", "2",
+        )
+        assert code == 0
+        assert ", 0 failed, 0 skipped" in out
 
 
 class TestClasses:

@@ -1,13 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repvar.finite_group import (
+    NAMED_GROUPS,
     BudgetExceeded,
     GroupTooLarge,
     NotAGroup,
     NotConjugationClosed,
     brute_force_count,
+    class_datum,
     class_reduce,
     conjugacy_classes,
     conjugacy_closure,
@@ -59,6 +62,33 @@ GENUS_COUNTS = {
     "a4": {1: 48, 2: 5376},
 }
 
+# Groups beyond the named ones, with more classes and larger centralizers.
+PERMUTATION_GROUPS = {
+    "d6": (6, [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]),
+    "agl1_5": (5, [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]),
+    "s4": (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+}
+
+
+def relabel(group, perm):
+    """Cayley table of the group with element x renamed perm[x]."""
+    n = group.order
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[group.mul(a, b)]
+    return table
+
+
+def class_punctures(group):
+    """One tube per class, plus one for the union of the two classes
+    after the identity's."""
+    members = conjugacy_classes(group).members
+    tubes = {f"c{i}": m for i, m in enumerate(members)}
+    if len(members) > 2:
+        tubes["union"] = members[1] + members[2]
+    return tubes
+
 
 class TestConstruction:
     def test_z2_table(self):
@@ -82,6 +112,34 @@ class TestConstruction:
         # Commutative monoid with absorbing element 1, identity 0.
         with pytest.raises(NotAGroup, match="inverse"):
             from_cayley_table([[0, 1], [1, 1]])
+
+    def test_corrupted_large_table_rejected(self):
+        # One wrong entry in Z_1500: a sample of triples misses it, the
+        # exact test does not.
+        n = 1500
+        numbers = list(range(n))
+        table = [numbers[i:] + numbers[:i] for i in range(n)]
+        table[5][7] = 13
+        with pytest.raises(NotAGroup, match=r"associativity fails at triple \(\d+, \d+, \d+\)"):
+            from_cayley_table(table)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(set(NAMED_GROUPS) - {"z1"})),
+        data=st.data(),
+    )
+    def test_any_single_corrupted_entry_rejected(self, name, data):
+        # A changed entry breaks the Latin-square property, so no group
+        # table is one entry away from another.
+        group = named_group(name)
+        n = group.order
+        a = data.draw(st.integers(0, n - 1))
+        b = data.draw(st.integers(0, n - 1))
+        wrong = data.draw(st.integers(0, n - 1).filter(lambda x: x != group.mul(a, b)))
+        table = [list(row) for row in group.mult]
+        table[a][b] = wrong
+        with pytest.raises(NotAGroup):
+            from_cayley_table(table)
 
     def test_broken_associativity_names_a_witness(self):
         table = [
@@ -376,6 +434,52 @@ class TestClassReduce:
                     )
 
 
+class TestClassDatum:
+    @pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
+    def test_named_groups_equal_reduced_full_rank(self, name):
+        group = named_group(name)
+        tubes = class_punctures(group)
+        assert class_datum(group, tubes) == class_reduce(to_tqft_datum(group, tubes), group)
+
+    @pytest.mark.parametrize("name", sorted(PERMUTATION_GROUPS))
+    def test_permutation_groups_equal_reduced_full_rank(self, name):
+        group = from_permutation_generators(*PERMUTATION_GROUPS[name])
+        tubes = class_punctures(group)
+        assert class_datum(group, tubes) == class_reduce(to_tqft_datum(group, tubes), group)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(["s3", "d4", "q8", "a4"]),
+        perm=st.permutations(range(12)),
+    )
+    def test_relabelled_tables(self, name, perm):
+        group = named_group(name)
+        perm = [x for x in perm if x < group.order]
+        relabelled = from_cayley_table(relabel(group, perm))
+        tubes = class_punctures(relabelled)
+        datum = class_datum(relabelled, tubes)
+        assert datum == class_reduce(to_tqft_datum(relabelled, tubes), relabelled)
+        # Invariants do not depend on the labelling.
+        assert datum.rank == len(conjugacy_classes(group))
+        for genus, count in GENUS_COUNTS[name].items():
+            assert epoly_rep_variety(datum, SurfaceSpec(genus)) == count
+
+    def test_class_union_puncture_counts(self):
+        # Transpositions or 3-cycles in S3: the sum of the two counts.
+        group = named_group("s3")
+        tubes = {"t": (1, 3, 4), "r": (2, 5), "u": (1, 2, 3, 4, 5)}
+        datum = class_datum(group, tubes)
+        for genus in range(3):
+            union = epoly_rep_variety(datum, SurfaceSpec(genus, ("u",)))
+            parts = [epoly_rep_variety(datum, SurfaceSpec(genus, (x,))) for x in "tr"]
+            assert union == parts[0] + parts[1]
+            assert union == brute_force_count(group, genus, [tubes["u"]])
+
+    def test_not_conjugation_closed(self):
+        with pytest.raises(NotConjugationClosed, match="conjugate"):
+            class_datum(named_group("s3"), {"p": (1,)})
+
+
 class TestBruteForce:
     def test_empty_surface(self, suite_groups):
         for group in suite_groups.values():
@@ -449,7 +553,8 @@ class TestGroupFiles:
         assert len(conjugacy_classes(group)) == 6
 
     def test_order_above_sampling_threshold(self):
-        # Order 72 takes the sampled associativity path.
+        # Order 72 was once above the limit for exhaustive associativity
+        # checks; the exact test must accept it.
         group = direct_product(named_group("a4"), named_group("s3"))
         assert group.order == 72
         assert len(conjugacy_classes(group)) == 12

@@ -221,3 +221,12 @@ class TestRingProperties:
     @given(p=polys)
     def test_no_zero_coefficients_stored(self, p):
         assert all(c != 0 for _, c in p.items())
+
+    @given(p=polys, r=polys)
+    def test_ring_operations_return_canonical_terms(self, p, r):
+        # +, - and * skip the constructor's clean-up, so their results
+        # must already be what the constructor would make of them.
+        for result in (p + r, p - r, -p, p * r):
+            assert 0 not in result._terms.values()
+            assert all(type(a) is type(b) is type(c) is int for (a, b), c in result._terms.items())
+            assert result == LaurentPoly(dict(result._terms))
