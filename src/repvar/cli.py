@@ -100,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="brute-force operation budget; exceeding it marks a check SKIP",
+        help="cap on the brute-force tuple count n^(2g) * prod |class| "
+        "(the oracle folds prefix-product distributions, so its work is far "
+        "smaller); a check over the cap is marked SKIP",
     )
 
     classes = sub.add_parser(
@@ -165,10 +167,11 @@ def _build_datum_and_spec(args) -> tuple:
         subsets = {}
         labels = []
         for i, (kind, value) in enumerate(puncture_specs, start=1):
+            # Indices on the command line are the group file's own.
             if kind == "rep":
-                subset = conjugacy_closure(group, [value])
+                subset = conjugacy_closure(group, [group.relabel(value)])
             elif kind == "elements":
-                subset = tuple(sorted(set(value)))
+                subset = tuple(sorted({group.relabel(x) for x in value}))
             else:
                 raise ValueError(
                     "finite backend punctures must use rep= or elements="
@@ -361,6 +364,7 @@ def _cmd_classes(args) -> int:
     classes = conjugacy_classes(group)
     print(f"group of order {group.order} with {len(classes)} conjugacy classes")
     for i, members in enumerate(classes.members):
+        members = sorted(group.relabel(m) for m in members)  # the file's indices
         print(
             f"class {i}: size {len(members)}, "
             f"centralizer {classes.centralizer_orders[i]}, "

@@ -1,11 +1,12 @@
 """Finite groups as Cayley tables, their conjugacy data, and the integer
 transfer matrices their tube operators induce.
 
-Elements are indices 0..n-1 with the identity pinned to 0 (tables are
-relabeled on ingestion), so the disc vectors of a group datum are simply
-indicator/projection vectors at coordinate 0.  All matrices here are plain
-integer matrices; they are lifted to Laurent polynomials only when packed
-into a ``TqftDatum``.
+Elements are indices 0..n-1 with the identity pinned to 0 (a table whose
+identity sits elsewhere has that index swapped with 0 on ingestion, and
+``FiniteGroup.relabel`` maps between the two labellings), so the disc
+vectors of a group datum are simply indicator/projection vectors at
+coordinate 0.  All matrices here are plain integer matrices; they are
+lifted to Laurent polynomials only when packed into a ``TqftDatum``.
 
 ``class_datum`` builds the datum the CLI evaluates: rank = class number,
 straight from closed forms on class representatives.  The full-rank
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -63,7 +64,7 @@ class NotAGroup(ValueError):
 
 
 class GroupTooLarge(ValueError):
-    """Closure of the generators exceeded the configured bound."""
+    """The group's order exceeds the configured bound."""
 
 
 class NotConjugationClosed(ValueError):
@@ -71,7 +72,9 @@ class NotConjugationClosed(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A brute-force enumeration would exceed the operation budget."""
+    """The brute-force oracle's tuple count n^(2g) * prod |lam| exceeds
+    the budget.  The oracle folds prefix-product distributions and does
+    far less work than that, but the budget still caps the tuple count."""
 
 
 DEFAULT_MAX_ORDER = 10_000
@@ -80,11 +83,17 @@ DEFAULT_BUDGET = 10**9
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group of order n on elements 0..n-1 with identity 0."""
+    """A finite group of order n on elements 0..n-1 with identity 0.
+
+    ``source_identity`` is the index the identity had in the table the
+    group was read from; that table's index is swapped with 0.  Error
+    messages name elements by their source index.
+    """
 
     order: int
     mult: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
+    source_identity: int = field(default=0, compare=False)
 
     @property
     def identity(self) -> int:
@@ -92,6 +101,16 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    def relabel(self, x: int) -> int:
+        """Source index of internal element x, or internal index of source
+        element x: the swap of 0 and the identity is its own inverse.
+        Indices out of range map to themselves."""
+        if x == 0:
+            return self.source_identity
+        if x == self.source_identity:
+            return 0
+        return x
 
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
@@ -169,7 +188,9 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
         inverse.append(inv_x)
 
     _check_associative(rows)
-    return FiniteGroup(order=n, mult=tuple(rows), inverse=tuple(inverse))
+    return FiniteGroup(
+        order=n, mult=tuple(rows), inverse=tuple(inverse), source_identity=identity
+    )
 
 
 def _check_associative(rows: Sequence[tuple[int, ...]]) -> None:
@@ -302,7 +323,8 @@ def _check_conjugation_closed(group: FiniteGroup, subset: tuple[int, ...]) -> No
             y = group.conjugate(h, x)
             if y not in member:
                 raise NotConjugationClosed(
-                    f"conjugate {y} of {x} is missing from the subset"
+                    f"conjugate {group.relabel(y)} of {group.relabel(x)} "
+                    "is missing from the subset"
                 )
 
 
@@ -535,9 +557,14 @@ def brute_force_count(
     [a_1,b_1]...[a_g,b_g] c_1 ... c_s = identity and c_j in the j-th
     puncture subset.
 
-    Direct nested enumeration carrying partial products; the last factor
-    is resolved by multiplicity lookup instead of a loop, since it must
-    equal the inverse of the partial product.
+    A forward fold over the distribution of partial products: each slot
+    is a multiset of values (the commutators [a, b] with multiplicity for
+    a genus slot, the subset for a puncture), and dist[p] counts the
+    prefixes of the tuple whose product is p.  That is O((g + s) n d)
+    dictionary updates, with d the number of distinct values in a slot.
+    The oracle uses only the multiplication table, never conjugacy
+    classes or the TQFT engine.  ``budget`` still caps the number of
+    tuples, n^(2g) * prod |lam|, not the fold's work.
     """
     if genus < 0:
         raise ValueError("genus must be >= 0")
@@ -556,33 +583,24 @@ def brute_force_count(
             f"enumeration of {cost} tuples exceeds the budget of {budget}"
         )
 
-    slots: list[Sequence[int]] = []
+    slots: list[Counter] = []
     if genus:
-        comm_values = [
+        commutators = Counter(
             group.commutator(a, b) for a in range(n) for b in range(n)
-        ]
-        slots.extend([comm_values] * genus)
-    slots.extend(lams)
-
-    if not slots:
-        return 1  # the empty product is the identity
+        )
+        slots.extend([commutators] * genus)
+    slots.extend(Counter(lam) for lam in lams)
 
     mult = group.mult
-    inverse = group.inverse
-    last = Counter(slots[-1])
-    depth = len(slots) - 1
-
-    def count_from(i: int, prefix: int) -> int:
-        if i == depth:
-            return last[inverse[prefix]]
-        row = mult[prefix]
-        slot = slots[i]
-        total = 0
-        for x in slot:
-            total += count_from(i + 1, row[x])
-        return total
-
-    return count_from(0, 0)
+    dist = Counter({group.identity: 1})
+    for slot in slots:
+        nxt: Counter = Counter()
+        for prefix, count in dist.items():
+            row = mult[prefix]
+            for x, m in slot.items():
+                nxt[row[x]] += count * m
+        dist = nxt
+    return dist[group.identity]
 
 
 # ----------------------------------------------------------------------
@@ -682,7 +700,16 @@ def group_from_json_dict(data: dict, max_order: int = DEFAULT_MAX_ORDER) -> Fini
     if not isinstance(data, dict):
         raise NotAGroup("group file must contain a JSON object")
     if "table" in data:
-        return from_cayley_table(data["table"])
+        table = data["table"]
+        if not isinstance(table, list):
+            raise NotAGroup("'table' must be a list of rows")
+        n = len(table)
+        if n > max_order:
+            raise GroupTooLarge(
+                f"table of order {n} exceeds the bound of {max_order} elements "
+                f"({n * n} entries)"
+            )
+        return from_cayley_table(table)
     if "degree" in data and "generators" in data:
         return from_permutation_generators(
             int(data["degree"]), data["generators"], max_order=max_order

@@ -296,3 +296,79 @@ class TestClasses:
         path.write_text(json.dumps({"table": [[0, 0], [0, 0]]}))
         code, _, _ = run(capsys, "classes", "--group", str(path))
         assert code == 2
+
+
+# Z3 stored with its identity at index 2; element 0 generates, 0 * 0 = 1.
+Z3_IDENTITY_AT_2 = {"table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]]}
+
+# S3 stored with its identity at index 1; its 3-cycles are 0 and 5.
+S3_IDENTITY_AT_1 = {
+    "table": [
+        [5, 0, 4, 2, 3, 1],
+        [0, 1, 2, 3, 4, 5],
+        [3, 2, 1, 0, 5, 4],
+        [4, 3, 5, 1, 0, 2],
+        [2, 4, 0, 5, 1, 3],
+        [1, 5, 3, 4, 2, 0],
+    ]
+}
+
+
+class TestFileIndices:
+    """Element indices on the command line and in the output are the
+    group file's own, wherever the file keeps its identity."""
+
+    @pytest.fixture()
+    def z3_file(self, tmp_path):
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps(Z3_IDENTITY_AT_2))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [("rep=0", "0"), ("rep=1", "0"), ("rep=2", "1"), ("elements=2", "1"),
+         ("elements=0", "0")],
+    )
+    def test_sphere_with_one_puncture(self, capsys, z3_file, spec, count):
+        # One puncture on a sphere: 1 exactly when it is the identity.
+        code, out, _ = run(
+            capsys,
+            "compute", "--backend", "finite", "--group", z3_file,
+            "--genus", "0", "--puncture", spec,
+        )
+        assert code == 0
+        assert out.strip() == count
+
+    def test_classes_print_file_indices(self, capsys, z3_file):
+        code, out, _ = run(capsys, "classes", "--group", z3_file)
+        assert code == 0
+        assert "class 0: size 1, centralizer 3, representative 2, elements [2]" in out
+
+    def test_not_closed_witness_uses_file_indices(self, capsys, tmp_path):
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(S3_IDENTITY_AT_1))
+        code, _, err = run(
+            capsys,
+            "compute", "--backend", "finite", "--group", str(path),
+            "--genus", "0", "--puncture", "elements=0",
+        )
+        assert code == 2
+        assert "of 0 is missing" in err
+        code, out, _ = run(
+            capsys,
+            "compute", "--backend", "finite", "--group", str(path),
+            "--genus", "0", "--puncture", "elements=0,5",
+        )
+        assert code == 0
+        assert out.strip() == "0"
+
+
+def test_table_over_max_order_exits_two(capsys, tmp_path):
+    # Rejected on its row count alone, before any row is read.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"table": [[]] * 10_001}))
+    code, _, err = run(
+        capsys, "compute", "--backend", "finite", "--group", str(path), "--genus", "1"
+    )
+    assert code == 2
+    assert "order 10001" in err and "10000" in err and "100020001 entries" in err

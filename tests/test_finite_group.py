@@ -162,6 +162,16 @@ class TestConstruction:
         assert all(group.mul(0, x) == x == group.mul(x, 0) for x in group.elements())
         assert sorted(len(m) for m in conjugacy_classes(group).members) == [1, 2, 3]
 
+    def test_relabel_maps_back_to_source_indices(self):
+        group = from_cayley_table(S3_SHUFFLED)
+        assert group.source_identity == 1
+        assert [group.relabel(x) for x in range(6)] == [1, 0, 2, 3, 4, 5]
+        assert all(group.relabel(group.relabel(x)) == x for x in range(6))
+        for a in range(6):
+            for b in range(6):
+                source = S3_SHUFFLED[group.relabel(a)][group.relabel(b)]
+                assert group.relabel(group.mul(a, b)) == source
+
     def test_permutation_generators_s3(self):
         group = from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)])
         assert group.order == 6
@@ -480,7 +490,63 @@ class TestClassDatum:
             class_datum(named_group("s3"), {"p": (1,)})
 
 
+def literal_count(group, genus, subsets):
+    """Walk every tuple (a_1, b_1, ..., a_g, b_g, c_1, ..., c_s) and
+    multiply it out: the definition, sharing no logic with the oracle."""
+    factors = [group.elements()] * (2 * genus) + [tuple(lam) for lam in subsets]
+    count = 0
+    for t in itertools.product(*factors):
+        product = group.identity
+        for i in range(genus):
+            product = group.mul(product, group.commutator(t[2 * i], t[2 * i + 1]))
+        for c in t[2 * genus:]:
+            product = group.mul(product, c)
+        count += product == group.identity
+    return count
+
+
+# Generators, irreducible character degrees and the genus-2 count by
+# hand, for Mednykh's formula.
+MEDNYKH_GROUPS = {
+    "s4": (PERMUTATION_GROUPS["s4"], [1, 1, 2, 3, 3], 34_176),
+    # Symmetries of the 36-gon: dihedral of order 72.
+    "d36": (
+        (36, [tuple((i + 1) % 36 for i in range(36)), tuple(-i % 36 for i in range(36))]),
+        [1] * 4 + [2] * 17,
+        3_079_296,
+    ),
+}
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in NAMED_GROUPS if named_group(n).order <= 8)
+    )
+    def test_matches_literal_enumeration(self, name):
+        group = named_group(name)
+        subsets = list(class_punctures(group).values())
+        for genus in range(3):
+            for s in range(3):
+                for combo in itertools.combinations_with_replacement(subsets, s):
+                    assert brute_force_count(group, genus, combo) == literal_count(
+                        group, genus, combo
+                    ), (genus, combo)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(MEDNYKH_GROUPS))
+    def test_mednykh_formula(self, name, genus):
+        # |Hom(pi_1 Sigma_g, G)| = |G| * sum over irreducible chi of
+        # (|G| / chi(1))^(2g - 2).
+        generators, degrees, genus_two = MEDNYKH_GROUPS[name]
+        group = from_permutation_generators(*generators)
+        n = group.order
+        assert sum(d * d for d in degrees) == n
+        assert len(degrees) == len(conjugacy_classes(group))
+        expected = n * sum((n // d) ** (2 * genus - 2) for d in degrees)
+        if genus == 2:
+            assert expected == genus_two
+        assert brute_force_count(group, genus, budget=n ** (2 * genus)) == expected
+
     def test_empty_surface(self, suite_groups):
         for group in suite_groups.values():
             assert brute_force_count(group, 0) == 1
@@ -541,11 +607,19 @@ class TestGroupFiles:
         )
         assert group.order == 6
 
+    def test_table_over_max_order(self):
+        table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        with pytest.raises(GroupTooLarge, match=r"order 5 .* bound of 4 .*25 entries"):
+            group_from_json_dict({"table": table}, max_order=4)
+        assert group_from_json_dict({"table": table}, max_order=5).order == 5
+
     def test_rejects_other_shapes(self):
         with pytest.raises(NotAGroup):
             group_from_json_dict({"order": 6})
         with pytest.raises(NotAGroup):
             group_from_json_dict([1, 2])
+        with pytest.raises(NotAGroup, match="list of rows"):
+            group_from_json_dict({"table": 5})
 
     def test_direct_product_orders(self):
         group = direct_product(cyclic_group(2), cyclic_group(3))
