@@ -21,8 +21,10 @@ AFFC_E_GROUP = Q * (Q - 1)
 
 def affc_datum() -> TqftDatum:
     """Rank-2 datum with the genus-tube matrix stored including its
-    overall q(q-1) factor; the engine's end-of-word division removes it
-    again, which the test suite checks explicitly."""
+    overall q(q-1) factor, as the paper states it.  q(q-1) divides every
+    tube, so the engine divides it out of the datum once
+    (``TqftDatum.e_g_free``) and folds ``affc_inner_genus_matrix``
+    instead, with no division at the end of the word."""
     f = AFFC_E_GROUP
     genus_tube = tuple(
         tuple(f * entry for entry in row) for row in affc_inner_genus_matrix()
@@ -39,8 +41,9 @@ def affc_datum() -> TqftDatum:
 
 
 def affc_inner_genus_matrix() -> tuple:
-    """The genus-tube matrix with the q(q-1) factor already cancelled,
-    as used in the pre-cancelled evaluation route."""
+    """The genus-tube matrix with the q(q-1) factor already cancelled:
+    the matrix the engine folds, as the genus tube of
+    ``affc_datum().e_g_free``."""
     q = Q
     return (
         (q**3 - q**2, q**4 - 3 * q**3 + 2 * q**2),
@@ -62,6 +65,8 @@ def xk_epoly(k: int) -> LaurentPoly:
     if k < 1:
         raise ValueError("k must be >= 1")
     value = 2 * Q - 2
-    for i in range(2, k + 1):
-        value = (Q - 2) * Q ** (i - 1) * (Q - 1) ** (i - 1) + Q * value
+    power = ONE  # q^(i-1) (q-1)^(i-1), carried from one index to the next
+    for _ in range(2, k + 1):
+        power *= Q * (Q - 1)
+        value = (Q - 2) * power + Q * value
     return value

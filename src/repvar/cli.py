@@ -244,6 +244,8 @@ class _Report:
 def _cmd_verify(args) -> int:
     if args.max_genus < 0:
         raise ValueError("--max-genus must be >= 0")
+    if args.max_punctures < 0:
+        raise ValueError("--max-punctures must be >= 0")
     report = _Report()
     if args.backend == "affc":
         _verify_affc(args, report)

@@ -223,11 +223,25 @@ class LaurentPoly:
         Z[u, v], where the order is a well-order and termination is
         guaranteed.  Any step that cannot be eliminated exactly raises
         NonExactDivision.
+
+        A single-term divisor (a unit monomial, an integer, ``ONE``)
+        divides term by term in one pass: exponents shift, coefficients
+        divide, and any remainder raises NonExactDivision.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
+
+        if len(divisor._terms) == 1:
+            ((da, db), dc), = divisor._terms.items()
+            shifted: dict[tuple[int, int], int] = {}
+            for (a, b), c in self._terms.items():
+                c, residue = divmod(c, dc)
+                if residue:
+                    raise NonExactDivision(f"({self}) is not divisible by ({divisor})")
+                shifted[(a - da, b - db)] = c
+            return LaurentPoly._canonical(shifted)
 
         sa = min(a for a, _ in self._terms)
         sb = min(b for _, b in self._terms)

@@ -12,7 +12,11 @@ is the word
 and its E-polynomial is the evaluated scalar divided by ``e_G`` raised to
 the number of tubes in the word.  The division is exact for any datum
 that comes from an actual group; a failure means the datum is
-inconsistent.
+inconsistent.  When ``e_G`` has more than one term and divides every
+entry of every tube, it is divided out of the tubes once per datum
+(``TqftDatum.e_g_free``) and the word is folded over the quotients, so
+the folded vector never carries the factor ``e_G^i`` and nothing is left
+to divide at the end.
 
 Matrices follow the column convention: column j holds the image of
 generator j, so words act by left multiplication on column vectors.
@@ -22,10 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .poly import LaurentPoly, ONE, PolyParseError, parse_poly
+from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, parse_poly
 
 __all__ = [
     "InvalidDatum",
@@ -57,6 +62,15 @@ class InvalidDatum(ValueError):
 
 class UnknownPunctureLabel(KeyError):
     """A word references a puncture label the datum does not provide."""
+
+    def __init__(self, label: str, available=()):
+        super().__init__(label)
+        self.label = label
+        self.available = tuple(sorted(available))
+
+    def __str__(self) -> str:
+        provided = ", ".join(repr(name) for name in self.available) or "(none)"
+        return f"unknown puncture label {self.label!r}; the datum provides: {provided}"
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +227,40 @@ class TqftDatum:
         try:
             return self.puncture_tubes[generator.label]
         except KeyError:
-            raise UnknownPunctureLabel(generator.label) from None
+            raise UnknownPunctureLabel(generator.label, self.puncture_tubes) from None
+
+    @cached_property
+    def e_g_free(self) -> "TqftDatum":
+        """This datum with e_G divided out of every tube, or the datum itself.
+
+        If e_G divides every entry of every tube (genus, plain cylinder
+        and each puncture), each tube is e_G times its quotient, so the
+        raw scalar of a t-tube word is e_G^t times the same word's scalar
+        over the quotients: the form returned has those quotients and
+        e_G = 1.  A single-term e_G (|G| for every finite group) changes
+        no term count, so dividing it out buys the fold nothing and the
+        datum is kept; so is a datum with a tube e_G does not divide,
+        which keeps its end-of-word division.  Computed on first use and
+        cached with the datum.
+        """
+        if len(self.e_g) < 2:
+            return self
+
+        def divided(matrix: tuple) -> tuple:
+            return tuple(tuple(entry.exact_div(self.e_g) for entry in row) for row in matrix)
+
+        try:
+            return TqftDatum(
+                rank=self.rank,
+                e_g=ONE,
+                genus_tube=divided(self.genus_tube),
+                puncture_tubes={label: divided(m) for label, m in self.puncture_tubes.items()},
+                identity_tube=None if self.identity_tube is None else divided(self.identity_tube),
+                disc_in=self.disc_in,
+                disc_out=self.disc_out,
+            )
+        except NonExactDivision:
+            return self
 
 
 def _freeze_matrix(matrix) -> tuple:
@@ -243,9 +290,14 @@ def evaluate_raw(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
 
 
 def epoly_from_word(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
-    """Normalized evaluation: raw scalar divided by e_G^(number of tubes)."""
-    raw = evaluate_raw(datum, word)
-    return raw.exact_div(datum.e_g ** len(word.generators))
+    """Normalized evaluation: raw scalar divided by e_G^(number of tubes).
+
+    The word is folded over ``datum.e_g_free``; where e_G came out of the
+    tubes there, its e_G is 1 and the final division is by 1.
+    """
+    free = datum.e_g_free
+    raw = evaluate_raw(free, word)
+    return raw.exact_div(free.e_g ** len(word.generators))
 
 
 def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:

@@ -81,6 +81,15 @@ class TestRecursion:
     def test_even_index_matches_closed_form(self, genus):
         assert xk_epoly(2 * genus) == affc_closed_form(genus)
 
+    def test_running_product_matches_the_recursion_as_written(self):
+        # The recursion exactly as stated, recomputing q^(i-1) (q-1)^(i-1)
+        # at every step; xk_epoly carries that product instead.
+        value = 2 * Q - 2
+        for k in range(1, 41):
+            if k > 1:
+                value = (Q - 2) * Q ** (k - 1) * (Q - 1) ** (k - 1) + Q * value
+            assert xk_epoly(k) == value
+
 
 class TestEngineAgreement:
     @pytest.mark.parametrize("genus", range(1, 7))
@@ -97,6 +106,9 @@ class TestEngineAgreement:
         step = Q ** (2 * genus) * (Q - 1) ** (2 * genus - 2) * (Q - 2)
         assert current == step + Q**2 * previous
         assert epoly_rep_variety(datum, SurfaceSpec(1)) == Q**3 - Q**2
+
+    def test_engine_equals_closed_form_at_genus_64(self):
+        assert epoly_rep_variety(affc_datum(), SurfaceSpec(64)) == affc_closed_form(64)
 
     @pytest.mark.parametrize("genus", range(0, 7))
     def test_outputs_are_pure_q_polynomials(self, genus):

@@ -143,12 +143,15 @@ class TestComputeErrors:
     def test_unknown_label_on_custom(self, capsys, tmp_path):
         path = tmp_path / "datum.json"
         save_datum(affc_datum(), path)
-        code, _, _ = run(
+        code, _, err = run(
             capsys,
             "compute", "--backend", "custom", "--datum", str(path),
             "--genus", "1", "--puncture", "ghost",
         )
         assert code == 2
+        assert err.strip() == (
+            "error: unknown puncture label 'ghost'; the datum provides: (none)"
+        )
 
     def test_inconsistent_datum_exits_three(self, capsys, tmp_path):
         # Structurally valid datum whose normalization cannot divide.
@@ -186,6 +189,16 @@ class TestVerify:
         assert code == 0
         assert "failed" in out
         assert ", 0 failed" in out
+
+    def test_negative_max_punctures_rejected(self, capsys, group_file_factory):
+        path = group_file_factory("z2")
+        code, out, err = run(
+            capsys,
+            "verify", "--backend", "finite", "--group", str(path), "--max-punctures", "-1",
+        )
+        assert code == 2
+        assert "--max-punctures must be >= 0" in err
+        assert "SUMMARY" not in out
 
     def test_finite_budget_skips(self, capsys, group_file_factory):
         path = group_file_factory("s3")

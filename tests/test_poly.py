@@ -24,6 +24,9 @@ polys = st.dictionaries(
     st.tuples(exponents, exponents), coefficients, max_size=6
 ).map(LaurentPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+monomials = st.builds(
+    LaurentPoly.monomial, exponents, exponents, coefficients.filter(bool)
+)
 
 
 def test_doctests():
@@ -98,6 +101,22 @@ class TestExactDiv:
     def test_laurent_unit_divisor(self):
         # Dividing by a unit monomial shifts exponents, including negatively.
         assert ONE.exact_div(Q) == LaurentPoly.monomial(-1, -1)
+
+    def test_single_term_divisor_shifts_into_negative_exponents(self):
+        p = LaurentPoly({(-2, 3): 6, (1, -1): -4})
+        quotient = p.exact_div(LaurentPoly.monomial(3, -2, 2))
+        assert quotient == LaurentPoly({(-5, 5): 3, (-2, 1): -2})
+
+    def test_integer_divisor_with_remainder(self):
+        with pytest.raises(NonExactDivision, match="is not divisible by"):
+            (6 * Q + 4 * ONE).exact_div(LaurentPoly.const(4))
+        with pytest.raises(NonExactDivision):
+            (6 * LaurentPoly.monomial(-1, -1) + 1 * ONE).exact_div(LaurentPoly.const(-3))
+
+    def test_division_by_one_is_identity(self):
+        p = (Q - 1) ** 40 + LaurentPoly.monomial(-3, 1)
+        assert p.exact_div(ONE) == p
+        assert p.exact_div(LaurentPoly.const(-1)) == -p
 
     def test_division_by_nonmonomial_of_nondivisible_terminates(self):
         # 1 / (q - 1) has no quotient; the division must detect it, not loop.
@@ -201,6 +220,10 @@ class TestRingProperties:
     @given(p=polys, d=nonzero_polys)
     def test_exact_div_round_trip(self, p, d):
         assert (p * d).exact_div(d) == p
+
+    @given(p=polys, m=monomials)
+    def test_exact_div_by_monomial_round_trip(self, p, m):
+        assert (p * m).exact_div(m) == p
 
     @given(p=polys, k=st.integers(min_value=0, max_value=8))
     def test_pow_matches_iterated_mul(self, p, k):

@@ -1,8 +1,12 @@
-import pytest
+import itertools
+from pathlib import Path
 
-from repvar.affc import affc_datum
+import pytest
+from hypothesis import given, strategies as st
+
+from repvar.affc import affc_datum, affc_inner_genus_matrix
 from repvar.finite_group import conjugacy_classes, named_group, to_tqft_datum
-from repvar.poly import LaurentPoly, NonExactDivision, ONE, Q, ZERO
+from repvar.poly import LaurentPoly, NonExactDivision, ONE, Q, U, V, ZERO
 from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
@@ -154,6 +158,14 @@ class TestEvaluation:
         with pytest.raises(UnknownPunctureLabel):
             epoly_rep_variety(datum, SurfaceSpec(0, ("nope",)))
 
+    def test_unknown_puncture_label_names_the_provided_labels(self):
+        datum = rank_one_datum(puncture_tubes={"b": ((ONE,),), "a": ((ONE,),)})
+        with pytest.raises(UnknownPunctureLabel) as err:
+            epoly_rep_variety(datum, SurfaceSpec(0, ("nope",)))
+        assert str(err.value) == (
+            "unknown puncture label 'nope'; the datum provides: 'a', 'b'"
+        )
+
     def test_missing_identity_tube(self):
         datum = affc_datum()
         word = insert_identity_tubes(TubeWord.of([]), 1)
@@ -216,6 +228,139 @@ class TestEvaluation:
             [GENUS_TUBE, puncture_tube("t"), GENUS_TUBE]
         )
         assert epoly_from_word(datum, straight) == epoly_from_word(datum, shuffled)
+
+
+DATUM_FILE = Path(__file__).resolve().parent.parent / "data" / "datums" / "affc.json"
+
+
+def stored_division(datum, word):
+    """The normalization as the stored matrices define it: the raw scalar
+    over the datum's own tubes, divided by e_G^t at the end."""
+    return evaluate_raw(datum, word).exact_div(datum.e_g ** len(word.generators))
+
+
+def outcome(evaluate, datum, word):
+    try:
+        return evaluate(datum, word)
+    except NonExactDivision:
+        return NonExactDivision
+
+
+def all_words(datum, max_length):
+    generators = [GENUS_TUBE] + [puncture_tube(label) for label in sorted(datum.puncture_tubes)]
+    if datum.identity_tube is not None:
+        generators.append(IDENTITY_TUBE)
+    for length in range(max_length + 1):
+        for gens in itertools.product(generators, repeat=length):
+            yield TubeWord.of(gens)
+
+
+def partly_divisible_datum():
+    """e_G = q - 1 divides the genus tube, the plain cylinder and puncture
+    'a', but not entry (1, 1) of puncture 'b'."""
+    e = Q - 1
+    return TqftDatum(
+        rank=2,
+        e_g=e,
+        genus_tube=((e * Q, e * 2), (e * (Q + 1), e * U)),
+        puncture_tubes={
+            "a": ((e * V, ZERO), (e, e * Q)),
+            "b": ((e * 3, e * Q), (e * V, Q + 2)),
+        },
+        identity_tube=((e * (1 - Q), e), (e * 4, e * V)),
+        disc_in=(ONE, Q),
+        disc_out=(ONE, ZERO),
+    )
+
+
+class TestEgFreeForm:
+    def test_affc_folds_the_inner_matrix(self):
+        datum = affc_datum()
+        free = datum.e_g_free
+        assert free.e_g == ONE
+        assert free.genus_tube == affc_inner_genus_matrix()
+        assert (free.disc_in, free.disc_out) == (datum.disc_in, datum.disc_out)
+        assert datum.e_g_free is free  # cached with the datum
+        assert free.e_g_free is free
+        assert datum.e_g == Q * (Q - 1)  # the stored datum is unchanged
+
+    def test_single_term_e_g_keeps_the_datum(self):
+        for datum in (
+            to_tqft_datum(named_group("s3")),
+            rank_one_datum(e_g=Q, genus_entry=Q),
+            rank_one_datum(e_g=LaurentPoly.const(2), genus_entry=LaurentPoly.const(4)),
+        ):
+            assert datum.e_g_free is datum
+
+    def test_a_tube_e_g_does_not_divide_keeps_the_datum(self):
+        datum = partly_divisible_datum()
+        assert datum.e_g_free is datum
+        tampered = datum_to_json_dict(affc_datum())
+        tampered["L"][0][0] = "q^5"
+        datum = datum_from_json_dict(tampered)
+        assert datum.e_g_free is datum
+
+    @pytest.mark.parametrize(
+        "make",
+        [affc_datum, lambda: load_datum(DATUM_FILE), partly_divisible_datum],
+        ids=["affc_datum", "affc.json", "partly-divisible"],
+    )
+    def test_matches_the_stored_division(self, make):
+        datum = make()
+        outcomes = set()
+        for word in all_words(datum, 4):
+            expected = outcome(stored_division, datum, word)
+            assert outcome(epoly_from_word, datum, word) == expected
+            outcomes.add(expected is NonExactDivision)
+        if datum.puncture_tubes:
+            assert outcomes == {False, True}  # both exits are exercised
+
+    @given(data=st.data())
+    def test_property_e_g_times_any_datum(self, data):
+        small = st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            st.integers(-3, 3),
+            max_size=3,
+        ).map(LaurentPoly)
+        e_g = data.draw(small.filter(lambda p: len(p) >= 2), label="e_G")
+        rank = data.draw(st.integers(1, 2), label="rank")
+
+        def matrix(label):
+            return data.draw(
+                st.tuples(*[st.tuples(*[small] * rank)] * rank), label=label
+            )
+
+        def scaled(m):
+            return tuple(tuple(e_g * x for x in row) for row in m)
+
+        # disc_out = (1, 0, ...) and disc_in = (1, x, ...) pair to 1; the
+        # plain cylinder's first row is chosen so disc_out . P . disc_in = e_G.
+        tail = tuple(data.draw(small, label="disc_in tail") for _ in range(rank - 1))
+        disc_in = (ONE,) + tail
+        p_inner = [list(row) for row in matrix("P")]
+        p_inner[0][0] = ONE - sum((a * b for a, b in zip(p_inner[0][1:], tail)), ZERO)
+        datum = TqftDatum(
+            rank=rank,
+            e_g=e_g,
+            genus_tube=scaled(matrix("M")),
+            puncture_tubes={"a": scaled(matrix("A")), "b": scaled(matrix("B"))},
+            identity_tube=scaled(p_inner),
+            disc_in=disc_in,
+            disc_out=(ONE,) + (ZERO,) * (rank - 1),
+        )
+        word = TubeWord.of(
+            data.draw(
+                st.lists(
+                    st.sampled_from(
+                        [GENUS_TUBE, IDENTITY_TUBE, puncture_tube("a"), puncture_tube("b")]
+                    ),
+                    max_size=4,
+                ),
+                label="word",
+            )
+        )
+        assert datum.e_g_free.e_g == ONE
+        assert epoly_from_word(datum, word) == stored_division(datum, word)
 
 
 class TestDatumFiles:
