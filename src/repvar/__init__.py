@@ -15,14 +15,6 @@ from .poly import (
     V,
     ZERO,
 )
-from .motivic import (
-    DEFAULT_REGISTRY,
-    StratumRegistry,
-    UnknownStratum,
-    disjoint_union,
-    fibration,
-    standard_class,
-)
 from .tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,

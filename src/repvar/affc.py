@@ -30,7 +30,6 @@ def affc_datum() -> TqftDatum:
         tuple(f * entry for entry in row) for row in affc_inner_genus_matrix()
     )
     return TqftDatum(
-        rank=2,
         e_g=f,
         genus_tube=genus_tube,
         puncture_tubes={},

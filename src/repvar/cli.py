@@ -27,7 +27,7 @@ from .finite_group import (
     conjugacy_closure,
     load_group,
 )
-from .poly import LaurentPoly, NonExactDivision, PolyParseError
+from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError
 from .tqft import (
     InvalidDatum,
     SurfaceSpec,
@@ -246,6 +246,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("--max-genus must be >= 0")
     if args.max_punctures < 0:
         raise ValueError("--max-punctures must be >= 0")
+    if args.budget < 0:
+        raise ValueError("--budget must be >= 0")
     report = _Report()
     if args.backend == "affc":
         _verify_affc(args, report)
@@ -334,7 +336,7 @@ def _verify_custom(args, report: _Report) -> None:
         except NonExactDivision as exc:
             report.record(desc, "FAIL", f"counterexample: genus={genus}: {exc}")
             continue
-        if genus == 0 and result != LaurentPoly.one():
+        if genus == 0 and result != ONE:
             report.record(desc, "FAIL", f"counterexample: sphere value {result} != 1")
             continue
         report.record(desc, "PASS")

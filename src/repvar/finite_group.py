@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .poly import LaurentPoly
+from .poly import LaurentPoly, ONE, ZERO
 from .tqft import TqftDatum
 
 __all__ = [
@@ -90,10 +90,13 @@ class FiniteGroup:
     messages name elements by their source index.
     """
 
-    order: int
     mult: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     source_identity: int = field(default=0, compare=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.mult)
 
     @property
     def identity(self) -> int:
@@ -114,9 +117,6 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def conjugate(self, h: int, g: int) -> int:
         """h g h^-1."""
@@ -155,11 +155,15 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
     if n == 0:
         raise NotAGroup("empty table")
     rows = []
-    for row in table:
-        row = tuple(int(x) for x in row)
-        if len(row) != n or any(x < 0 or x >= n for x in row):
-            raise NotAGroup(f"not a square table over 0..{n - 1}")
-        rows.append(row)
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise NotAGroup(f"not a square table over 0..{n - 1}: row {i} is {row!r}")
+        for j, x in enumerate(row):
+            if type(x) is not int or not 0 <= x < n:
+                raise NotAGroup(
+                    f"not a square table over 0..{n - 1}: entry ({i}, {j}) is {x!r}"
+                )
+        rows.append(tuple(row))
 
     identity = None
     for e in range(n):
@@ -188,9 +192,7 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
         inverse.append(inv_x)
 
     _check_associative(rows)
-    return FiniteGroup(
-        order=n, mult=tuple(rows), inverse=tuple(inverse), source_identity=identity
-    )
+    return FiniteGroup(mult=tuple(rows), inverse=tuple(inverse), source_identity=identity)
 
 
 def _check_associative(rows: Sequence[tuple[int, ...]]) -> None:
@@ -248,11 +250,14 @@ def from_permutation_generators(
     """Close the generators under composition and build the Cayley table
     of the generated permutation group."""
     gens = []
-    for g in generators:
-        g = tuple(int(x) for x in g)
-        if sorted(g) != list(range(degree)):
-            raise NotAGroup(f"{g!r} is not a permutation of 0..{degree - 1}")
-        gens.append(g)
+    for i, g in enumerate(generators):
+        if (
+            not isinstance(g, (list, tuple))
+            or any(type(x) is not int for x in g)
+            or sorted(g) != list(range(degree))
+        ):
+            raise NotAGroup(f"generator {i}, {g!r}, is not a permutation of 0..{degree - 1}")
+        gens.append(tuple(g))
 
     identity = tuple(range(degree))
     index: dict[tuple[int, ...], int] = {identity: 0}
@@ -407,9 +412,7 @@ def _lift(matrix: Sequence[Sequence[int]]) -> tuple[tuple[LaurentPoly, ...], ...
 
 
 def _unit_vector(rank: int, index: int) -> tuple[LaurentPoly, ...]:
-    return tuple(
-        LaurentPoly.one() if i == index else LaurentPoly.zero() for i in range(rank)
-    )
+    return tuple(ONE if i == index else ZERO for i in range(rank))
 
 
 def to_tqft_datum(
@@ -423,7 +426,6 @@ def to_tqft_datum(
     for label, subset in (punctures or {}).items():
         tubes[str(label)] = _lift(puncture_matrix(group, subset))
     return TqftDatum(
-        rank=n,
         e_g=LaurentPoly.const(n),
         genus_tube=_lift(genus_matrix(group)),
         puncture_tubes=tubes,
@@ -453,7 +455,7 @@ def class_reduce(datum: TqftDatum, group: FiniteGroup) -> TqftDatum:
             full_row = matrix[reps[d]]
             row = []
             for c in range(k):
-                acc = LaurentPoly.zero()
+                acc = ZERO
                 for g in classes.members[c]:
                     acc = acc + full_row[g]
                 row.append(acc)
@@ -461,7 +463,6 @@ def class_reduce(datum: TqftDatum, group: FiniteGroup) -> TqftDatum:
         return tuple(rows)
 
     return TqftDatum(
-        rank=k,
         e_g=datum.e_g,
         genus_tube=reduce_matrix(datum.genus_tube),
         puncture_tubes={
@@ -530,7 +531,6 @@ def class_datum(
         )
 
     return TqftDatum(
-        rank=k,
         e_g=LaurentPoly.const(n),
         genus_tube=_lift(genus),
         puncture_tubes=tubes,
@@ -711,9 +711,12 @@ def group_from_json_dict(data: dict, max_order: int = DEFAULT_MAX_ORDER) -> Fini
             )
         return from_cayley_table(table)
     if "degree" in data and "generators" in data:
-        return from_permutation_generators(
-            int(data["degree"]), data["generators"], max_order=max_order
-        )
+        degree, generators = data["degree"], data["generators"]
+        if type(degree) is not int or degree < 0:
+            raise NotAGroup(f"'degree' must be a nonnegative integer, got {degree!r}")
+        if not isinstance(generators, list):
+            raise NotAGroup(f"'generators' must be a list of permutations, got {generators!r}")
+        return from_permutation_generators(degree, generators, max_order=max_order)
     raise NotAGroup("group file needs either 'table' or 'degree' + 'generators'")
 
 

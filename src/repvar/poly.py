@@ -88,14 +88,6 @@ class LaurentPoly:
     # ------------------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({(0, 0): 1})
-
-    @classmethod
     def const(cls, n: int) -> "LaurentPoly":
         return cls({(0, 0): int(n)})
 
@@ -119,9 +111,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Terms in decreasing (a+b, a) order."""
         return iter(sorted(self._terms.items(), key=lambda t: _order_key(t[0]), reverse=True))
-
-    def coefficient(self, a: int, b: int) -> int:
-        return self._terms.get((a, b), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -204,7 +193,7 @@ class LaurentPoly:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers are not supported; exponent must be >= 0")
-        result = LaurentPoly.one()
+        result = ONE
         base = self
         while k:
             if k & 1:
@@ -231,7 +220,7 @@ class LaurentPoly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly.zero()
+            return ZERO
 
         if len(divisor._terms) == 1:
             ((da, db), dc), = divisor._terms.items()
@@ -363,8 +352,8 @@ class LaurentPoly:
         return cls.from_terms(triples)
 
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+ZERO = LaurentPoly()
+ONE = LaurentPoly.const(1)
 U = LaurentPoly.monomial(1, 0)
 V = LaurentPoly.monomial(0, 1)
 Q = LaurentPoly.monomial(1, 1)

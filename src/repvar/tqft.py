@@ -30,7 +30,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, parse_poly
+from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, ZERO, parse_poly
 
 __all__ = [
     "InvalidDatum",
@@ -79,7 +79,7 @@ class UnknownPunctureLabel(KeyError):
 
 
 def dot(row: Sequence[LaurentPoly], col: Sequence[LaurentPoly]) -> LaurentPoly:
-    total = LaurentPoly.zero()
+    total = ZERO
     for x, y in zip(row, col):
         total = total + x * y
     return total
@@ -140,15 +140,11 @@ class TubeWord:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
 
-    @classmethod
-    def of(cls, generators: Sequence[TubeGenerator]) -> "TubeWord":
-        return cls(generators)
-
 
 def assemble_word(spec: SurfaceSpec) -> TubeWord:
     """Genus tubes first, then the punctures in their listed order."""
     gens = [GENUS_TUBE] * spec.genus + [puncture_tube(label) for label in spec.punctures]
-    return TubeWord.of(gens)
+    return TubeWord(gens)
 
 
 def insert_identity_tubes(word: TubeWord, k: int) -> TubeWord:
@@ -156,7 +152,7 @@ def insert_identity_tubes(word: TubeWord, k: int) -> TubeWord:
     normalized evaluation must not change."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return TubeWord.of(word.generators + (IDENTITY_TUBE,) * k)
+    return TubeWord(word.generators + (IDENTITY_TUBE,) * k)
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +162,14 @@ def insert_identity_tubes(word: TubeWord, k: int) -> TubeWord:
 
 @dataclass(frozen=True)
 class TqftDatum:
-    """Matrices and disc vectors for one coefficient module.
+    """Matrices and disc vectors for one coefficient module; its rank is
+    the length of the cap vector ``disc_in``.
 
     Structural invariants are checked on construction; nothing verifies
     that the datum actually arises from a group, so an inconsistent
     custom datum surfaces later as a NonExactDivision.
     """
 
-    rank: int
     e_g: LaurentPoly
     genus_tube: tuple
     puncture_tubes: Mapping[str, tuple] = field(default_factory=dict)
@@ -194,16 +190,18 @@ class TqftDatum:
         object.__setattr__(self, "disc_out", tuple(self.disc_out))
         self._validate()
 
+    @property
+    def rank(self) -> int:
+        return len(self.disc_in)
+
     def _validate(self) -> None:
         if self.rank < 1:
-            raise InvalidDatum("rank must be a positive integer")
+            raise InvalidDatum("rank must be a positive integer: disc_in is empty")
         _check_square(self.genus_tube, self.rank, "genus tube")
         if self.identity_tube is not None:
             _check_square(self.identity_tube, self.rank, "identity tube")
         for label, matrix in self.puncture_tubes.items():
             _check_square(matrix, self.rank, f"puncture tube {label!r}")
-        if len(self.disc_in) != self.rank:
-            raise InvalidDatum(f"disc_in must have length {self.rank}")
         if len(self.disc_out) != self.rank:
             raise InvalidDatum(f"disc_out must have length {self.rank}")
         if self.e_g.is_zero():
@@ -251,7 +249,6 @@ class TqftDatum:
 
         try:
             return TqftDatum(
-                rank=self.rank,
                 e_g=ONE,
                 genus_tube=divided(self.genus_tube),
                 puncture_tubes={label: divided(m) for label, m in self.puncture_tubes.items()},
@@ -344,10 +341,15 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
     missing = {"rank", "e_G", "L", "disc_in", "disc_out"} - set(data)
     if missing:
         raise InvalidDatum(f"datum file is missing keys: {', '.join(sorted(missing))}")
-    try:
-        rank = int(data["rank"])
-    except (TypeError, ValueError):
-        raise InvalidDatum("rank must be an integer") from None
+    for key in ("disc_in", "disc_out"):
+        if not isinstance(data[key], list):
+            raise InvalidDatum(f"{key} must be a list of polynomials, got {data[key]!r}")
+    rank = data["rank"]
+    if type(rank) is not int or rank != len(data["disc_in"]):
+        raise InvalidDatum(
+            "rank must be an integer equal to the length of disc_in "
+            f"({len(data['disc_in'])}), got {rank!r}"
+        )
     try:
         e_g = parse_poly(str(data["e_G"]))
         disc_in = tuple(parse_poly(str(x)) for x in data["disc_in"])
@@ -358,7 +360,6 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
     if not isinstance(punctures, dict):
         raise InvalidDatum("punctures must be an object of label -> matrix")
     return TqftDatum(
-        rank=rank,
         e_g=e_g,
         genus_tube=_matrix_from_json(data["L"], "L"),
         puncture_tubes={

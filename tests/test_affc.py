@@ -45,11 +45,11 @@ class TestRawEvaluation:
     def test_single_genus_tube(self):
         # The cup projects onto the first coordinate of the matrix's
         # first column.
-        raw = evaluate_raw(affc_datum(), TubeWord.of([GENUS_TUBE]))
+        raw = evaluate_raw(affc_datum(), TubeWord([GENUS_TUBE]))
         assert raw == Q * (Q - 1) * (Q**3 - Q**2)
 
     def test_empty_word(self):
-        assert evaluate_raw(affc_datum(), TubeWord.of([])) == ONE
+        assert evaluate_raw(affc_datum(), TubeWord([])) == ONE
 
 
 class TestClosedForm:

@@ -200,6 +200,16 @@ class TestVerify:
         assert "--max-punctures must be >= 0" in err
         assert "SUMMARY" not in out
 
+    def test_negative_budget_rejected(self, capsys, group_file_factory):
+        path = group_file_factory("z2")
+        code, out, err = run(
+            capsys,
+            "verify", "--backend", "finite", "--group", str(path), "--budget", "-5",
+        )
+        assert code == 2
+        assert "--budget must be >= 0" in err
+        assert "SUMMARY" not in out
+
     def test_finite_budget_skips(self, capsys, group_file_factory):
         path = group_file_factory("s3")
         code, out, _ = run(
@@ -309,6 +319,31 @@ class TestClasses:
         path.write_text(json.dumps({"table": [[0, 0], [0, 0]]}))
         code, _, _ = run(capsys, "classes", "--group", str(path))
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "data, witness",
+    [
+        ({"table": [[0, 1], 5]}, "row 1 is 5"),
+        ({"table": [[0, 1.9], [1.2, 0]]}, "entry (0, 1) is 1.9"),
+        ({"table": [[False, True], [True, False]]}, "entry (0, 0) is False"),
+        ({"degree": 3.7, "generators": [[1, 0, 2], [1, 2, 0]]}, "'degree'"),
+        ({"degree": -1, "generators": [[]]}, "'degree'"),
+        ({"degree": 3, "generators": 5}, "'generators'"),
+        ({"degree": 3, "generators": [5]}, "generator 0, 5,"),
+        ({"degree": 3, "generators": [[1.0, 0, 2]]}, "generator 0, [1.0, 0, 2],"),
+    ],
+)
+def test_malformed_group_file_exits_two(capsys, tmp_path, data, witness):
+    # Each of these once raised TypeError (exit 1) or was accepted:
+    # truncated to integers, or a negative degree read as the trivial group.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "compute", "--backend", "finite", "--group", str(path), "--genus", "1"
+    )
+    assert (code, out) == (2, "")
+    assert witness in err
 
 
 # Z3 stored with its identity at index 2; element 0 generates, 0 * 0 = 1.

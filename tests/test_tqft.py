@@ -1,3 +1,4 @@
+import json
 import itertools
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from repvar.tqft import (
 def rank_one_datum(e_g=None, genus_entry=None, **overrides):
     """Tiny hand-built datum for structural tests."""
     fields = dict(
-        rank=1,
         e_g=e_g if e_g is not None else ONE,
         genus_tube=((genus_entry if genus_entry is not None else ONE,),),
         puncture_tubes={},
@@ -60,8 +60,8 @@ class TestWords:
         assert word.generators == (GENUS_TUBE, puncture_tube("t"))
 
     def test_insert_identity_tubes(self):
-        assert insert_identity_tubes(TubeWord.of([]), 1).generators == (IDENTITY_TUBE,)
-        word = insert_identity_tubes(TubeWord.of([GENUS_TUBE]), 2)
+        assert insert_identity_tubes(TubeWord([]), 1).generators == (IDENTITY_TUBE,)
+        word = insert_identity_tubes(TubeWord([GENUS_TUBE]), 2)
         assert word.generators == (GENUS_TUBE, IDENTITY_TUBE, IDENTITY_TUBE)
 
     def test_negative_genus_rejected(self):
@@ -92,20 +92,20 @@ class TestMatrixAlgebra:
         # The engine applies L^k as k matrix-vector products; the same
         # power taken as k covector-matrix products must agree.
         datum = affc_datum()
-        word = TubeWord.of([GENUS_TUBE] * k)
+        word = TubeWord([GENUS_TUBE] * k)
         assert evaluate_raw(datum, word) == covector_fold(datum, k)
 
     @pytest.mark.parametrize("k", range(7))
     def test_power_matches_iterated_mul_finite(self, k):
         datum = to_tqft_datum(named_group("s3"))
-        word = TubeWord.of([GENUS_TUBE] * k)
+        word = TubeWord([GENUS_TUBE] * k)
         assert evaluate_raw(datum, word) == covector_fold(datum, k)
 
 
 class TestDatumValidation:
     def test_rank_positive(self):
         with pytest.raises(InvalidDatum):
-            rank_one_datum(rank=0, genus_tube=(), disc_in=(), disc_out=())
+            rank_one_datum(genus_tube=(), disc_in=(), disc_out=())
 
     def test_square_matrices_required(self):
         with pytest.raises(InvalidDatum):
@@ -141,7 +141,7 @@ class TestDatumValidation:
 class TestEvaluation:
     def test_empty_word_is_one(self):
         for datum in (affc_datum(), to_tqft_datum(named_group("s3"))):
-            assert evaluate_raw(datum, TubeWord.of([])) == ONE
+            assert evaluate_raw(datum, TubeWord([])) == ONE
 
     def test_sphere_normalizes_to_one(self):
         for datum in (affc_datum(), to_tqft_datum(named_group("q8"))):
@@ -150,7 +150,7 @@ class TestEvaluation:
     def test_plain_cylinder_counts_group_order(self):
         group = named_group("s3")
         datum = to_tqft_datum(group)
-        raw = evaluate_raw(datum, TubeWord.of([IDENTITY_TUBE]))
+        raw = evaluate_raw(datum, TubeWord([IDENTITY_TUBE]))
         assert raw == LaurentPoly.const(group.order)
 
     def test_unknown_puncture_label(self):
@@ -168,7 +168,7 @@ class TestEvaluation:
 
     def test_missing_identity_tube(self):
         datum = affc_datum()
-        word = insert_identity_tubes(TubeWord.of([]), 1)
+        word = insert_identity_tubes(TubeWord([]), 1)
         with pytest.raises(InvalidDatum):
             evaluate_raw(datum, word)
 
@@ -224,7 +224,7 @@ class TestEvaluation:
         classes = conjugacy_classes(group)
         datum = to_tqft_datum(group, {"t": classes.members[1]})
         straight = assemble_word(SurfaceSpec(2, ("t",)))
-        shuffled = TubeWord.of(
+        shuffled = TubeWord(
             [GENUS_TUBE, puncture_tube("t"), GENUS_TUBE]
         )
         assert epoly_from_word(datum, straight) == epoly_from_word(datum, shuffled)
@@ -252,7 +252,7 @@ def all_words(datum, max_length):
         generators.append(IDENTITY_TUBE)
     for length in range(max_length + 1):
         for gens in itertools.product(generators, repeat=length):
-            yield TubeWord.of(gens)
+            yield TubeWord(gens)
 
 
 def partly_divisible_datum():
@@ -260,7 +260,6 @@ def partly_divisible_datum():
     'a', but not entry (1, 1) of puncture 'b'."""
     e = Q - 1
     return TqftDatum(
-        rank=2,
         e_g=e,
         genus_tube=((e * Q, e * 2), (e * (Q + 1), e * U)),
         puncture_tubes={
@@ -340,7 +339,6 @@ class TestEgFreeForm:
         p_inner = [list(row) for row in matrix("P")]
         p_inner[0][0] = ONE - sum((a * b for a, b in zip(p_inner[0][1:], tail)), ZERO)
         datum = TqftDatum(
-            rank=rank,
             e_g=e_g,
             genus_tube=scaled(matrix("M")),
             puncture_tubes={"a": scaled(matrix("A")), "b": scaled(matrix("B"))},
@@ -348,7 +346,7 @@ class TestEgFreeForm:
             disc_in=disc_in,
             disc_out=(ONE,) + (ZERO,) * (rank - 1),
         )
-        word = TubeWord.of(
+        word = TubeWord(
             data.draw(
                 st.lists(
                     st.sampled_from(
@@ -404,3 +402,26 @@ class TestDatumFiles:
         data["disc_out"] = ["0", "0"]
         with pytest.raises(InvalidDatum):
             datum_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("disc_in", 5),
+            ("disc_in", "10"),
+            ("disc_out", "10"),
+            ("rank", 2.9),
+            ("rank", True),
+            ("rank", 3),
+        ],
+    )
+    def test_malformed_vectors_and_rank_rejected(self, key, value):
+        # A string vector was once read character by character, a float
+        # rank truncated, and a non-list vector raised TypeError.
+        data = datum_to_json_dict(affc_datum())
+        data[key] = value
+        with pytest.raises(InvalidDatum, match=key):
+            datum_from_json_dict(data)
+
+    def test_shipped_example_is_the_builtin_affc_datum(self):
+        assert load_datum(DATUM_FILE) == affc_datum()
+        assert json.loads(DATUM_FILE.read_text()) == datum_to_json_dict(affc_datum())
