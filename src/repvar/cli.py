@@ -167,11 +167,10 @@ def _build_datum_and_spec(args) -> tuple:
         subsets = {}
         labels = []
         for i, (kind, value) in enumerate(puncture_specs, start=1):
-            # Indices on the command line are the group file's own.
             if kind == "rep":
-                subset = conjugacy_closure(group, [group.relabel(value)])
+                subset = conjugacy_closure(group, [value])
             elif kind == "elements":
-                subset = tuple(sorted({group.relabel(x) for x in value}))
+                subset = value
             else:
                 raise ValueError(
                     "finite backend punctures must use rep= or elements="
@@ -368,7 +367,6 @@ def _cmd_classes(args) -> int:
     classes = conjugacy_classes(group)
     print(f"group of order {group.order} with {len(classes)} conjugacy classes")
     for i, members in enumerate(classes.members):
-        members = sorted(group.relabel(m) for m in members)  # the file's indices
         print(
             f"class {i}: size {len(members)}, "
             f"centralizer {classes.centralizer_orders[i]}, "

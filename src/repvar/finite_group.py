@@ -1,12 +1,11 @@
 """Finite groups as Cayley tables, their conjugacy data, and the integer
 transfer matrices their tube operators induce.
 
-Elements are indices 0..n-1 with the identity pinned to 0 (a table whose
-identity sits elsewhere has that index swapped with 0 on ingestion, and
-``FiniteGroup.relabel`` maps between the two labellings), so the disc
-vectors of a group datum are simply indicator/projection vectors at
-coordinate 0.  All matrices here are plain integer matrices; they are
-lifted to Laurent polynomials only when packed into a ``TqftDatum``.
+Elements are the indices 0..n-1 of the table the group was read from,
+wherever that table keeps its identity; there is no second labelling and
+nothing to map back.  The identity is read off the table.  All matrices
+here are plain integer matrices; they are lifted to Laurent polynomials
+only when packed into a ``TqftDatum``.
 
 ``class_datum`` builds the datum the CLI evaluates: rank = class number,
 straight from closed forms on class representatives.  The full-rank
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -83,16 +82,13 @@ DEFAULT_BUDGET = 10**9
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group of order n on elements 0..n-1 with identity 0.
-
-    ``source_identity`` is the index the identity had in the table the
-    group was read from; that table's index is swapped with 0.  Error
-    messages name elements by their source index.
+    """A finite group of order n: its multiplication table over the
+    elements 0..n-1, in the labels of the table it was read from, and the
+    inverse of each element.  Everything else is derived from the table.
     """
 
     mult: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
-    source_identity: int = field(default=0, compare=False)
 
     @property
     def order(self) -> int:
@@ -100,20 +96,11 @@ class FiniteGroup:
 
     @property
     def identity(self) -> int:
-        return 0
+        # x y == x only for y = e.
+        return self.mult[0].index(0)
 
     def elements(self) -> range:
         return range(self.order)
-
-    def relabel(self, x: int) -> int:
-        """Source index of internal element x, or internal index of source
-        element x: the swap of 0 and the identity is its own inverse.
-        Indices out of range map to themselves."""
-        if x == 0:
-            return self.source_identity
-        if x == self.source_identity:
-            return 0
-        return x
 
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
@@ -129,11 +116,19 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ConjugacyClasses:
-    """Partition of a group into conjugacy classes, identity class first."""
+    """Partition of a group into conjugacy classes: the identity's class
+    first, then the others by their smallest member.  Each class's members
+    are sorted, so its representative is its smallest member.  Centralizer
+    orders are derived by orbit-stabiliser, |C(x)| = |G| / |class of x|.
+    """
 
     class_of: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
-    centralizer_orders: tuple[int, ...]
+
+    @property
+    def centralizer_orders(self) -> tuple[int, ...]:
+        n = len(self.class_of)
+        return tuple(n // len(m) for m in self.members)
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -149,8 +144,8 @@ class ConjugacyClasses:
 
 
 def from_cayley_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Validate a multiplication table and return the group, with the
-    identity relabeled to index 0."""
+    """Validate a multiplication table and return the group on the
+    table's own element labels."""
     n = len(table)
     if n == 0:
         raise NotAGroup("empty table")
@@ -173,36 +168,28 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
     if identity is None:
         raise NotAGroup("no identity element")
 
-    if identity != 0:
-        sigma = list(range(n))
-        sigma[0], sigma[identity] = identity, 0
-        rows = [
-            tuple(sigma[rows[sigma[i]][sigma[j]]] for j in range(n)) for i in range(n)
-        ]
-
     inverse = []
-    for x in range(n):
-        inv_x = None
-        for y in range(n):
-            if rows[x][y] == 0 and rows[y][x] == 0:
-                inv_x = y
-                break
-        if inv_x is None:
+    for x, row in enumerate(rows):
+        # In a monoid a unit has exactly one right inverse, so a table
+        # where the first one is not two-sided but a later one is fails
+        # associativity below: the same tables are rejected as by a scan.
+        y = row.index(identity) if identity in row else None
+        if y is None or rows[y][x] != identity:
             raise NotAGroup(f"element {x} has no two-sided inverse")
-        inverse.append(inv_x)
+        inverse.append(y)
 
-    _check_associative(rows)
-    return FiniteGroup(mult=tuple(rows), inverse=tuple(inverse), source_identity=identity)
+    _check_associative(rows, identity)
+    return FiniteGroup(mult=tuple(rows), inverse=tuple(inverse))
 
 
-def _check_associative(rows: Sequence[tuple[int, ...]]) -> None:
+def _check_associative(rows: Sequence[tuple[int, ...]], identity: int) -> None:
     """Light's associativity test over a greedy generating set.
 
     Let A be the set of s with (x s) y == x (s y) for all x, y.  If a and
     b are in A, so is a b:
     (x (ab)) y = ((xa) b) y = (xa)(by) = x (a (by)) = x ((ab) y).
-    The identity 0 is in A, so once every generator passes, A contains
-    everything reachable from 0 by right multiplication by generators.
+    The identity is in A, so once every generator passes, A contains
+    everything reachable from it by right multiplication by generators.
     A generator is taken greedily from the elements not reached yet, so
     a group of order n needs at most log2(n) of them (each one at least
     doubles the subgroup reached) and the test costs O(n^2 log n)
@@ -210,8 +197,8 @@ def _check_associative(rows: Sequence[tuple[int, ...]]) -> None:
     """
     n = len(rows)
     reached = bytearray(n)
-    reached[0] = 1
-    found = [0]
+    reached[identity] = 1
+    found = [identity]
     gens: list[int] = []
     for s in range(n):
         if reached[s]:
@@ -253,30 +240,29 @@ def from_permutation_generators(
     for i, g in enumerate(generators):
         if (
             not isinstance(g, (list, tuple))
+            or len(g) != degree
             or any(type(x) is not int for x in g)
             or sorted(g) != list(range(degree))
         ):
             raise NotAGroup(f"generator {i}, {g!r}, is not a permutation of 0..{degree - 1}")
         gens.append(tuple(g))
 
-    identity = tuple(range(degree))
+    # Without generators the group is trivial at any degree, and its one
+    # element needs no points: the degree alone never sizes an allocation.
+    identity = tuple(range(degree)) if gens else ()
     index: dict[tuple[int, ...], int] = {identity: 0}
     elements = [identity]
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for perm in frontier:
-            for g in gens:
-                product = _compose(perm, g)
-                if product not in index:
-                    if len(elements) >= max_order:
-                        raise GroupTooLarge(
-                            f"generated group exceeds {max_order} elements"
-                        )
-                    index[product] = len(elements)
-                    elements.append(product)
-                    next_frontier.append(product)
-        frontier = next_frontier
+    # Breadth-first: the loop also visits the products appended as it runs.
+    for perm in elements:
+        for g in gens:
+            product = _compose(perm, g)
+            if product not in index:
+                if len(elements) >= max_order:
+                    raise GroupTooLarge(
+                        f"generated group exceeds {max_order} elements"
+                    )
+                index[product] = len(elements)
+                elements.append(product)
 
     table = [
         [index[_compose(a, b)] for b in elements] for a in elements
@@ -293,8 +279,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
     n = group.order
     class_of = [-1] * n
     members: list[tuple[int, ...]] = []
-    centralizers: list[int] = []
-    for x in range(n):
+    for x in (group.identity, *range(n)):
         if class_of[x] != -1:
             continue
         orbit = sorted({group.conjugate(h, x) for h in range(n)})
@@ -302,10 +287,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
         for y in orbit:
             class_of[y] = idx
         members.append(tuple(orbit))
-        centralizers.append(
-            sum(1 for h in range(n) if group.mul(h, x) == group.mul(x, h))
-        )
-    return ConjugacyClasses(tuple(class_of), tuple(members), tuple(centralizers))
+    return ConjugacyClasses(tuple(class_of), tuple(members))
 
 
 def conjugacy_closure(group: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]:
@@ -328,8 +310,7 @@ def _check_conjugation_closed(group: FiniteGroup, subset: tuple[int, ...]) -> No
             y = group.conjugate(h, x)
             if y not in member:
                 raise NotConjugationClosed(
-                    f"conjugate {group.relabel(y)} of {group.relabel(x)} "
-                    "is missing from the subset"
+                    f"conjugate {y} of {x} is missing from the subset"
                 )
 
 
@@ -430,8 +411,8 @@ def to_tqft_datum(
         genus_tube=_lift(genus_matrix(group)),
         puncture_tubes=tubes,
         identity_tube=_lift(tube_matrix_P(group)),
-        disc_in=_unit_vector(n, 0),
-        disc_out=_unit_vector(n, 0),
+        disc_in=_unit_vector(n, group.identity),
+        disc_out=_unit_vector(n, group.identity),
     )
 
 
@@ -489,11 +470,14 @@ def class_datum(
 
     - genus tube: R[d][c] = |G| * sum over g in C_c of comm(g^-1 a_d);
     - puncture tube for a subset lam:
-      R[d][c] = |C(a_d)| * #{(g, h) in C_c x lam : g h in C_d};
+      R[d][c] = |C(a_d)| * #{(g, h) in C_c x lam : g h in C_d}
+              = |C(a_d)| * |C_c| * #{h in lam : a_c h in C_d},
+      because lam is conjugation-closed, so the count for g is a class
+      function of g;
     - plain cylinder: |G| times the identity.
 
     The cost is O(k n) for the genus tube (k classes, n = |G|) plus
-    O(n |lam|) per puncture.
+    O(k |lam|) per puncture.
     """
     n = group.order
     mult = group.mult
@@ -521,11 +505,10 @@ def class_datum(
         lam = tuple(sorted(set(int(x) for x in subset)))
         _check_conjugation_closed(group, lam)
         counts = [[0] * k for _ in range(k)]
-        for g in range(n):
-            column = class_of[g]
-            row_g = mult[g]
+        for c, members in enumerate(classes.members):
+            row_a = mult[members[0]]
             for h in lam:
-                counts[class_of[row_g[h]]][column] += 1
+                counts[class_of[row_a[h]]][c] += len(members)
         tubes[str(label)] = _lift(
             [[cent[d] * x for x in row] for d, row in enumerate(counts)]
         )

@@ -361,6 +361,20 @@ S3_IDENTITY_AT_1 = {
     ]
 }
 
+# D4 stored with its identity at index 5; 0 and 4 are conjugate.
+D4_IDENTITY_AT_5 = {
+    "table": [
+        [5, 4, 3, 2, 1, 0, 7, 6],
+        [4, 5, 6, 7, 0, 1, 2, 3],
+        [7, 6, 5, 4, 3, 2, 1, 0],
+        [6, 7, 0, 1, 2, 3, 4, 5],
+        [1, 0, 7, 6, 5, 4, 3, 2],
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        [3, 2, 1, 0, 7, 6, 5, 4],
+        [2, 3, 4, 5, 6, 7, 0, 1],
+    ]
+}
+
 
 class TestFileIndices:
     """Element indices on the command line and in the output are the
@@ -390,7 +404,28 @@ class TestFileIndices:
     def test_classes_print_file_indices(self, capsys, z3_file):
         code, out, _ = run(capsys, "classes", "--group", z3_file)
         assert code == 0
-        assert "class 0: size 1, centralizer 3, representative 2, elements [2]" in out
+        assert out == (
+            "group of order 3 with 3 conjugacy classes\n"
+            "class 0: size 1, centralizer 3, representative 2, elements [2]\n"
+            "class 1: size 1, centralizer 3, representative 0, elements [0]\n"
+            "class 2: size 1, centralizer 3, representative 1, elements [1]\n"
+        )
+
+    def test_classes_listed_identity_first_then_by_smallest_member(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(D4_IDENTITY_AT_5))
+        code, out, _ = run(capsys, "classes", "--group", str(path))
+        assert code == 0
+        assert out == (
+            "group of order 8 with 5 conjugacy classes\n"
+            "class 0: size 1, centralizer 8, representative 5, elements [5]\n"
+            "class 1: size 2, centralizer 4, representative 0, elements [0, 4]\n"
+            "class 2: size 1, centralizer 8, representative 1, elements [1]\n"
+            "class 3: size 2, centralizer 4, representative 2, elements [2, 6]\n"
+            "class 4: size 2, centralizer 4, representative 3, elements [3, 7]\n"
+        )
 
     def test_not_closed_witness_uses_file_indices(self, capsys, tmp_path):
         path = tmp_path / "s3.json"

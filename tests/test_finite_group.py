@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ S3_TABLE = [
     [5, 3, 0, 4, 1, 2],
 ]
 
-# Same group with the identity parked at index 2, for the relabeling path.
+# Same group with the identity parked at index 1.
 S3_SHUFFLED = [
     [5, 0, 4, 2, 3, 1],
     [0, 1, 2, 3, 4, 5],
@@ -157,20 +158,13 @@ class TestConstruction:
         assert group.order == 6
         assert len(conjugacy_classes(group)) == 3
 
-    def test_identity_relabeled_to_zero(self):
+    def test_identity_keeps_its_table_index(self):
         group = from_cayley_table(S3_SHUFFLED)
-        assert all(group.mul(0, x) == x == group.mul(x, 0) for x in group.elements())
+        e = group.identity
+        assert e == 1
+        assert all(group.mul(e, x) == x == group.mul(x, e) for x in group.elements())
+        assert group.mult == tuple(map(tuple, S3_SHUFFLED))
         assert sorted(len(m) for m in conjugacy_classes(group).members) == [1, 2, 3]
-
-    def test_relabel_maps_back_to_source_indices(self):
-        group = from_cayley_table(S3_SHUFFLED)
-        assert group.source_identity == 1
-        assert [group.relabel(x) for x in range(6)] == [1, 0, 2, 3, 4, 5]
-        assert all(group.relabel(group.relabel(x)) == x for x in range(6))
-        for a in range(6):
-            for b in range(6):
-                source = S3_SHUFFLED[group.relabel(a)][group.relabel(b)]
-                assert group.relabel(group.mul(a, b)) == source
 
     def test_permutation_generators_s3(self):
         group = from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)])
@@ -183,6 +177,23 @@ class TestConstruction:
     def test_permutation_generators_z2(self):
         group = from_permutation_generators(2, [(1, 0)])
         assert group.order == 2
+
+    def test_degree_alone_sizes_no_allocation(self):
+        # At degree 10^6 these once peaked at 40-49 MB before any check.
+        degree = 10**6
+        tracemalloc.start()
+        try:
+            group = group_from_json_dict({"degree": degree, "generators": []})
+            trivial_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(NotAGroup, match=r"generator 0, \[0\],"):
+                group_from_json_dict({"degree": degree, "generators": [[0]]})
+            short_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert group.order == 1
+        assert trivial_peak < 2**20
+        assert short_peak < 2**20
 
     def test_non_permutation_rejected(self):
         with pytest.raises(NotAGroup):
@@ -231,6 +242,10 @@ class TestConjugacy:
             assert sum(len(m) for m in classes.members) == group.order
             for members, cent in zip(classes.members, classes.centralizer_orders):
                 assert len(members) * cent == group.order
+                x = members[0]
+                assert cent == sum(
+                    1 for h in group.elements() if group.mul(h, x) == group.mul(x, h)
+                )
 
     def test_identity_class_first(self, suite_groups):
         for group in suite_groups.values():
@@ -473,6 +488,36 @@ class TestClassDatum:
         assert datum.rank == len(conjugacy_classes(group))
         for genus, count in GENUS_COUNTS[name].items():
             assert epoly_rep_variety(datum, SurfaceSpec(genus)) == count
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(set(NAMED_GROUPS) - {"z1"})),
+        perm=st.permutations(range(12)),
+    )
+    def test_invariants_survive_any_labelling(self, name, perm):
+        # The file's labels are kept, with the identity wherever perm puts it.
+        group = named_group(name)
+        perm = [x for x in perm if x < group.order]
+        relabelled = from_cayley_table(relabel(group, perm))
+        assert relabelled.identity == perm[group.identity]
+        members = conjugacy_classes(group).members
+        mapped = conjugacy_classes(relabelled).members
+        assert {frozenset(perm[x] for x in m) for m in members} == set(
+            map(frozenset, mapped)
+        )
+        assert mapped[0] == (relabelled.identity,)
+        assert [m[0] for m in mapped[1:]] == sorted(m[0] for m in mapped[1:])
+        tubes = {f"c{i}": m for i, m in enumerate(members)}
+        datum = class_datum(group, tubes)
+        moved = {label: [perm[x] for x in m] for label, m in tubes.items()}
+        moved_datum = class_datum(relabelled, moved)
+        for genus in range(3):
+            for combo in [(), *((label,) for label in tubes)]:
+                count = brute_force_count(group, genus, [tubes[c] for c in combo])
+                assert brute_force_count(relabelled, genus, [moved[c] for c in combo]) == count
+                spec = SurfaceSpec(genus, combo)
+                assert epoly_rep_variety(datum, spec) == count
+                assert epoly_rep_variety(moved_datum, spec) == count
 
     def test_class_union_puncture_counts(self):
         # Transpositions or 3-cycles in S3: the sum of the two counts.
