@@ -10,10 +10,13 @@ outputs are polynomials in q.
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Iterator
+
 from .poly import LaurentPoly, ONE, Q, ZERO
 from .tqft import TqftDatum
 
-__all__ = ["affc_datum", "affc_closed_form", "xk_epoly", "AFFC_E_GROUP"]
+__all__ = ["affc_datum", "affc_closed_form", "xk_epoly", "xk_values", "AFFC_E_GROUP"]
 
 #: Class of the group itself: C* x C has class q(q - 1).
 AFFC_E_GROUP = Q * (Q - 1)
@@ -57,15 +60,21 @@ def affc_closed_form(genus: int) -> LaurentPoly:
     return Q ** (2 * genus - 1) * ((Q - 1) ** (2 * genus) + Q - 1)
 
 
-def xk_epoly(k: int) -> LaurentPoly:
-    """Recursion values e(X_1) = 2q - 2 and
-    e(X_k) = (q-2) q^(k-1) (q-1)^(k-1) + q e(X_(k-1));
-    xk_epoly(2g) must agree with affc_closed_form(g)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def xk_values() -> Iterator[LaurentPoly]:
+    """The recursion e(X_1) = 2q - 2 and
+    e(X_k) = (q-2) q^(k-1) (q-1)^(k-1) + q e(X_(k-1)), yielding e(X_1),
+    e(X_2), ... in turn, one step each."""
     value = 2 * Q - 2
-    power = ONE  # q^(i-1) (q-1)^(i-1), carried from one index to the next
-    for _ in range(2, k + 1):
+    power = ONE  # q^(k-1) (q-1)^(k-1), carried from one index to the next
+    while True:
+        yield value
         power *= Q * (Q - 1)
         value = (Q - 2) * power + Q * value
-    return value
+
+
+def xk_epoly(k: int) -> LaurentPoly:
+    """e(X_k) from ``xk_values``; xk_epoly(2g) must agree with
+    affc_closed_form(g)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return next(islice(xk_values(), k - 1, None))

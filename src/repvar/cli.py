@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .affc import affc_closed_form, affc_datum, xk_epoly
+from .affc import affc_closed_form, affc_datum, xk_values
 from .finite_group import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -146,15 +146,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _parse_puncture_spec(spec: str) -> tuple[str, object]:
     if spec.startswith("rep="):
-        return ("rep", int(spec[4:]))
+        return ("rep", [_element_index(spec, spec[len("rep="):])])
     if spec.startswith("elements="):
-        items = [int(x) for x in spec[len("elements="):].split(",") if x != ""]
-        if not items:
+        tokens = [x for x in spec[len("elements="):].split(",") if x != ""]
+        if not tokens:
             raise ValueError(f"empty element list in puncture spec {spec!r}")
-        return ("elements", items)
+        return ("elements", [_element_index(spec, x) for x in tokens])
     if "=" in spec:
         raise ValueError(f"unknown puncture spec {spec!r}; use rep=, elements= or a label")
     return ("label", spec)
+
+
+def _element_index(spec: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(
+            f"puncture spec {spec!r}: {token!r} is not an element index"
+        ) from None
 
 
 def _build_datum_and_spec(args) -> tuple:
@@ -166,17 +175,21 @@ def _build_datum_and_spec(args) -> tuple:
         group = load_group(args.group)
         subsets = {}
         labels = []
-        for i, (kind, value) in enumerate(puncture_specs, start=1):
-            if kind == "rep":
-                subset = conjugacy_closure(group, [value])
-            elif kind == "elements":
-                subset = value
-            else:
+        for i, (text, (kind, value)) in enumerate(
+            zip(args.puncture, puncture_specs), start=1
+        ):
+            if kind == "label":
                 raise ValueError(
                     "finite backend punctures must use rep= or elements="
                 )
+            for x in value:
+                if not 0 <= x < group.order:
+                    raise ValueError(
+                        f"puncture spec {text!r}: element index {x} is out of "
+                        f"range for a group of order {group.order}"
+                    )
             label = f"p{i}"
-            subsets[label] = subset
+            subsets[label] = conjugacy_closure(group, value) if kind == "rep" else value
             labels.append(label)
         datum = class_datum(group, subsets)
         return datum, SurfaceSpec(args.genus, tuple(labels))
@@ -259,6 +272,7 @@ def _cmd_verify(args) -> int:
 
 def _verify_affc(args, report: _Report) -> None:
     datum = affc_datum()
+    xk = xk_values()  # e(X_1), e(X_2), ...: two steps per genus
     for genus in range(1, max(args.max_genus, 1) + 1):
         engine = epoly_rep_variety(datum, SurfaceSpec(genus))
         expected = affc_closed_form(genus)
@@ -269,7 +283,8 @@ def _verify_affc(args, report: _Report) -> None:
             report.record(
                 desc, "FAIL", f"counterexample: engine={engine} closed-form={expected}"
             )
-        recursion = xk_epoly(2 * genus)
+        next(xk)
+        recursion = next(xk)  # e(X_2g)
         desc = f"affc recursion genus={genus}"
         if engine == recursion:
             report.record(desc, "PASS")

@@ -314,6 +314,21 @@ def _check_conjugation_closed(group: FiniteGroup, subset: tuple[int, ...]) -> No
                 )
 
 
+def _check_union_of_classes(
+    group: FiniteGroup, classes: ConjugacyClasses, subset: tuple[int, ...]
+) -> None:
+    """``_check_conjugation_closed`` in O(|subset|) for a duplicate-free
+    subset, given the classes: it is conjugation-closed exactly when it
+    holds every member of each class it meets.  Only a subset that fails
+    is scanned against the table, for the same witness."""
+    for x in subset:
+        if x < 0 or x >= group.order:
+            raise ValueError(f"element index {x} out of range")
+    hits = Counter(classes.class_of[x] for x in subset)
+    if any(count < len(classes.members[c]) for c, count in hits.items()):
+        _check_conjugation_closed(group, subset)
+
+
 # ----------------------------------------------------------------------
 # Transfer matrices (integer form, row index = output generator)
 # ----------------------------------------------------------------------
@@ -503,7 +518,7 @@ def class_datum(
     tubes = {}
     for label, subset in (punctures or {}).items():
         lam = tuple(sorted(set(int(x) for x in subset)))
-        _check_conjugation_closed(group, lam)
+        _check_union_of_classes(group, classes, lam)
         counts = [[0] * k for _ in range(k)]
         for c, members in enumerate(classes.members):
             row_a = mult[members[0]]

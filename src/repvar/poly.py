@@ -1,10 +1,17 @@
 """Exact arithmetic in Z[u^+-1, v^+-1], the value ring of E-polynomials.
 
-A polynomial is stored sparsely as a map from exponent pairs (a, b) to
-nonzero integer coefficients; coefficients are plain Python ints and never
-overflow.  The distinguished element q = u*v (the class of the affine
-line) gets special treatment in parsing and printing because every result
-of interest downstream is a polynomial in q.
+A ``LaurentPoly`` is stored sparsely as a map from exponent pairs (a, b)
+to nonzero integer coefficients; coefficients are plain Python ints and
+never overflow.  The distinguished element q = u*v (the class of the
+affine line) gets special treatment in parsing and printing because every
+result of interest downstream is a polynomial in q.
+
+``QPoly`` is the subring Z[q^+-1] of diagonal polynomials in dense form:
+a lowest exponent and a list of coefficients.  It has only ``+``, ``*``
+and the conversions to and from ``LaurentPoly``.  The engine folds a
+datum whose entries are all polynomials in q over it, and converts back
+to ``LaurentPoly`` for division and output; parsing and printing stay
+with ``LaurentPoly``.
 
 >>> (Q * (Q - 1)).to_text()
 'q^2 - q'
@@ -12,6 +19,9 @@ of interest downstream is a polynomial in q.
 True
 >>> (Q**3 - Q**2).exact_div(Q**2).to_text()
 'q - 1'
+>>> square = QPoly.from_laurent(Q - 1) * QPoly.from_laurent(Q - 1)
+>>> square.to_laurent().to_text()
+'q^2 - 2*q + 1'
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "LaurentPoly",
+    "QPoly",
     "NonExactDivision",
     "PolyParseError",
     "ZeroBase",
@@ -357,6 +368,101 @@ ONE = LaurentPoly.const(1)
 U = LaurentPoly.monomial(1, 0)
 V = LaurentPoly.monomial(0, 1)
 Q = LaurentPoly.monomial(1, 1)
+
+
+class QPoly:
+    """Dense Laurent polynomial in q over the integers.
+
+    ``coeffs[i]`` is the coefficient of q^(low + i).  The list is trimmed:
+    it is empty (the zero polynomial, with low 0) or starts and ends with
+    a nonzero coefficient, so equal polynomials have equal fields.  No
+    operation mutates an instance.  A ``QPoly`` equals the
+    ``LaurentPoly`` it converts to.
+    """
+
+    __slots__ = ("low", "coeffs")
+
+    def __init__(self, low: int, coeffs: list[int]):
+        """Trim ``coeffs`` (a list of ints, kept without copying) and
+        shift ``low`` past any zeros dropped from the front."""
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not coeffs[start]:
+            start += 1
+        if start or end < len(coeffs):
+            coeffs = coeffs[start:end]
+        self.low = low + start if coeffs else 0
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_laurent(cls, poly: LaurentPoly) -> "QPoly":
+        if not poly.is_diagonal():
+            raise ValueError(f"not a polynomial in q: {poly}")
+        if poly.is_zero():
+            return cls(0, [])
+        exponents = [a for a, _ in poly._terms]
+        low = min(exponents)
+        coeffs = [0] * (max(exponents) - low + 1)
+        for (a, _), c in poly._terms.items():
+            coeffs[a - low] = c
+        return cls(low, coeffs)
+
+    def to_laurent(self) -> LaurentPoly:
+        low = self.low
+        return LaurentPoly._canonical(
+            {(low + i, low + i): c for i, c in enumerate(self.coeffs) if c}
+        )
+
+    def __add__(self, other: "QPoly") -> "QPoly":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        first, second = (self, other) if self.low <= other.low else (other, self)
+        out = list(first.coeffs)
+        start = second.low - first.low
+        end = start + len(second.coeffs)
+        if end > len(out):
+            out.extend([0] * (end - len(out)))
+        out[start:end] = [x + y for x, y in zip(out[start:end], second.coeffs)]
+        return QPoly(first.low, out)
+
+    def __mul__(self, other: "QPoly") -> "QPoly":
+        short, long = self.coeffs, other.coeffs
+        if not short:
+            return self
+        if not long:
+            return other
+        if len(short) > len(long):
+            short, long = long, short
+        # One pass over the long operand per term of the short one; the
+        # coefficients +-1, common in these data, need no multiplication.
+        n = len(long)
+        head = short[0]
+        out = list(long) if head == 1 else [head * y for y in long]
+        out.extend([0] * (len(short) - 1))
+        for i in range(1, len(short)):
+            c = short[i]
+            pairs = zip(out[i:i + n], long)
+            if c == 1:
+                out[i:i + n] = [x + y for x, y in pairs]
+            elif c == -1:
+                out[i:i + n] = [x - y for x, y in pairs]
+            elif c:
+                out[i:i + n] = [x + c * y for x, y in pairs]
+        return QPoly(self.low + other.low, out)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, QPoly):
+            return self.low == other.low and self.coeffs == other.coeffs
+        if isinstance(other, LaurentPoly):
+            return self.to_laurent() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"QPoly({self.to_laurent().to_text()!r})"
 
 
 def _tokenize(text: str) -> list[tuple[str, object]]:

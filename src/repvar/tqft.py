@@ -18,6 +18,13 @@ entry of every tube, it is divided out of the tubes once per datum
 the folded vector never carries the factor ``e_G^i`` and nothing is left
 to divide at the end.
 
+The ring of the fold is also chosen once per datum
+(``TqftDatum.fold_form``): dense Z[q] (``QPoly``) when every tube and
+disc entry is a polynomial in q and at least one is not constant,
+``LaurentPoly`` otherwise.  The matrix algebra only adds and multiplies,
+so the one fold loop serves both; the scalar is converted back to a
+``LaurentPoly`` before the division.
+
 Matrices follow the column convention: column j holds the image of
 generator j, so words act by left multiplication on column vectors.
 """
@@ -26,11 +33,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, mul
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, ZERO, parse_poly
+from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, QPoly, parse_poly
 
 __all__ = [
     "InvalidDatum",
@@ -74,18 +82,18 @@ class UnknownPunctureLabel(KeyError):
 
 
 # ----------------------------------------------------------------------
-# Exact matrix algebra over the Laurent ring
+# Exact matrix algebra over the datum's ring
 # ----------------------------------------------------------------------
 
 
-def dot(row: Sequence[LaurentPoly], col: Sequence[LaurentPoly]) -> LaurentPoly:
-    total = ZERO
-    for x, y in zip(row, col):
-        total = total + x * y
-    return total
+def dot(row: Sequence, col: Sequence):
+    """Sum of ``row[i] * col[i]`` over a ring with ``+`` and ``*``; the sum
+    starts from the first product, so it needs no zero of the ring and
+    the rows must not be empty."""
+    return reduce(add, map(mul, row, col))
 
 
-def mat_vec(matrix: Sequence[Sequence[LaurentPoly]], vec: Sequence[LaurentPoly]) -> tuple:
+def mat_vec(matrix: Sequence[Sequence], vec: Sequence) -> tuple:
     return tuple(dot(row, vec) for row in matrix)
 
 
@@ -243,21 +251,48 @@ class TqftDatum:
         """
         if len(self.e_g) < 2:
             return self
-
-        def divided(matrix: tuple) -> tuple:
-            return tuple(tuple(entry.exact_div(self.e_g) for entry in row) for row in matrix)
-
         try:
-            return TqftDatum(
-                e_g=ONE,
-                genus_tube=divided(self.genus_tube),
-                puncture_tubes={label: divided(m) for label, m in self.puncture_tubes.items()},
-                identity_tube=None if self.identity_tube is None else divided(self.identity_tube),
-                disc_in=self.disc_in,
-                disc_out=self.disc_out,
-            )
+            return self._map_entries(ONE, lambda entry: entry.exact_div(self.e_g), lambda x: x)
         except NonExactDivision:
             return self
+
+    @cached_property
+    def fold_form(self) -> "TqftDatum":
+        """``e_g_free`` with its entries in the ring the fold runs over.
+
+        When every tube and disc entry of ``e_g_free`` is a polynomial in q
+        and at least one is not constant, the entries become dense
+        ``QPoly`` lists, which multiply without hashing exponent pairs.
+        Otherwise the ``LaurentPoly`` datum ``e_g_free`` is returned:
+        entries with separate u and v exponents need it, and all-constant
+        data (every finite group) stays on it too.  e_G stays a
+        ``LaurentPoly`` either way, for the division at the end of the
+        word.  Chosen on first use and cached with the datum.
+        """
+        free = self.e_g_free
+        tubes = [free.genus_tube, *free.puncture_tubes.values()]
+        if free.identity_tube is not None:
+            tubes.append(free.identity_tube)
+        entries = [x for m in tubes for row in m for x in row] + [*free.disc_in, *free.disc_out]
+        if any(not x.is_constant() for x in entries) and all(x.is_diagonal() for x in entries):
+            return free._map_entries(free.e_g, QPoly.from_laurent, QPoly.from_laurent)
+        return free
+
+    def _map_entries(self, e_g, tube_entry, disc_entry) -> "TqftDatum":
+        """A datum with the given e_G, ``tube_entry`` applied to every tube
+        entry and ``disc_entry`` to every disc entry."""
+
+        def matrix(m: tuple) -> tuple:
+            return tuple(tuple(map(tube_entry, row)) for row in m)
+
+        return TqftDatum(
+            e_g=e_g,
+            genus_tube=matrix(self.genus_tube),
+            puncture_tubes={label: matrix(m) for label, m in self.puncture_tubes.items()},
+            identity_tube=None if self.identity_tube is None else matrix(self.identity_tube),
+            disc_in=tuple(map(disc_entry, self.disc_in)),
+            disc_out=tuple(map(disc_entry, self.disc_out)),
+        )
 
 
 def _freeze_matrix(matrix) -> tuple:
@@ -274,8 +309,9 @@ def _check_square(matrix: tuple, rank: int, what: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def evaluate_raw(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
-    """Un-normalized scalar: disc_out . M_t ... M_1 . disc_in.
+def evaluate_raw(datum: TqftDatum, word: TubeWord):
+    """Un-normalized scalar: disc_out . M_t ... M_1 . disc_in, in the ring
+    of the datum's entries.
 
     The cap vector is folded through the word one tube at a time, so a
     word of t tubes costs t matrix-vector products at the datum's rank.
@@ -289,12 +325,16 @@ def evaluate_raw(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
 def epoly_from_word(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
     """Normalized evaluation: raw scalar divided by e_G^(number of tubes).
 
-    The word is folded over ``datum.e_g_free``; where e_G came out of the
-    tubes there, its e_G is 1 and the final division is by 1.
+    The word is folded over ``datum.fold_form``: e_G divided out of the
+    tubes where it divides them all (its e_G is then 1 and the final
+    division is by 1), in dense Z[q] where the data is q-polynomial.  The
+    scalar comes back as a ``LaurentPoly`` before the division.
     """
-    free = datum.e_g_free
-    raw = evaluate_raw(free, word)
-    return raw.exact_div(free.e_g ** len(word.generators))
+    form = datum.fold_form
+    raw = evaluate_raw(form, word)
+    if isinstance(raw, QPoly):
+        raw = raw.to_laurent()
+    return raw.exact_div(form.e_g ** len(word.generators))
 
 
 def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:

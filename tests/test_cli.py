@@ -4,11 +4,11 @@ import pytest
 
 import repvar.cli
 import repvar.finite_group
-from repvar.affc import affc_datum
+from repvar.affc import affc_closed_form, affc_datum, xk_epoly
 from repvar.cli import main
 from repvar.finite_group import brute_force_count, conjugacy_classes, named_group
 from repvar.poly import LaurentPoly, Q, parse_poly
-from repvar.tqft import datum_to_json_dict, save_datum
+from repvar.tqft import SurfaceSpec, datum_to_json_dict, epoly_rep_variety, save_datum
 
 
 def run(capsys, *argv):
@@ -172,7 +172,54 @@ class TestComputeErrors:
         assert "inconsistent" in err
 
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("rep=x", "puncture spec 'rep=x': 'x' is not an element index"),
+            ("rep=", "puncture spec 'rep=': '' is not an element index"),
+            ("elements=1,a", "puncture spec 'elements=1,a': 'a' is not an element index"),
+            (
+                "rep=6",
+                "puncture spec 'rep=6': element index 6 is out of range "
+                "for a group of order 6",
+            ),
+            (
+                "elements=1,3,-1",
+                "puncture spec 'elements=1,3,-1': element index -1 is out of range "
+                "for a group of order 6",
+            ),
+        ],
+    )
+    def test_bad_puncture_spec_is_named(self, capsys, group_file_factory, spec, message):
+        path = group_file_factory("s3")
+        code, out, err = run(
+            capsys,
+            "compute", "--backend", "finite", "--group", str(path),
+            "--genus", "1", "--puncture", "rep=1", "--puncture", spec,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestVerify:
+    def test_affc_matches_per_genus_recomputation(self, capsys):
+        # verify takes one fold per genus and two recursion steps per genus;
+        # every row must read as if each genus were computed on its own.
+        code, out, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "60")
+        assert code == 0
+        expected = []
+        for genus in range(1, 61):
+            engine = epoly_rep_variety(affc_datum(), SurfaceSpec(genus))
+            for name, value in (
+                ("closed-form", affc_closed_form(genus)),
+                ("recursion", xk_epoly(2 * genus)),
+            ):
+                status = "PASS" if engine == value else "FAIL"
+                expected.append(f"CHECK affc {name} genus={genus} ... {status}")
+        expected.append("SUMMARY: 120 passed, 0 failed, 0 skipped")
+        assert out.splitlines() == expected
+
     def test_affc_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "6")
         assert code == 0

@@ -534,6 +534,37 @@ class TestClassDatum:
         with pytest.raises(NotConjugationClosed, match="conjugate"):
             class_datum(named_group("s3"), {"p": (1,)})
 
+    @given(
+        name=st.sampled_from(["s3", "d4", "q8", "a4"]),
+        data=st.data(),
+    )
+    def test_closure_check_matches_the_table_scan(self, name, data):
+        # class_datum tests closure against its classes; the full-rank
+        # builder conjugates by every element.  Both accept the same
+        # subsets and name the same witness.
+        group = named_group(name)
+        subset = data.draw(st.sets(st.integers(0, group.order - 1), min_size=1))
+
+        def outcome(build):
+            try:
+                build(group, subset)
+            except NotConjugationClosed as exc:
+                return str(exc)
+            return None
+
+        expected = outcome(puncture_matrix)
+        assert outcome(lambda g, lam: class_datum(g, {"p": lam})) == expected
+        closed = all(
+            set(members) <= subset or not set(members) & subset
+            for members in conjugacy_classes(group).members
+        )
+        assert (expected is None) == closed
+
+    @pytest.mark.parametrize("subset", [(0, 6), (-1,), (1, 3, 4, 99)])
+    def test_out_of_range_puncture_element(self, subset):
+        with pytest.raises(ValueError, match="out of range"):
+            class_datum(named_group("s3"), {"p": subset})
+
 
 def literal_count(group, genus, subsets):
     """Walk every tuple (a_1, b_1, ..., a_g, b_g, c_1, ..., c_s) and

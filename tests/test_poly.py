@@ -8,6 +8,7 @@ import repvar.poly
 from repvar.poly import (
     LaurentPoly,
     NonExactDivision,
+    QPoly,
     PolyParseError,
     ZeroBase,
     parse_poly,
@@ -26,6 +27,9 @@ polys = st.dictionaries(
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 monomials = st.builds(
     LaurentPoly.monomial, exponents, exponents, coefficients.filter(bool)
+)
+q_polys = st.dictionaries(exponents, coefficients, max_size=6).map(
+    lambda terms: LaurentPoly({(a, a): c for a, c in terms.items()})
 )
 
 
@@ -253,3 +257,59 @@ class TestRingProperties:
             assert 0 not in result._terms.values()
             assert all(type(a) is type(b) is type(c) is int for (a, b), c in result._terms.items())
             assert result == LaurentPoly(dict(result._terms))
+
+
+def canonical(dense):
+    """The fields of a QPoly, for comparing canonical forms."""
+    return dense.low, dense.coeffs
+
+
+class TestQPoly:
+    def test_constructor_trims_both_ends(self):
+        assert canonical(QPoly(-2, [0, 0, 3, 0, -1, 0])) == (0, [3, 0, -1])
+        assert canonical(QPoly(5, [0, 0])) == (0, [])
+        assert canonical(QPoly(-3, [])) == (0, [])
+
+    def test_from_laurent_reads_q_exponents(self):
+        dense = QPoly.from_laurent(LaurentPoly.monomial(-1, -1) - 2 * Q**2)
+        assert canonical(dense) == (-1, [1, 0, 0, -2])
+        assert canonical(QPoly.from_laurent(ZERO)) == (0, [])
+
+    def test_from_laurent_rejects_separate_u_and_v(self):
+        for poly in (U, Q + V, U * V**2):
+            with pytest.raises(ValueError, match="not a polynomial in q"):
+                QPoly.from_laurent(poly)
+
+    def test_equals_its_laurent_form(self):
+        dense = QPoly.from_laurent(Q - 1)
+        assert dense == Q - 1 and Q - 1 == dense
+        assert dense != Q and ONE != QPoly.from_laurent(ZERO)
+
+    def test_cancellation_to_zero(self):
+        inverse_square = LaurentPoly.monomial(-2, -2)
+        p = QPoly.from_laurent(inverse_square + 3 * Q)
+        zero = p + QPoly.from_laurent(-inverse_square - 3 * Q)
+        assert canonical(zero) == (0, [])
+        assert canonical(p * zero) == (0, [])
+        assert canonical(zero * p) == (0, [])
+        assert canonical(zero + p) == canonical(p)
+
+    @given(p=q_polys)
+    def test_laurent_round_trip(self, p):
+        dense = QPoly.from_laurent(p)
+        assert dense.to_laurent() == p
+        assert dense.coeffs == [] or (dense.coeffs[0] and dense.coeffs[-1])
+
+    @given(p=q_polys, r=q_polys)
+    def test_add_and_mul_agree_with_laurent(self, p, r):
+        dp, dr = QPoly.from_laurent(p), QPoly.from_laurent(r)
+        for dense, sparse in ((dp + dr, p + r), (dp * dr, p * r), (dr * dp, r * p)):
+            assert dense.to_laurent() == sparse
+            assert canonical(dense) == canonical(QPoly.from_laurent(sparse))
+
+    @given(p=q_polys, r=q_polys)
+    def test_sum_trims_cancelled_ends(self, p, r):
+        # p + (r - p) cancels every term of p that r lacks, including
+        # either end of the coefficient list.
+        total = QPoly.from_laurent(p) + QPoly.from_laurent(r - p)
+        assert canonical(total) == canonical(QPoly.from_laurent(r))

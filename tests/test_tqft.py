@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repvar.affc import affc_datum, affc_inner_genus_matrix
-from repvar.finite_group import conjugacy_classes, named_group, to_tqft_datum
-from repvar.poly import LaurentPoly, NonExactDivision, ONE, Q, U, V, ZERO
+from repvar.finite_group import class_datum, conjugacy_classes, named_group, to_tqft_datum
+from repvar.poly import LaurentPoly, NonExactDivision, ONE, Q, QPoly, U, V, ZERO
 from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
@@ -359,6 +359,76 @@ class TestEgFreeForm:
         )
         assert datum.e_g_free.e_g == ONE
         assert epoly_from_word(datum, word) == stored_division(datum, word)
+
+
+def fold_entries(datum):
+    """Every tube and disc entry of the datum the engine folds."""
+    form = datum.fold_form
+    tubes = [form.genus_tube, *form.puncture_tubes.values()]
+    if form.identity_tube is not None:
+        tubes.append(form.identity_tube)
+    return [x for m in tubes for row in m for x in row] + [*form.disc_in, *form.disc_out]
+
+
+def inverse_q_datum(scale):
+    """Rank-2 q-polynomial datum with q^-1 entries.  e_G = q + q^-1
+    divides the plain cylinder, and the other tubes too when ``scale`` is
+    set."""
+    qi = LaurentPoly.monomial(-1, -1)
+    e = Q + qi
+
+    def tube(m, factor):
+        return tuple(tuple(factor * x for x in row) for row in m)
+
+    f = e if scale else ONE
+    return TqftDatum(
+        e_g=e,
+        genus_tube=tube(((Q - 1, qi), (2 * qi - Q, Q**2)), f),
+        puncture_tubes={"a": tube(((qi, ONE - Q), (ZERO, 3 * Q)), f)},
+        # disc_out . P . disc_in = e_G
+        identity_tube=tube(((ZERO, Q), (qi, ONE)), e),
+        disc_in=(ONE, qi),
+        disc_out=(ONE, ZERO),
+    )
+
+
+class TestFoldRing:
+    @pytest.mark.parametrize(
+        "make", [affc_datum, lambda: load_datum(DATUM_FILE)], ids=["affc_datum", "affc.json"]
+    )
+    def test_q_data_folds_dense(self, make):
+        datum = make()
+        form = datum.fold_form
+        assert {type(x) for x in fold_entries(datum)} == {QPoly}
+        assert form.genus_tube == affc_inner_genus_matrix()
+        assert type(form.e_g) is LaurentPoly and form.e_g == ONE
+        assert datum.fold_form is form  # cached with the datum
+
+    def test_finite_and_uv_data_keep_laurent(self):
+        group = named_group("s3")
+        classes = conjugacy_classes(group)
+        for datum in (
+            class_datum(group, {"t": classes.members[1]}),
+            to_tqft_datum(group, {"t": classes.members[1]}),
+            rank_one_datum(genus_entry=Q, puncture_tubes={"u": ((U,),)}),
+            partly_divisible_datum(),
+        ):
+            assert datum.fold_form is datum.e_g_free
+            assert {type(x) for x in fold_entries(datum)} == {LaurentPoly}
+
+    @pytest.mark.parametrize("scale", [True, False], ids=["e_g-free", "end-division"])
+    def test_inverse_q_entries_agree_on_both_rings(self, scale):
+        datum = inverse_q_datum(scale)
+        assert {type(x) for x in fold_entries(datum)} == {QPoly}
+        outcomes = set()
+        for word in all_words(datum, 4):
+            dense = evaluate_raw(datum.fold_form, word)
+            assert dense == evaluate_raw(datum.e_g_free, word)
+            expected = outcome(stored_division, datum, word)
+            assert outcome(epoly_from_word, datum, word) == expected
+            outcomes.add(expected is NonExactDivision)
+        # scaled tubes always divide; unscaled ones only on some words
+        assert outcomes == ({False} if scale else {False, True})
 
 
 class TestDatumFiles:
