@@ -437,21 +437,15 @@ class QPoly:
             return other
         if len(short) > len(long):
             short, long = long, short
-        # One pass over the long operand per term of the short one; the
-        # coefficients +-1, common in these data, need no multiplication.
+        # The first term of the short operand starts the output; each
+        # later one adds to it in one slice update.
         n = len(long)
-        head = short[0]
-        out = list(long) if head == 1 else [head * y for y in long]
+        out = [short[0] * y for y in long]
         out.extend([0] * (len(short) - 1))
         for i in range(1, len(short)):
             c = short[i]
-            pairs = zip(out[i:i + n], long)
-            if c == 1:
-                out[i:i + n] = [x + y for x, y in pairs]
-            elif c == -1:
-                out[i:i + n] = [x - y for x, y in pairs]
-            elif c:
-                out[i:i + n] = [x + c * y for x, y in pairs]
+            if c:
+                out[i:i + n] = [x + c * y for x, y in zip(out[i:i + n], long)]
         return QPoly(self.low + other.low, out)
 
     def __eq__(self, other: object) -> bool:

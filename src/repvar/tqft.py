@@ -20,8 +20,9 @@ to divide at the end.
 
 The ring of the fold is also chosen once per datum
 (``TqftDatum.fold_form``): dense Z[q] (``QPoly``) when every tube and
-disc entry is a polynomial in q and at least one is not constant,
-``LaurentPoly`` otherwise.  The matrix algebra only adds and multiplies,
+disc entry is a polynomial in q, at least one is not constant and the
+q-exponents present fill at least half of their range, ``LaurentPoly``
+otherwise.  The matrix algebra only adds and multiplies,
 so the one fold loop serves both; the scalar is converted back to a
 ``LaurentPoly`` before the division.
 
@@ -260,14 +261,20 @@ class TqftDatum:
     def fold_form(self) -> "TqftDatum":
         """``e_g_free`` with its entries in the ring the fold runs over.
 
-        When every tube and disc entry of ``e_g_free`` is a polynomial in q
-        and at least one is not constant, the entries become dense
-        ``QPoly`` lists, which multiply without hashing exponent pairs.
-        Otherwise the ``LaurentPoly`` datum ``e_g_free`` is returned:
-        entries with separate u and v exponents need it, and all-constant
-        data (every finite group) stays on it too.  e_G stays a
-        ``LaurentPoly`` either way, for the division at the end of the
-        word.  Chosen on first use and cached with the datum.
+        When every tube and disc entry of ``e_g_free`` is a polynomial in q,
+        at least one is not constant, and the q-exponents present fill at
+        least half of the range from the lowest to the highest, the entries
+        become dense ``QPoly`` lists, which multiply without hashing
+        exponent pairs.  Otherwise the ``LaurentPoly`` datum ``e_g_free``
+        is returned: entries with separate u and v exponents need it,
+        all-constant data (every finite group) stays on it, and so does
+        sparse data such as ``q^1000000000 + 1``, whose dense list would be
+        as long as its exponent.  Every scalar of a t-factor word is a sum
+        of products of one entry per factor, so its exponents lie in t
+        times the data's range; under the rule above a dense list is at
+        most 2t times the number of distinct exponents in the data.  e_G
+        stays a ``LaurentPoly`` either way, for the division at the end of
+        the word.  Chosen on first use and cached with the datum.
         """
         free = self.e_g_free
         tubes = [free.genus_tube, *free.puncture_tubes.values()]
@@ -275,7 +282,9 @@ class TqftDatum:
             tubes.append(free.identity_tube)
         entries = [x for m in tubes for row in m for x in row] + [*free.disc_in, *free.disc_out]
         if any(not x.is_constant() for x in entries) and all(x.is_diagonal() for x in entries):
-            return free._map_entries(free.e_g, QPoly.from_laurent, QPoly.from_laurent)
+            exponents = {a for x in entries for (a, _), _ in x.items()}
+            if max(exponents) - min(exponents) < 2 * len(exponents):
+                return free._map_entries(free.e_g, QPoly.from_laurent, QPoly.from_laurent)
         return free
 
     def _map_entries(self, e_g, tube_entry, disc_entry) -> "TqftDatum":

@@ -92,16 +92,6 @@ class TestRecursion:
             assert xk_epoly(k) == value
 
 
-    def test_values_yield_each_index_in_turn(self):
-        # One recursion step per value: e(X_1), e(X_2), ... as written.
-        values = xk_values()
-        value = 2 * Q - 2
-        for k in range(1, 41):
-            if k > 1:
-                value = (Q - 2) * Q ** (k - 1) * (Q - 1) ** (k - 1) + Q * value
-            assert next(values) == value
-
-
 class TestEngineAgreement:
     @pytest.mark.parametrize("genus", [*range(1, 9), 200, 512])
     def test_engine_equals_closed_form(self, genus):

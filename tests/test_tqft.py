@@ -416,6 +416,23 @@ class TestFoldRing:
             assert datum.fold_form is datum.e_g_free
             assert {type(x) for x in fold_entries(datum)} == {LaurentPoly}
 
+    @pytest.mark.parametrize(
+        "entry, genus_3",
+        [
+            ("q^1000000000", "q^3000000000"),
+            ("q^1000000000 + 1", "q^3000000000 + 3*q^2000000000 + 3*q^1000000000 + 1"),
+            ("q^-100000 + q^100000", "q^300000 + 3*q^100000 + 3*q^-100000 + q^-300000"),
+        ],
+    )
+    def test_sparse_high_degree_data_keep_laurent(self, entry, genus_3):
+        # A dense list would be as long as the exponent span.
+        datum = datum_from_json_dict(
+            {"rank": 1, "e_G": "1", "L": [[entry]], "disc_in": ["1"], "disc_out": ["1"]}
+        )
+        assert datum.fold_form is datum.e_g_free
+        assert {type(x) for x in fold_entries(datum)} == {LaurentPoly}
+        assert epoly_rep_variety(datum, SurfaceSpec(3)).to_text() == genus_3
+
     @pytest.mark.parametrize("scale", [True, False], ids=["e_g-free", "end-division"])
     def test_inverse_q_entries_agree_on_both_rings(self, scale):
         datum = inverse_q_datum(scale)
