@@ -10,8 +10,9 @@ outputs are polynomials in q.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator
+from math import comb
 
 from .poly import LaurentPoly, ONE, Q, ZERO
 from .tqft import TqftDatum
@@ -54,10 +55,13 @@ def affc_inner_genus_matrix() -> tuple:
 
 
 def affc_closed_form(genus: int) -> LaurentPoly:
-    """q^(2g-1) ((q-1)^(2g) + q - 1), expanded."""
+    """q^(2g-1) ((q-1)^(2g) + q - 1), expanded term by term: the binomial
+    terms C(2g, i) (-1)^i q^(2g-1+i) for i = 0..2g, plus q^(2g) - q^(2g-1)."""
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    return Q ** (2 * genus - 1) * ((Q - 1) ** (2 * genus) + Q - 1)
+    n = 2 * genus
+    terms = [(n - 1 + i, n - 1 + i, (-1) ** i * comb(n, i)) for i in range(n + 1)]
+    return LaurentPoly.from_terms(terms + [(n, n, 1), (n - 1, n - 1, -1)])
 
 
 def xk_values() -> Iterator[LaurentPoly]:

@@ -12,7 +12,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .affc import affc_closed_form, affc_datum, xk_values
 from .finite_group import (

@@ -12,17 +12,21 @@ straight from closed forms on class representatives.  The full-rank
 builders (``genus_matrix``, ``puncture_matrix``, ``tube_matrix_P``,
 ``to_tqft_datum``) and ``class_reduce`` stay as the oracle it is tested
 against.
+
+``FiniteGroup`` and ``ConjugacyClasses`` are immutable value classes
+(``record.Record``) over tuples: they refuse assignment, and compare and
+hash by value.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .poly import LaurentPoly, ONE, ZERO
+from .record import Record
 from .tqft import TqftDatum
 
 __all__ = [
@@ -80,15 +84,16 @@ DEFAULT_MAX_ORDER = 10_000
 DEFAULT_BUDGET = 10**9
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A finite group of order n: its multiplication table over the
     elements 0..n-1, in the labels of the table it was read from, and the
     inverse of each element.  Everything else is derived from the table.
     """
 
-    mult: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
+    _fields = ("mult", "inverse")
+
+    def __init__(self, mult: Sequence[Sequence[int]], inverse: Sequence[int]):
+        self.__dict__.update(mult=tuple(map(tuple, mult)), inverse=tuple(inverse))
 
     @property
     def order(self) -> int:
@@ -114,16 +119,17 @@ class FiniteGroup:
         return self.mult[self.mult[self.mult[a][b]][self.inverse[a]]][self.inverse[b]]
 
 
-@dataclass(frozen=True)
-class ConjugacyClasses:
+class ConjugacyClasses(Record):
     """Partition of a group into conjugacy classes: the identity's class
     first, then the others by their smallest member.  Each class's members
     are sorted, so its representative is its smallest member.  Centralizer
     orders are derived by orbit-stabiliser, |C(x)| = |G| / |class of x|.
     """
 
-    class_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    _fields = ("class_of", "members")
+
+    def __init__(self, class_of: Sequence[int], members: Sequence[Sequence[int]]):
+        self.__dict__.update(class_of=tuple(class_of), members=tuple(map(tuple, members)))
 
     @property
     def centralizer_orders(self) -> tuple[int, ...]:
@@ -722,7 +728,7 @@ def group_to_json_dict(group: FiniteGroup) -> dict:
     return {"table": [list(row) for row in group.mult]}
 
 
-def load_group(path: "str | Path", max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def load_group(path: str | os.PathLike[str], max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     return group_from_json_dict(data, max_order=max_order)

@@ -26,8 +26,7 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
     "LaurentPoly",
@@ -276,8 +275,12 @@ class LaurentPoly:
         shift_b = sb - db
         return LaurentPoly({(a + shift_a, b + shift_b): c for (a, b), c in quo.items()})
 
-    def evaluate(self, u0: "int | Fraction", v0: "int | Fraction") -> Fraction:
+    def evaluate(self, u0: int | Fraction, v0: int | Fraction) -> Fraction:
         """Exact rational value at (u0, v0)."""
+        # Imported here: nothing else needs fractions, and loading it (with
+        # decimal) would add milliseconds to every start of the CLI.
+        from fractions import Fraction
+
         u0 = Fraction(u0)
         v0 = Fraction(v0)
         if u0 == 0 and any(a < 0 for a, _ in self._terms):

@@ -1,0 +1,39 @@
+"""Base class for repvar's immutable value records.
+
+A subclass names its fields in ``_fields`` and sets them once, in its
+``__init__``, through ``self.__dict__``.  The base class then compares,
+hashes and prints instances by those fields, in that order, and refuses
+every later assignment.  A record whose fields are not all hashable is
+not hashable either: ``hash`` raises ``TypeError``.  Anything else kept
+in ``__dict__``, such as a ``functools.cached_property`` value, is not
+part of the value.
+"""
+
+from __future__ import annotations
+
+__all__ = ["Record"]
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

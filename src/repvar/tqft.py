@@ -28,18 +28,23 @@ so the one fold loop serves both; the scalar is converted back to a
 
 Matrices follow the column convention: column j holds the image of
 generator j, so words act by left multiplication on column vectors.
+
+``TubeGenerator``, ``SurfaceSpec``, ``TubeWord`` and ``TqftDatum`` are
+immutable value classes (``record.Record``): each checks its arguments
+on construction, stores sequences as tuples, refuses assignment, and
+compares by value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from collections.abc import Mapping, Sequence
 from functools import cached_property, reduce
 from operator import add, mul
-from pathlib import Path
-from typing import Mapping, Sequence
 
 from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, QPoly, parse_poly
+from .record import Record
 
 __all__ = [
     "InvalidDatum",
@@ -103,19 +108,18 @@ def mat_vec(matrix: Sequence[Sequence], vec: Sequence) -> tuple:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TubeGenerator:
+class TubeGenerator(Record):
     """One tube in a word: the genus tube, the plain cylinder, or a
     labeled puncture cylinder."""
 
-    kind: str
-    label: str | None = None
+    _fields = ("kind", "label")
 
-    def __post_init__(self):
-        if self.kind not in ("genus", "identity", "puncture"):
-            raise ValueError(f"unknown tube kind {self.kind!r}")
-        if (self.kind == "puncture") != (self.label is not None):
+    def __init__(self, kind: str, label: str | None = None):
+        if kind not in ("genus", "identity", "puncture"):
+            raise ValueError(f"unknown tube kind {kind!r}")
+        if (kind == "puncture") != (label is not None):
             raise ValueError("exactly puncture tubes carry a label")
+        self.__dict__.update(kind=kind, label=label)
 
 
 GENUS_TUBE = TubeGenerator("genus")
@@ -126,28 +130,25 @@ def puncture_tube(label: str) -> TubeGenerator:
     return TubeGenerator("puncture", label)
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Record):
     """A closed oriented surface: genus plus ordered puncture labels."""
 
-    genus: int
-    punctures: tuple[str, ...] = ()
+    _fields = ("genus", "punctures")
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int, punctures: Sequence[str] = ()):
+        if genus < 0:
             raise ValueError("genus must be >= 0")
-        object.__setattr__(self, "punctures", tuple(self.punctures))
+        self.__dict__.update(genus=genus, punctures=tuple(punctures))
 
 
-@dataclass(frozen=True)
-class TubeWord:
+class TubeWord(Record):
     """Generator sequence between the cap and the cup; its length fixes
     the normalization exponent."""
 
-    generators: tuple[TubeGenerator, ...]
+    _fields = ("generators",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+    def __init__(self, generators: Sequence[TubeGenerator]):
+        self.__dict__.update(generators=tuple(generators))
 
 
 def assemble_word(spec: SurfaceSpec) -> TubeWord:
@@ -169,34 +170,35 @@ def insert_identity_tubes(word: TubeWord, k: int) -> TubeWord:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TqftDatum:
+class TqftDatum(Record):
     """Matrices and disc vectors for one coefficient module; its rank is
     the length of the cap vector ``disc_in``.
 
     Structural invariants are checked on construction; nothing verifies
     that the datum actually arises from a group, so an inconsistent
-    custom datum surfaces later as a NonExactDivision.
+    custom datum surfaces later as a NonExactDivision.  A datum compares
+    by value but is not hashable, since its puncture tubes are a dict.
     """
 
-    e_g: LaurentPoly
-    genus_tube: tuple
-    puncture_tubes: Mapping[str, tuple] = field(default_factory=dict)
-    identity_tube: tuple | None = None
-    disc_in: tuple = ()
-    disc_out: tuple = ()
+    _fields = ("e_g", "genus_tube", "puncture_tubes", "identity_tube", "disc_in", "disc_out")
 
-    def __post_init__(self):
-        object.__setattr__(self, "genus_tube", _freeze_matrix(self.genus_tube))
-        object.__setattr__(
-            self,
-            "puncture_tubes",
-            {str(k): _freeze_matrix(v) for k, v in dict(self.puncture_tubes).items()},
+    def __init__(
+        self,
+        e_g: LaurentPoly,
+        genus_tube: Sequence[Sequence],
+        puncture_tubes: Mapping[str, Sequence[Sequence]] = {},
+        identity_tube: Sequence[Sequence] | None = None,
+        disc_in: Sequence = (),
+        disc_out: Sequence = (),
+    ):
+        self.__dict__.update(
+            e_g=e_g,
+            genus_tube=_freeze_matrix(genus_tube),
+            puncture_tubes={str(k): _freeze_matrix(v) for k, v in dict(puncture_tubes).items()},
+            identity_tube=None if identity_tube is None else _freeze_matrix(identity_tube),
+            disc_in=tuple(disc_in),
+            disc_out=tuple(disc_out),
         )
-        if self.identity_tube is not None:
-            object.__setattr__(self, "identity_tube", _freeze_matrix(self.identity_tube))
-        object.__setattr__(self, "disc_in", tuple(self.disc_in))
-        object.__setattr__(self, "disc_out", tuple(self.disc_out))
         self._validate()
 
     @property
@@ -421,13 +423,13 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
     )
 
 
-def load_datum(path: "str | Path") -> TqftDatum:
+def load_datum(path: str | os.PathLike[str]) -> TqftDatum:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     return datum_from_json_dict(data)
 
 
-def save_datum(datum: TqftDatum, path: "str | Path") -> None:
+def save_datum(datum: TqftDatum, path: str | os.PathLike[str]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(datum_to_json_dict(datum), handle, indent=2)
         handle.write("\n")

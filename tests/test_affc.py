@@ -65,6 +65,13 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             affc_closed_form(0)
 
+    def test_expansion_matches_the_formula_as_written(self):
+        # The closed form exactly as stated, from LaurentPoly powers;
+        # affc_closed_form expands it by binomial coefficients instead.
+        for genus in range(1, 41):
+            expected = Q ** (2 * genus - 1) * ((Q - 1) ** (2 * genus) + Q - 1)
+            assert affc_closed_form(genus) == expected
+
 
 class TestRecursion:
     def test_base_case(self):

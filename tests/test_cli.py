@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -502,3 +506,25 @@ def test_table_over_max_order_exits_two(capsys, tmp_path):
     )
     assert code == 2
     assert "order 10001" in err and "10000" in err and "100020001 entries" in err
+
+
+def modules_after(statement):
+    """The modules loaded in a fresh interpreter that runs ``statement``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = f"import sys\n{statement}\nprint(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_no_module_a_request_does_not_need():
+    # Each of these costs milliseconds on every start of the command.  The
+    # bare run is subtracted because site may preload some of them.
+    added = modules_after("import repvar.cli") - modules_after("pass")
+    assert "repvar.cli" in added
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal", "typing", "pathlib"}
+    # fractions is imported where it is used.
+    half = LaurentPoly.monomial(-1, 0).evaluate(2, 1)
+    assert type(half) is Fraction and half == Fraction(1, 2)

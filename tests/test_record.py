@@ -1,0 +1,127 @@
+"""Value semantics of the six record classes: construction checks, tuple
+storage, equality, hashing, repr and read-only fields."""
+
+import pytest
+
+from repvar.affc import affc_datum
+from repvar.finite_group import ConjugacyClasses, FiniteGroup
+from repvar.poly import ONE, Q
+from repvar.tqft import GENUS_TUBE, SurfaceSpec, TqftDatum, TubeGenerator, TubeWord, puncture_tube
+
+# name -> (builder from list arguments, the value each field must hold)
+RECORDS = {
+    "TubeGenerator": (
+        lambda: TubeGenerator("puncture", "t"),
+        {"kind": "puncture", "label": "t"},
+    ),
+    "SurfaceSpec": (
+        lambda: SurfaceSpec(2, ["a", "b"]),
+        {"genus": 2, "punctures": ("a", "b")},
+    ),
+    "TubeWord": (
+        lambda: TubeWord([GENUS_TUBE, puncture_tube("t")]),
+        {"generators": (GENUS_TUBE, puncture_tube("t"))},
+    ),
+    "TqftDatum": (
+        lambda: TqftDatum(
+            e_g=ONE,
+            genus_tube=[[Q]],
+            puncture_tubes={"t": [[ONE]]},
+            disc_in=[ONE],
+            disc_out=[ONE],
+        ),
+        {
+            "e_g": ONE,
+            "genus_tube": ((Q,),),
+            "puncture_tubes": {"t": ((ONE,),)},
+            "identity_tube": None,
+            "disc_in": (ONE,),
+            "disc_out": (ONE,),
+        },
+    ),
+    "FiniteGroup": (
+        lambda: FiniteGroup([[0, 1], [1, 0]], [0, 1]),
+        {"mult": ((0, 1), (1, 0)), "inverse": (0, 1)},
+    ),
+    "ConjugacyClasses": (
+        lambda: ConjugacyClasses([0, 1], [[0], [1]]),
+        {"class_of": (0, 1), "members": ((0,), (1,))},
+    ),
+}
+
+
+@pytest.fixture(params=sorted(RECORDS))
+def record(request):
+    return RECORDS[request.param]
+
+
+def test_sequence_arguments_are_stored_as_tuples(record):
+    build, fields = record
+    value = build()
+    for name, expected in fields.items():
+        # A list never equals a tuple, so this also checks the type.
+        assert getattr(value, name) == expected
+
+
+def test_equal_values_compare_and_hash_equal(record):
+    build, _ = record
+    first, second = build(), build()
+    assert first is not second
+    assert first == second
+    assert not first != second
+    if isinstance(first, TqftDatum):
+        # Its puncture tubes are a dict, so a datum is not hashable.
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        assert hash(first) == hash(second)
+
+
+def test_fields_are_read_only(record):
+    build, fields = record
+    value = build()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert build() == value
+
+
+def test_values_differ_by_field():
+    assert SurfaceSpec(2) != SurfaceSpec(3)
+    assert SurfaceSpec(1, ("a",)) != SurfaceSpec(1, ("b",))
+    assert TubeGenerator("genus") != TubeGenerator("identity")
+    assert TubeWord([GENUS_TUBE]) != TubeWord([])
+    assert FiniteGroup([[0]], [0]) != FiniteGroup([[0, 1], [1, 0]], [0, 1])
+    # A record never equals a tuple of its fields.
+    assert TubeWord([]) != ((),)
+
+
+def test_repr_names_every_field():
+    assert repr(TubeGenerator("genus")) == "TubeGenerator(kind='genus', label=None)"
+    assert repr(SurfaceSpec(1, ["t"])) == "SurfaceSpec(genus=1, punctures=('t',))"
+    assert repr(ConjugacyClasses([0], [[0]])) == "ConjugacyClasses(class_of=(0,), members=((0,),))"
+
+
+def test_validation_messages():
+    with pytest.raises(ValueError, match="unknown tube kind 'pair_of_pants'"):
+        TubeGenerator("pair_of_pants")
+    with pytest.raises(ValueError, match="exactly puncture tubes carry a label"):
+        TubeGenerator("genus", "spurious-label")
+    with pytest.raises(ValueError, match="exactly puncture tubes carry a label"):
+        TubeGenerator("puncture")
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        SurfaceSpec(-1)
+
+
+def test_cached_forms_are_kept_but_not_part_of_the_value():
+    datum = affc_datum()
+    before = repr(datum)
+    free, form = datum.e_g_free, datum.fold_form
+    assert datum.e_g_free is free
+    assert datum.fold_form is form
+    assert datum == affc_datum()
+    assert repr(datum) == before
