@@ -1,11 +1,15 @@
 """Finite groups as Cayley tables, their conjugacy data, and the integer
 transfer matrices their tube operators induce.
 
-Elements are the indices 0..n-1 of the table the group was read from,
-wherever that table keeps its identity; there is no second labelling and
-nothing to map back.  The identity is read off the table.  All matrices
-here are plain integer matrices; they are lifted to Laurent polynomials
-only when packed into a ``TqftDatum``.
+A multiplication table is validated exactly (``from_cayley_table``), and
+its elements are its own indices 0..n-1, wherever it keeps its identity;
+there is no second labelling and nothing to map back.  Permutation
+generators are closed breadth-first into rows, a group by construction
+that is not checked again (``from_permutation_generators``).  The named
+groups are built-in group files, read by the same code as a file on disk.
+
+All matrices here are plain integer matrices; they are lifted to Laurent
+polynomials only when packed into a ``TqftDatum``.
 
 ``class_datum`` builds the datum the CLI evaluates: rank = class number,
 straight from closed forms on class representatives.  The full-rank
@@ -24,6 +28,7 @@ import json
 import os
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
+from operator import itemgetter
 
 from .poly import LaurentPoly, ONE, ZERO
 from .record import Record
@@ -49,13 +54,6 @@ __all__ = [
     "brute_force_count",
     "named_group",
     "NAMED_GROUPS",
-    "trivial_group",
-    "cyclic_group",
-    "direct_product",
-    "symmetric_3",
-    "dihedral_4",
-    "quaternion_8",
-    "alternating_4",
     "group_from_json_dict",
     "group_to_json_dict",
     "load_group",
@@ -86,8 +84,9 @@ DEFAULT_BUDGET = 10**9
 
 class FiniteGroup(Record):
     """A finite group of order n: its multiplication table over the
-    elements 0..n-1, in the labels of the table it was read from, and the
-    inverse of each element.  Everything else is derived from the table.
+    elements 0..n-1, in the labels of the table it was read from (or of
+    the closure of its generators), and the inverse of each element.
+    Everything else is derived from the table.
     """
 
     _fields = ("mult", "inverse")
@@ -230,18 +229,19 @@ def _check_associative(rows: Sequence[tuple[int, ...]], identity: int) -> None:
                     stack.append(y)
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # Apply q first, then p.
-    return tuple(p[x] for x in q)
-
-
 def from_permutation_generators(
     degree: int,
     generators: Iterable[Sequence[int]],
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> FiniteGroup:
-    """Close the generators under composition and build the Cayley table
-    of the generated permutation group."""
+    """Close the generators breadth-first, numbering the elements from
+    the identity at 0, and return the group they generate.
+
+    A group by construction, so the table is not validated again.  Each
+    element but the identity is first reached as p g (p closed before it,
+    g a generator), and as (p g) b = p (g b) its row is p's row read at
+    the entries of g's row: only the generators' rows compose permutations.
+    """
     gens = []
     for i, g in enumerate(generators):
         if (
@@ -258,10 +258,12 @@ def from_permutation_generators(
     identity = tuple(range(degree)) if gens else ()
     index: dict[tuple[int, ...], int] = {identity: 0}
     elements = [identity]
+    # Element i > 0 is elements[parent] after gens[g], (parent, g) = steps[i - 1].
+    steps = []
     # Breadth-first: the loop also visits the products appended as it runs.
-    for perm in elements:
-        for g in gens:
-            product = _compose(perm, g)
+    for parent, perm in enumerate(elements):
+        for g, gen in enumerate(gens):
+            product = tuple(map(perm.__getitem__, gen))
             if product not in index:
                 if len(elements) >= max_order:
                     raise GroupTooLarge(
@@ -269,11 +271,18 @@ def from_permutation_generators(
                     )
                 index[product] = len(elements)
                 elements.append(product)
+                steps.append((parent, g))
 
-    table = [
-        [index[_compose(a, b)] for b in elements] for a in elements
+    # read[g](row) is row at the entries of g's row.  A row has n >= 2
+    # entries whenever there is a step, so itemgetter returns a tuple.
+    read = [
+        itemgetter(*(index[tuple(map(gen.__getitem__, b))] for b in elements))
+        for gen in gens
     ]
-    return from_cayley_table(table)
+    rows = [tuple(range(len(elements)))]
+    for parent, g in steps:
+        rows.append(read[g](rows[parent]))
+    return FiniteGroup(mult=rows, inverse=[row.index(0) for row in rows])
 
 
 # ----------------------------------------------------------------------
@@ -608,91 +617,43 @@ def brute_force_count(
 
 
 # ----------------------------------------------------------------------
-# Standard groups
+# Named groups: built-in group files
 # ----------------------------------------------------------------------
 
 
-def trivial_group() -> FiniteGroup:
-    return from_cayley_table([[0]])
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return from_cayley_table([[(i + j) % n for j in range(n)] for i in range(n)])
-
-
-def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    n2 = g2.order
-
-    def encode(a: int, b: int) -> int:
-        return a * n2 + b
-
-    n = g1.order * n2
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(g1.order):
-        for b1 in range(n2):
-            for a2 in range(g1.order):
-                for b2 in range(n2):
-                    table[encode(a1, b1)][encode(a2, b2)] = encode(
-                        g1.mul(a1, a2), g2.mul(b1, b2)
-                    )
-    return from_cayley_table(table)
-
-
-def symmetric_3() -> FiniteGroup:
-    return from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)])
-
-
-def dihedral_4() -> FiniteGroup:
-    # Symmetries of the square 0-1-2-3: a rotation and a reflection.
-    return from_permutation_generators(4, [(1, 2, 3, 0), (1, 0, 3, 2)])
-
-
-def alternating_4() -> FiniteGroup:
-    return from_permutation_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)])
-
-
-def quaternion_8() -> FiniteGroup:
-    # Elements 2*axis + sign with axes 1, i, j, k; sign bit 1 means negated.
-    axis_mult = {
-        (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
-        (1, 0): (0, 1), (2, 0): (0, 2), (3, 0): (0, 3),
-        (1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0),
-        (1, 2): (0, 3), (2, 3): (0, 1), (3, 1): (0, 2),
-        (2, 1): (1, 3), (3, 2): (1, 1), (1, 3): (1, 2),
-    }
-    n = 8
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            sx, ax = x & 1, x >> 1
-            sy, ay = y & 1, y >> 1
-            sign, axis = axis_mult[(ax, ay)]
-            table[x][y] = axis * 2 + (sx ^ sy ^ sign)
-    return from_cayley_table(table)
-
-
 NAMED_GROUPS = {
-    "z1": trivial_group,
-    "z2": lambda: cyclic_group(2),
-    "z3": lambda: cyclic_group(3),
-    "z4": lambda: cyclic_group(4),
-    "z2xz2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
-    "s3": symmetric_3,
-    "d4": dihedral_4,
-    "q8": quaternion_8,
-    "a4": alternating_4,
+    "z1": {"degree": 1, "generators": []},
+    "z2": {"degree": 2, "generators": [[1, 0]]},
+    "z3": {"degree": 3, "generators": [[1, 2, 0]]},
+    "z4": {"degree": 4, "generators": [[1, 2, 3, 0]]},
+    "z2xz2": {"degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]},
+    "s3": {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+    # Symmetries of the square 0-1-2-3: a rotation and a reflection.
+    "d4": {"degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 3, 2]]},
+    # Elements 2*axis + sign with axes 1, i, j, k; sign bit 1 means negated.
+    "q8": {
+        "table": [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [1, 0, 3, 2, 5, 4, 7, 6],
+            [2, 3, 1, 0, 6, 7, 5, 4],
+            [3, 2, 0, 1, 7, 6, 4, 5],
+            [4, 5, 7, 6, 1, 0, 2, 3],
+            [5, 4, 6, 7, 0, 1, 3, 2],
+            [6, 7, 4, 5, 3, 2, 1, 0],
+            [7, 6, 5, 4, 2, 3, 0, 1],
+        ]
+    },
+    "a4": {"degree": 4, "generators": [[1, 2, 0, 3], [1, 0, 3, 2]]},
 }
 
 
 def named_group(name: str) -> FiniteGroup:
     try:
-        builder = NAMED_GROUPS[name.lower()]
+        data = NAMED_GROUPS[name.lower()]
     except KeyError:
         known = ", ".join(sorted(NAMED_GROUPS))
         raise ValueError(f"unknown group name {name!r}; known: {known}") from None
-    return builder()
+    return group_from_json_dict(data)
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,11 @@ class LaurentPoly:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        # Pickling and copying rebuild through _canonical, not by
+        # restoring the slot through the refusing __setattr__.
+        return (LaurentPoly._canonical, (dict(self._terms),))
+
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
@@ -304,7 +309,11 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # A constant equals its int, so it must hash like it.
+        terms = self._terms
+        if terms.keys() <= {(0, 0)}:
+            return hash(terms.get((0, 0), 0))
+        return hash(frozenset(terms.items()))
 
     # ------------------------------------------------------------------
     # Text and JSON forms

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,17 +16,15 @@ from repvar.finite_group import (
     class_reduce,
     conjugacy_classes,
     conjugacy_closure,
-    cyclic_group,
-    direct_product,
     from_cayley_table,
     from_permutation_generators,
     genus_matrix,
     group_from_json_dict,
     group_to_json_dict,
+    load_group,
     named_group,
     puncture_matrix,
     to_tqft_datum,
-    trivial_group,
     tube_matrix_P,
 )
 from repvar.poly import LaurentPoly, ZERO
@@ -62,6 +61,8 @@ GENUS_COUNTS = {
     "q8": {1: 40, 2: 2176},
     "a4": {1: 48, 2: 5376},
 }
+
+DATA_GROUPS = Path(__file__).resolve().parent.parent / "data" / "groups"
 
 # Groups beyond the named ones, with more classes and larger centralizers.
 PERMUTATION_GROUPS = {
@@ -202,6 +203,7 @@ class TestConstruction:
     def test_group_too_large(self):
         with pytest.raises(GroupTooLarge):
             from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], max_order=3)
+        assert from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], max_order=6).order == 6
 
     def test_named_groups(self, suite_groups):
         expected_orders = {
@@ -697,17 +699,65 @@ class TestGroupFiles:
         with pytest.raises(NotAGroup, match="list of rows"):
             group_from_json_dict({"table": 5})
 
-    def test_direct_product_orders(self):
-        group = direct_product(cyclic_group(2), cyclic_group(3))
-        assert group.order == 6
-        assert len(conjugacy_classes(group)) == 6
-
     def test_order_above_sampling_threshold(self):
         # Order 72 was once above the limit for exhaustive associativity
         # checks; the exact test must accept it.
-        group = direct_product(named_group("a4"), named_group("s3"))
+        table = from_permutation_generators(*MEDNYKH_GROUPS["d36"][0]).mult
+        group = from_cayley_table(table)
         assert group.order == 72
-        assert len(conjugacy_classes(group)) == 12
+        assert len(conjugacy_classes(group)) == 21
 
     def test_trivial_group(self):
-        assert trivial_group().order == 1
+        assert named_group("z1").order == 1
+
+    @pytest.mark.parametrize("name", sorted(set(NAMED_GROUPS) - {"z1"}))
+    def test_named_group_equals_shipped_file(self, name):
+        # Same labels, not just the same group up to isomorphism: the
+        # frozen per-class counts depend on them.
+        assert named_group(name) == load_group(DATA_GROUPS / f"{name}.json")
+
+
+def closure_table(degree, generators):
+    """Cayley table of the generated group by composing every pair:
+    close the generators breadth-first, then table[a][b] = index of a b
+    (b applied first)."""
+
+    def compose(p, q):
+        return tuple(p[x] for x in q)
+
+    gens = [tuple(g) for g in generators]
+    elements = [tuple(range(degree)) if gens else ()]
+    index = {elements[0]: 0}
+    for perm in elements:
+        for g in gens:
+            product = compose(perm, g)
+            if product not in index:
+                index[product] = len(elements)
+                elements.append(product)
+    return [[index[compose(a, b)] for b in elements] for a in elements]
+
+
+def assert_generated_table(degree, generators):
+    group = from_permutation_generators(degree, generators)
+    assert group.mult == tuple(map(tuple, closure_table(degree, generators)))
+    # The table is built unchecked; the exact validation must accept it.
+    assert from_cayley_table(group.mult) == group
+
+
+class TestGeneratorClosure:
+    @pytest.mark.parametrize(
+        "generators",
+        [*PERMUTATION_GROUPS.values(), *(spec[0] for spec in MEDNYKH_GROUPS.values())],
+        ids=[*PERMUTATION_GROUPS, *(f"mednykh_{name}" for name in MEDNYKH_GROUPS)],
+    )
+    def test_rows_equal_the_composed_table(self, generators):
+        assert_generated_table(*generators)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)), max_size=3))
+        )
+    )
+    def test_random_generators(self, generators):
+        assert_generated_table(*generators)

@@ -1,10 +1,13 @@
+import copy
 import doctest
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import repvar.poly
+from repvar.affc import affc_datum
 from repvar.poly import (
     LaurentPoly,
     NonExactDivision,
@@ -77,6 +80,34 @@ class TestArithmetic:
 
     def test_hashable(self):
         assert len({Q, U * V, Q + ZERO}) == 1
+
+    @pytest.mark.parametrize("c", [-3, 0, 1, 7])
+    def test_constants_hash_like_their_int(self, c):
+        # They compare equal to it, so sets and dicts must agree.
+        assert LaurentPoly.const(c) == c
+        assert hash(LaurentPoly.const(c)) == hash(c)
+
+    def test_int_found_in_a_set_of_polys(self):
+        assert 1 in {ONE}
+        assert 0 in {ZERO}
+        assert len({1, ONE}) == 1
+        assert {ONE: "one"}[1] == "one"
+
+
+class TestPicklingAndCopying:
+    def test_pickle_round_trip(self):
+        for p in (Q, ZERO, ONE, 3 * U**2 - V + 7):
+            again = pickle.loads(pickle.dumps(p))
+            assert again == p and type(again) is LaurentPoly
+
+    def test_copies_stay_immutable(self):
+        for again in (copy.copy(Q), copy.deepcopy(Q)):
+            assert again == Q
+            with pytest.raises(AttributeError, match="immutable"):
+                again._terms = {}
+
+    def test_deepcopy_of_a_datum(self):
+        assert copy.deepcopy(affc_datum()) == affc_datum()
 
 
 class TestExactDiv:
