@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import islice
-from math import comb
 
 from .poly import LaurentPoly, ONE, Q, ZERO
 from .tqft import TqftDatum
@@ -56,11 +55,17 @@ def affc_inner_genus_matrix() -> tuple:
 
 def affc_closed_form(genus: int) -> LaurentPoly:
     """q^(2g-1) ((q-1)^(2g) + q - 1), expanded term by term: the binomial
-    terms C(2g, i) (-1)^i q^(2g-1+i) for i = 0..2g, plus q^(2g) - q^(2g-1)."""
+    terms C(2g, i) (-1)^i q^(2g-1+i) for i = 0..2g, plus q^(2g) - q^(2g-1).
+    Each binomial comes from the one before it,
+    C(n, i+1) = C(n, i) (n - i) / (i + 1), which divides exactly."""
     if genus < 1:
         raise ValueError("genus must be >= 1")
     n = 2 * genus
-    terms = [(n - 1 + i, n - 1 + i, (-1) ** i * comb(n, i)) for i in range(n + 1)]
+    terms = []
+    binomial = 1
+    for i in range(n + 1):
+        terms.append((n - 1 + i, n - 1 + i, -binomial if i % 2 else binomial))
+        binomial = binomial * (n - i) // (i + 1)
     return LaurentPoly.from_terms(terms + [(n, n, 1), (n - 1, n - 1, -1)])
 
 

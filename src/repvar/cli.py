@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import sys
+from collections import Counter
 from collections.abc import Sequence
 
 from .affc import affc_closed_form, affc_datum, xk_values
@@ -21,22 +22,28 @@ from .finite_group import (
     GroupTooLarge,
     NotAGroup,
     NotConjugationClosed,
-    brute_force_count,
+    check_budget,
     class_datum,
+    commutator_slot,
     conjugacy_classes,
     conjugacy_closure,
+    fold_slot,
     load_group,
+    puncture_slot,
 )
 from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError
 from .tqft import (
+    GENUS_TUBE,
+    IDENTITY_TUBE,
     InvalidDatum,
     SurfaceSpec,
     UnknownPunctureLabel,
-    assemble_word,
-    epoly_from_word,
+    dot,
     epoly_rep_variety,
-    insert_identity_tubes,
+    fold,
     load_datum,
+    normalize,
+    puncture_tube,
 )
 
 __all__ = ["main", "build_parser"]
@@ -271,10 +278,12 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_affc(args, report: _Report) -> None:
-    datum = affc_datum()
+    form = affc_datum().fold_form
+    vec = form.disc_in  # carried one genus tube per step
     xk = xk_values()  # e(X_1), e(X_2), ...: two steps per genus
     for genus in range(1, max(args.max_genus, 1) + 1):
-        engine = epoly_rep_variety(datum, SurfaceSpec(genus))
+        vec = fold(form, vec, (GENUS_TUBE,))
+        engine = normalize(form, dot(form.disc_out, vec), genus)
         expected = affc_closed_form(genus)
         desc = f"affc closed-form genus={genus}"
         if engine == expected:
@@ -295,36 +304,69 @@ def _verify_affc(args, report: _Report) -> None:
 
 
 def _verify_finite(args, report: _Report) -> None:
+    """Check every (genus, puncture multiset) against the brute-force
+    oracle, walking the specs as a prefix tree.
+
+    Both sides fold the same slots in the same order: the engine a vector
+    through genus^g then one puncture tube per class in the multiset, the
+    oracle a distribution of partial products through g commutator slots
+    then one slot per class.  The state after the genus tubes is carried
+    from genus to genus.  Within one genus and puncture count, ``stack[j]``
+    holds the state after the first j punctures of the last multiset
+    computed; the next one keeps the prefix they share and folds the rest.
+    A multiset over the budget is marked SKIP before any work for it.
+    """
     if not args.group:
         raise ValueError("--backend finite requires --group")
     group = load_group(args.group)
     classes = conjugacy_classes(group)
-    class_labels = {i: f"c{i}" for i in range(len(classes))}
-    datum = class_datum(
-        group, {class_labels[i]: classes.members[i] for i in range(len(classes))}
-    )
+    labels = [f"c{i}" for i in range(len(classes))]
+    form = class_datum(group, dict(zip(labels, classes.members))).fold_form
+    tubes = [(puncture_tube(label),) for label in labels]
+    sizes = [len(members) for members in classes.members]
+    # Oracle slots, each built once: the classes only when some check has
+    # punctures, the commutators on the first genus step.
+    slots = [puncture_slot(group, m) for m in classes.members] if args.max_punctures else []
+    commutators = None
+    # (genus, engine vector, oracle distribution) after the genus tubes
+    base = (0, form.disc_in, Counter({group.identity: 1}))
     for genus in range(args.max_genus + 1):
         for s in range(args.max_punctures + 1):
-            for combo in itertools.combinations_with_replacement(
-                range(len(classes)), s
-            ):
-                spec = SurfaceSpec(genus, tuple(class_labels[i] for i in combo))
+            stack = []
+            last = ()
+            for combo in itertools.combinations_with_replacement(range(len(classes)), s):
                 desc = (
                     f"finite genus={genus} punctures="
                     f"[{', '.join(f'class {i}' for i in combo)}]"
                 )
                 try:
-                    expected = brute_force_count(
-                        group,
-                        genus,
-                        [classes.members[i] for i in combo],
-                        budget=args.budget,
-                    )
+                    check_budget(group.order, genus, [sizes[i] for i in combo], args.budget)
                 except BudgetExceeded as exc:
                     report.record(desc, "SKIP", str(exc))
                     continue
+                if not stack:
+                    while base[0] < genus:
+                        if commutators is None:
+                            commutators = commutator_slot(group)
+                        g, vec, dist = base
+                        base = (
+                            g + 1,
+                            fold(form, vec, (GENUS_TUBE,)),
+                            fold_slot(group, dist, commutators),
+                        )
+                    stack.append(base[1:])
+                shared = 0
+                while shared < len(last) and combo[shared] == last[shared]:
+                    shared += 1
+                del stack[shared + 1:]
+                for i in combo[shared:]:
+                    vec, dist = stack[-1]
+                    stack.append((fold(form, vec, tubes[i]), fold_slot(group, dist, slots[i])))
+                last = combo
+                vec, dist = stack[-1]
+                expected = dist[group.identity]
                 try:
-                    engine = epoly_rep_variety(datum, spec)
+                    engine = normalize(form, dot(form.disc_out, vec), genus + s)
                 except NonExactDivision as exc:
                     report.record(desc, "FAIL", f"counterexample: {exc}")
                     continue
@@ -341,12 +383,14 @@ def _verify_finite(args, report: _Report) -> None:
 def _verify_custom(args, report: _Report) -> None:
     if not args.datum:
         raise ValueError("--backend custom requires --datum")
-    datum = load_datum(args.datum)
+    form = load_datum(args.datum).fold_form
+    vec = form.disc_in  # carried one genus tube per step
     for genus in range(args.max_genus + 1):
-        spec = SurfaceSpec(genus)
+        if genus:
+            vec = fold(form, vec, (GENUS_TUBE,))
         desc = f"custom normalization genus={genus}"
         try:
-            result = epoly_rep_variety(datum, spec)
+            result = normalize(form, dot(form.disc_out, vec), genus)
         except NonExactDivision as exc:
             report.record(desc, "FAIL", f"counterexample: genus={genus}: {exc}")
             continue
@@ -354,11 +398,12 @@ def _verify_custom(args, report: _Report) -> None:
             report.record(desc, "FAIL", f"counterexample: sphere value {result} != 1")
             continue
         report.record(desc, "PASS")
-        if datum.identity_tube is not None:
-            word = insert_identity_tubes(assemble_word(spec), 1)
+        if form.identity_tube is not None:
+            # The same word with one plain cylinder appended.
+            padded_vec = fold(form, vec, (IDENTITY_TUBE,))
             desc = f"custom cylinder-insertion genus={genus}"
             try:
-                padded = epoly_from_word(datum, word)
+                padded = normalize(form, dot(form.disc_out, padded_vec), genus + 1)
             except NonExactDivision as exc:
                 report.record(desc, "FAIL", f"counterexample: genus={genus}: {exc}")
                 continue

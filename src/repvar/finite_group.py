@@ -52,6 +52,10 @@ __all__ = [
     "class_reduce",
     "class_datum",
     "brute_force_count",
+    "commutator_slot",
+    "puncture_slot",
+    "check_budget",
+    "fold_slot",
     "named_group",
     "NAMED_GROUPS",
     "group_from_json_dict",
@@ -570,50 +574,71 @@ def brute_force_count(
     [a_1,b_1]...[a_g,b_g] c_1 ... c_s = identity and c_j in the j-th
     puncture subset.
 
-    A forward fold over the distribution of partial products: each slot
-    is a multiset of values (the commutators [a, b] with multiplicity for
-    a genus slot, the subset for a puncture), and dist[p] counts the
+    A forward fold over the distribution of partial products
+    (``fold_slot``): each slot is a multiset of values (the commutators
+    [a, b] with multiplicity for a genus slot, ``commutator_slot``; the
+    subset for a puncture, ``puncture_slot``), and dist[p] counts the
     prefixes of the tuple whose product is p.  That is O((g + s) n d)
     dictionary updates, with d the number of distinct values in a slot.
-    The oracle uses only the multiplication table, never conjugacy
-    classes or the TQFT engine.  ``budget`` still caps the number of
-    tuples, n^(2g) * prod |lam|, not the fold's work.
+    Tuples that share their first slots share the distribution after
+    them, so a caller that counts many tuple shapes (``verify`` walks
+    genera and puncture multisets as a prefix tree) builds each slot once
+    and folds each distinct prefix once, through the same helpers.  The
+    oracle uses only the multiplication table, never conjugacy classes or
+    the TQFT engine.  ``budget`` still caps the number of tuples,
+    n^(2g) * prod |lam| (``check_budget``), not the fold's work.
     """
     if genus < 0:
         raise ValueError("genus must be >= 0")
-    n = group.order
-    lams = []
-    for subset in punctures:
-        lam = tuple(sorted(set(int(x) for x in subset)))
-        _check_conjugation_closed(group, lam)
-        lams.append(lam)
+    slots = [puncture_slot(group, subset) for subset in punctures]
+    check_budget(group.order, genus, map(len, slots), budget)
+    if genus:
+        slots[:0] = [commutator_slot(group)] * genus
+    dist = Counter({group.identity: 1})
+    for slot in slots:
+        dist = fold_slot(group, dist, slot)
+    return dist[group.identity]
 
-    cost = n ** (2 * genus)
-    for lam in lams:
-        cost *= len(lam)
+
+def commutator_slot(group: FiniteGroup) -> Counter:
+    """The commutators [a, b] over all n^2 pairs (a, b), with
+    multiplicity: the values of one genus slot of the oracle."""
+    n = group.order
+    return Counter(group.commutator(a, b) for a in range(n) for b in range(n))
+
+
+def puncture_slot(group: FiniteGroup, subset: Iterable[int]) -> Counter:
+    """The values of one puncture slot of the oracle: the subset, each
+    element once, checked to be closed under conjugation."""
+    lam = tuple(sorted(set(int(x) for x in subset)))
+    _check_conjugation_closed(group, lam)
+    return Counter(lam)
+
+
+def check_budget(order: int, genus: int, sizes: Iterable[int], budget: int) -> None:
+    """Raise ``BudgetExceeded`` if the oracle's tuple count
+    order^(2 genus) * prod sizes, one size per puncture subset, exceeds
+    the budget."""
+    cost = order ** (2 * genus)
+    for size in sizes:
+        cost *= size
     if cost > budget:
         raise BudgetExceeded(
             f"enumeration of {cost} tuples exceeds the budget of {budget}"
         )
 
-    slots: list[Counter] = []
-    if genus:
-        commutators = Counter(
-            group.commutator(a, b) for a in range(n) for b in range(n)
-        )
-        slots.extend([commutators] * genus)
-    slots.extend(Counter(lam) for lam in lams)
 
+def fold_slot(group: FiniteGroup, dist: Counter, slot: Counter) -> Counter:
+    """The distribution of partial products one slot further: each prefix
+    product p, counted dist[p] times, times each value x of the slot,
+    counted slot[x] times."""
     mult = group.mult
-    dist = Counter({group.identity: 1})
-    for slot in slots:
-        nxt: Counter = Counter()
-        for prefix, count in dist.items():
-            row = mult[prefix]
-            for x, m in slot.items():
-                nxt[row[x]] += count * m
-        dist = nxt
-    return dist[group.identity]
+    nxt: Counter = Counter()
+    for prefix, count in dist.items():
+        row = mult[prefix]
+        for x, m in slot.items():
+            nxt[row[x]] += count * m
+    return nxt
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,16 @@ is the word
     cup . puncture_s . ... . puncture_1 . genus^g . cap
 
 and its E-polynomial is the evaluated scalar divided by ``e_G`` raised to
-the number of tubes in the word.  The division is exact for any datum
-that comes from an actual group; a failure means the datum is
-inconsistent.  When ``e_G`` has more than one term and divides every
+the number of tubes in the word (``normalize``).  The scalar comes from
+one loop, ``fold``, which applies the tubes to the cap vector one at a
+time.  By functoriality every word that starts with the same tubes
+passes through the same vector, so a caller that evaluates many words
+(``verify`` walks genera and puncture multisets as a prefix tree) keeps
+the vector of a prefix and folds only the tubes after it: each distinct
+prefix costs one matrix-vector product.
+
+The division is exact for any datum that comes from an actual group; a
+failure means the datum is inconsistent.  When ``e_G`` has more than one term and divides every
 entry of every tube, it is divided out of the tubes once per datum
 (``TqftDatum.e_g_free``) and the word is folded over the quotients, so
 the folded vector never carries the factor ``e_G^i`` and nothing is left
@@ -58,7 +65,9 @@ __all__ = [
     "TqftDatum",
     "assemble_word",
     "insert_identity_tubes",
+    "fold",
     "evaluate_raw",
+    "normalize",
     "epoly_from_word",
     "epoly_rep_variety",
     "mat_vec",
@@ -320,17 +329,32 @@ def _check_square(matrix: tuple, rank: int, what: str) -> None:
 # ----------------------------------------------------------------------
 
 
+def fold(datum: TqftDatum, vec: Sequence, generators: Sequence[TubeGenerator]) -> tuple:
+    """The vector ``vec`` after the given tubes, applied one at a time in
+    order: one matrix-vector product per tube at the datum's rank.
+
+    This is the only evaluation loop.  Words that share a prefix share
+    its vector, so a caller that walks many words can keep the vector of
+    a prefix and fold only what follows it.
+    """
+    for generator in generators:
+        vec = mat_vec(datum.tube_matrix(generator), vec)
+    return vec
+
+
 def evaluate_raw(datum: TqftDatum, word: TubeWord):
     """Un-normalized scalar: disc_out . M_t ... M_1 . disc_in, in the ring
-    of the datum's entries.
+    of the datum's entries."""
+    return dot(datum.disc_out, fold(datum, datum.disc_in, word.generators))
 
-    The cap vector is folded through the word one tube at a time, so a
-    word of t tubes costs t matrix-vector products at the datum's rank.
-    """
-    vec = datum.disc_in
-    for generator in word.generators:
-        vec = mat_vec(datum.tube_matrix(generator), vec)
-    return dot(datum.disc_out, vec)
+
+def normalize(form: TqftDatum, raw, tubes: int) -> LaurentPoly:
+    """The E-polynomial of a word of ``tubes`` tubes from its raw scalar
+    over ``form`` (a datum's ``fold_form``): the scalar as a
+    ``LaurentPoly``, divided by the form's e_G^tubes."""
+    if isinstance(raw, QPoly):
+        raw = raw.to_laurent()
+    return raw.exact_div(form.e_g ** tubes)
 
 
 def epoly_from_word(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
@@ -342,10 +366,7 @@ def epoly_from_word(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
     scalar comes back as a ``LaurentPoly`` before the division.
     """
     form = datum.fold_form
-    raw = evaluate_raw(form, word)
-    if isinstance(raw, QPoly):
-        raw = raw.to_laurent()
-    return raw.exact_div(form.e_g ** len(word.generators))
+    return normalize(form, evaluate_raw(form, word), len(word.generators))
 
 
 def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:

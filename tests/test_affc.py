@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from repvar.affc import (
@@ -8,7 +10,7 @@ from repvar.affc import (
     xk_epoly,
     xk_values,
 )
-from repvar.poly import ONE, Q, ZERO
+from repvar.poly import ONE, LaurentPoly, Q, ZERO
 from repvar.tqft import (
     GENUS_TUBE,
     SurfaceSpec,
@@ -70,6 +72,14 @@ class TestClosedForm:
         # affc_closed_form expands it by binomial coefficients instead.
         for genus in range(1, 41):
             expected = Q ** (2 * genus - 1) * ((Q - 1) ** (2 * genus) + Q - 1)
+            assert affc_closed_form(genus) == expected
+
+    def test_binomial_recurrence_matches_math_comb(self):
+        # The same expansion with every coefficient from math.comb.
+        for genus in range(1, 81):
+            n = 2 * genus
+            terms = [(n - 1 + i, n - 1 + i, (-1) ** i * comb(n, i)) for i in range(n + 1)]
+            expected = LaurentPoly.from_terms(terms + [(n, n, 1), (n - 1, n - 1, -1)])
             assert affc_closed_form(genus) == expected
 
 

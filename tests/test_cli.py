@@ -1,18 +1,41 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import repvar.cli
 import repvar.finite_group
+import repvar.tqft
 from repvar.affc import affc_closed_form, affc_datum, xk_epoly
 from repvar.cli import main
-from repvar.finite_group import brute_force_count, conjugacy_classes, named_group
-from repvar.poly import LaurentPoly, Q, parse_poly
-from repvar.tqft import SurfaceSpec, datum_to_json_dict, epoly_rep_variety, save_datum
+from repvar.finite_group import (
+    BudgetExceeded,
+    FiniteGroup,
+    brute_force_count,
+    class_datum,
+    conjugacy_classes,
+    group_to_json_dict,
+    load_group,
+    named_group,
+)
+from repvar.poly import ONE, LaurentPoly, NonExactDivision, Q, parse_poly
+from repvar.tqft import (
+    SurfaceSpec,
+    assemble_word,
+    datum_to_json_dict,
+    epoly_from_word,
+    epoly_rep_variety,
+    insert_identity_tubes,
+    load_datum,
+    save_datum,
+)
+
+DATUM_FILE = Path(__file__).resolve().parent.parent / "data" / "datums" / "affc.json"
 
 
 def run(capsys, *argv):
@@ -306,6 +329,220 @@ class TestVerify:
             capsys, "verify", "--backend", "finite", "--group", str(path)
         )
         assert code == 2
+
+
+def report_text(rows) -> tuple[str, int]:
+    """Stdout and exit code of verify for (description, status, detail)
+    rows, printed as its report prints them."""
+    lines = []
+    for desc, status, detail in rows:
+        lines.append(f"CHECK {desc} ... {status}")
+        if detail:
+            lines.append(f"  {detail}")
+    statuses = [status for _, status, _ in rows]
+    passed, skipped = statuses.count("PASS"), statuses.count("SKIP")
+    failed = len(statuses) - passed - skipped
+    lines.append(f"SUMMARY: {passed} passed, {failed} failed, {skipped} skipped")
+    return "\n".join(lines) + "\n", 4 if failed else 0
+
+
+def finite_rows_one_spec_at_a_time(group, max_genus, max_punctures, budget, cache):
+    """The finite verify rows with every spec computed on its own: one
+    brute_force_count and one epoly_rep_variety per spec.  ``cache``
+    keeps a spec's row across calls with the same group and budget."""
+    classes = conjugacy_classes(group)
+    labels = [f"c{i}" for i in range(len(classes))]
+    datum = class_datum(group, dict(zip(labels, classes.members)))
+    for genus in range(max_genus + 1):
+        for s in range(max_punctures + 1):
+            for combo in itertools.combinations_with_replacement(range(len(classes)), s):
+                desc = (
+                    f"finite genus={genus} punctures="
+                    f"[{', '.join(f'class {i}' for i in combo)}]"
+                )
+                if (genus, combo) not in cache:
+                    try:
+                        expected = brute_force_count(
+                            group, genus, [classes.members[i] for i in combo], budget=budget
+                        )
+                    except BudgetExceeded as exc:
+                        cache[genus, combo] = ("SKIP", str(exc))
+                    else:
+                        spec = SurfaceSpec(genus, tuple(labels[i] for i in combo))
+                        engine = epoly_rep_variety(datum, spec)
+                        cache[genus, combo] = (
+                            ("PASS", None)
+                            if engine == LaurentPoly.const(expected)
+                            else ("FAIL", f"counterexample: engine={engine} brute-force={expected}")
+                        )
+                yield (desc, *cache[genus, combo])
+
+
+def custom_rows_one_genus_at_a_time(datum, max_genus):
+    """The custom verify rows with every genus, padded or not, evaluated
+    as its own word."""
+    for genus in range(max_genus + 1):
+        spec = SurfaceSpec(genus)
+        desc = f"custom normalization genus={genus}"
+        try:
+            result = epoly_rep_variety(datum, spec)
+        except NonExactDivision as exc:
+            yield desc, "FAIL", f"counterexample: genus={genus}: {exc}"
+            continue
+        if genus == 0 and result != ONE:
+            yield desc, "FAIL", f"counterexample: sphere value {result} != 1"
+            continue
+        yield desc, "PASS", None
+        if datum.identity_tube is not None:
+            desc = f"custom cylinder-insertion genus={genus}"
+            try:
+                padded = epoly_from_word(datum, insert_identity_tubes(assemble_word(spec), 1))
+            except NonExactDivision as exc:
+                yield desc, "FAIL", f"counterexample: genus={genus}: {exc}"
+                continue
+            if padded == result:
+                yield desc, "PASS", None
+            else:
+                yield desc, "FAIL", f"counterexample: padded={padded} unpadded={result}"
+
+
+def s3_identity_not_first():
+    """S3 as a table with element x renamed (x + 2) mod 6, so the identity
+    is element 2."""
+    group = named_group("s3")
+    rename = [(x + 2) % 6 for x in range(6)]
+    table = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            table[rename[a]][rename[b]] = rename[group.mul(a, b)]
+    return {"table": table}
+
+
+class TestVerifyRows:
+    """verify shares every word prefix among its checks; its rows must
+    read exactly as if each check were computed on its own."""
+
+    @pytest.mark.parametrize("budget", [0, 100, 2000, 10**9])
+    @pytest.mark.parametrize("name", ["s3", "q8", "a4", "d4", "s3-relabelled"])
+    def test_finite(self, capsys, tmp_path, name, budget):
+        data = s3_identity_not_first() if name == "s3-relabelled" else group_to_json_dict(
+            named_group(name)
+        )
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(data))
+        group = load_group(path)
+        assert name != "s3-relabelled" or group.identity == 2
+        cache: dict = {}
+        statuses = set()
+        for max_genus in range(3):
+            for max_punctures in range(4):
+                rows = list(
+                    finite_rows_one_spec_at_a_time(group, max_genus, max_punctures, budget, cache)
+                )
+                statuses.update(status for _, status, _ in rows)
+                code, out, _ = run(
+                    capsys,
+                    "verify", "--backend", "finite", "--group", str(path),
+                    "--max-genus", str(max_genus), "--max-punctures", str(max_punctures),
+                    "--budget", str(budget),
+                )
+                assert (out, code) == report_text(rows)
+        assert "FAIL" not in statuses
+        if budget in (100, 2000):
+            # SKIP rows fall between PASS rows.
+            assert statuses == {"PASS", "SKIP"}
+
+    @pytest.mark.parametrize(
+        "which, tamper", [("affc", None), ("affc", "L"), ("s3", None), ("s3", "L"), ("s3", "P")]
+    )
+    def test_custom(self, capsys, tmp_path, which, tamper):
+        if which == "affc":
+            data = json.loads(DATUM_FILE.read_text())
+        else:
+            group = named_group("s3")
+            datum = class_datum(group, {"t": conjugacy_classes(group).members[1]})
+            data = datum_to_json_dict(datum)
+        if tamper == "L":
+            data["L"][0][0] = "q^5"
+        elif tamper == "P":
+            # Row 0 now reads the 3-cycle coordinate, which genus >= 1 fills.
+            data["P"][0][2] = "1"
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(data))
+        rows = list(custom_rows_one_genus_at_a_time(load_datum(path), 6))
+        code, out, _ = run(
+            capsys, "verify", "--backend", "custom", "--datum", str(path), "--max-genus", "6"
+        )
+        assert (out, code) == report_text(rows)
+        assert (code == 4) == (tamper is not None)
+
+
+class TestVerifyWork:
+    """Each distinct word prefix is folded once: one mat_vec per tube of
+    the prefix tree, one oracle slot per prefix, one commutator table per
+    group."""
+
+    @pytest.fixture()
+    def mat_vec_calls(self, monkeypatch):
+        calls = []
+        original = repvar.tqft.mat_vec
+
+        def counted(matrix, vec):
+            calls.append(1)
+            return original(matrix, vec)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "repvar":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.fixture()
+    def commutator_calls(self, monkeypatch):
+        calls = []
+        original = FiniteGroup.commutator
+
+        def counted(group, a, b):
+            calls.append(1)
+            return original(group, a, b)
+
+        monkeypatch.setattr(FiniteGroup, "commutator", counted)
+        return calls
+
+    def test_finite_s3(self, capsys, group_file_factory, mat_vec_calls, commutator_calls):
+        path = group_file_factory("s3")
+        code, _, _ = run(capsys, "verify", "--backend", "finite", "--group", str(path))
+        assert code == 0
+        # Per genus 0..2: 3 for one puncture, 9 for the six two-puncture
+        # multisets; 2 genus steps; 1 in the datum's validation.  Each spec
+        # on its own took 76.
+        assert len(mat_vec_calls) <= 39
+        assert len(commutator_calls) == 6**2
+
+    def test_finite_skipped_specs_compute_nothing(
+        self, capsys, group_file_factory, mat_vec_calls, commutator_calls
+    ):
+        path = group_file_factory("s3")
+        code, out, _ = run(
+            capsys, "verify", "--backend", "finite", "--group", str(path), "--budget", "0"
+        )
+        assert code == 0
+        assert "SUMMARY: 0 passed, 0 failed, 30 skipped" in out
+        assert len(mat_vec_calls) == 1  # the datum's validation
+        assert commutator_calls == []
+
+    def test_affc(self, capsys, mat_vec_calls):
+        code, _, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "60")
+        assert code == 0
+        assert len(mat_vec_calls) == 60  # each genus on its own: 1 830
+
+    def test_custom(self, capsys, mat_vec_calls):
+        code, _, _ = run(
+            capsys, "verify", "--backend", "custom", "--datum", str(DATUM_FILE), "--max-genus", "40"
+        )
+        assert code == 0
+        assert len(mat_vec_calls) == 40  # each genus on its own: 820
 
 
 class TestClassSpace:
