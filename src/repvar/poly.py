@@ -6,12 +6,18 @@ never overflow.  The distinguished element q = u*v (the class of the
 affine line) gets special treatment in parsing and printing because every
 result of interest downstream is a polynomial in q.
 
-``QPoly`` is the subring Z[q^+-1] of diagonal polynomials in dense form:
-a lowest exponent and a list of coefficients.  It has only ``+``, ``*``
-and the conversions to and from ``LaurentPoly``.  The engine folds a
-datum whose entries are all polynomials in q over it, and converts back
-to ``LaurentPoly`` for division and output; parsing and printing stay
-with ``LaurentPoly``.
+``QPoly`` is the subring Z[q^+-1] of diagonal polynomials, each packed
+into one integer: a lowest exponent and the polynomial's value at
+q = 2^bits, with ``bits`` wide enough that the coefficients are the
+balanced base-2^bits digits (Kronecker substitution).  A product then
+costs a few shifts and additions of big integers per coefficient of the
+shorter factor, and a sum one shift and one addition, each a single
+pass in C rather than one Python operation per coefficient.  The
+spacing belongs to each value and widens when a result would outgrow
+it.  ``QPoly`` has only ``+``, ``*`` and the conversions to and from
+``LaurentPoly``.  The engine folds a datum whose entries are all
+polynomials in q over it, and converts back to ``LaurentPoly`` for
+division and output; parsing and printing stay with ``LaurentPoly``.
 
 >>> (Q * (Q - 1)).to_text()
 'q^2 - q'
@@ -22,6 +28,10 @@ True
 >>> square = QPoly.from_laurent(Q - 1) * QPoly.from_laurent(Q - 1)
 >>> square.to_laurent().to_text()
 'q^2 - 2*q + 1'
+>>> square.low, square.coeffs, square.bits
+(0, [1, -2, 1], 24)
+>>> square.packed == 1 - 2 * 2**24 + 2**48
+True
 """
 
 from __future__ import annotations
@@ -382,31 +392,111 @@ V = LaurentPoly.monomial(0, 1)
 Q = LaurentPoly.monomial(1, 1)
 
 
-class QPoly:
-    """Dense Laurent polynomial in q over the integers.
+def _offsets(n: int, k: int, top: int) -> int:
+    """Half of a base of ``top`` bytes in each of ``n`` digits of ``k``
+    bytes: the sum of 2^(8*top - 1 + 8*k*i) for i < n."""
+    return int.from_bytes((bytes(k - top) + b"\x80" + bytes(top - 1)) * n, "big")
 
-    ``coeffs[i]`` is the coefficient of q^(low + i).  The list is trimmed:
-    it is empty (the zero polynomial, with low 0) or starts and ends with
-    a nonzero coefficient, so equal polynomials have equal fields.  No
-    operation mutates an instance.  A ``QPoly`` equals the
+
+def _unpack(buf: bytes, k: int) -> Iterator[int]:
+    """Balanced digits, lowest first, from big-endian digits of ``k``
+    bytes offset by half the base."""
+    half, from_bytes = 1 << (8 * k - 1), int.from_bytes
+    return (from_bytes(buf[j - k:j], "big") - half for j in range(len(buf), 0, -k))
+
+
+def _spacing(bound: int) -> int:
+    """Digit width in bits for digits of magnitude up to ``bound``: a
+    multiple of 8 with bound < 2^(bits - 1), plus headroom, so that a
+    chain of products and sums outgrows it only now and then."""
+    need = bound.bit_length() + 1
+    return (need + 16 + need // 8 + 7) & ~7
+
+
+class QPoly:
+    """Laurent polynomial in q over the integers, packed into one integer.
+
+    A value is ``low`` and ``packed``, the sum of c_i * 2^(bits * i) over
+    the coefficients c_i of q^(low + i): the polynomial evaluated at
+    q = 2^bits (Kronecker substitution).  ``bits`` is a multiple of 8,
+    and ``bound`` is at least every |c_i| and less than 2^(bits - 1), so
+    the balanced base-2^bits digits of ``packed`` are the coefficients.
+    The lowest digit is nonzero (zero is packed 0 with low 0), so equal
+    polynomials have equal ``low``.  The spacing belongs to the value: a
+    product or sum whose bound would outgrow it re-spaces its operand
+    first.  ``coeffs`` decodes the coefficient list, trimmed at both
+    ends.  No operation mutates an instance.  A ``QPoly`` equals the
     ``LaurentPoly`` it converts to.
     """
 
-    __slots__ = ("low", "coeffs")
+    __slots__ = ("low", "packed", "bits", "bound", "_digits")
 
     def __init__(self, low: int, coeffs: list[int]):
-        """Trim ``coeffs`` (a list of ints, kept without copying) and
-        shift ``low`` past any zeros dropped from the front."""
+        """Trim ``coeffs`` (a list of ints) at both ends, shift ``low``
+        past any zeros dropped from the front, and pack the rest."""
         end = len(coeffs)
         while end and not coeffs[end - 1]:
             end -= 1
         start = 0
         while start < end and not coeffs[start]:
             start += 1
-        if start or end < len(coeffs):
-            coeffs = coeffs[start:end]
-        self.low = low + start if coeffs else 0
-        self.coeffs = coeffs
+        digits = tuple(coeffs[start:end])
+        bound = max(map(abs, digits), default=0)
+        bits = _spacing(bound)
+        k, half = bits >> 3, 1 << (bits - 1)
+        offset = b"".join([(c + half).to_bytes(k, "big") for c in reversed(digits)])
+        packed = int.from_bytes(offset, "big") - _offsets(len(digits), k, k)
+        self._set(low + start if digits else 0, packed, bits, bound, digits)
+
+    def _set(self, low: int, packed: int, bits: int, bound: int, digits: tuple | None) -> None:
+        self.low = low
+        self.packed = packed
+        self.bits = bits
+        self.bound = bound
+        self._digits = digits  # decoded coefficients, once asked for
+
+    @classmethod
+    def _make(cls, low: int, packed: int, bits: int, bound: int, digits: tuple | None = None) -> "QPoly":
+        poly = object.__new__(cls)
+        poly._set(low, packed, bits, bound, digits)
+        return poly
+
+    def _count(self) -> int:
+        """Number of digits.  The top one is nonzero and under half the
+        base in magnitude, so |packed| has (n-1)*bits to n*bits - 1 bits."""
+        return self.packed.bit_length() // self.bits + 1 if self.packed else 0
+
+    def _bytes(self) -> bytes:
+        """The digits offset by half the base, each bits/8 bytes, top digit
+        first and big-endian, so that bytes compare as the digits do."""
+        n, k = self._count(), self.bits >> 3
+        return (self.packed + _offsets(n, k, k)).to_bytes(n * k, "big")
+
+    def _decode(self) -> tuple:
+        if self._digits is None:
+            self._digits = tuple(_unpack(self._bytes(), self.bits >> 3))
+        return self._digits
+
+    @property
+    def coeffs(self) -> list[int]:
+        """``coeffs[i]`` is the coefficient of q^(low + i); the list is
+        empty for zero and otherwise starts and ends nonzero."""
+        return list(self._decode())
+
+    def _respaced(self, bits: int) -> "QPoly":
+        """The same value with digits ``bits`` wide, no narrower than now,
+        and its bound tightened to the largest |coefficient|.  Each digit,
+        offset by half the old base, is padded with zero bytes, and the
+        old offsets are taken off again.  The largest and smallest offset
+        digits are found by comparing their bytes."""
+        k, wide_k = self.bits >> 3, bits >> 3
+        old = self._bytes()
+        chunks = [old[j:j + k] for j in range(0, len(old), k)]
+        pad = bytes(wide_k - k)
+        packed = int.from_bytes(pad + pad.join(chunks), "big") - _offsets(len(chunks), wide_k, k)
+        half = 1 << (self.bits - 1)
+        bound = max(int.from_bytes(max(chunks), "big") - half, half - int.from_bytes(min(chunks), "big"))
+        return QPoly._make(self.low, packed, bits, bound, self._digits)
 
     @classmethod
     def from_laurent(cls, poly: LaurentPoly) -> "QPoly":
@@ -422,47 +512,69 @@ class QPoly:
         return cls(low, coeffs)
 
     def to_laurent(self) -> LaurentPoly:
-        low = self.low
-        return LaurentPoly._canonical(
-            {(low + i, low + i): c for i, c in enumerate(self.coeffs) if c}
-        )
+        """Decode straight into the terms of a ``LaurentPoly``."""
+        digits = _unpack(self._bytes(), self.bits >> 3)
+        return LaurentPoly._canonical({(i, i): c for i, c in enumerate(digits, self.low) if c})
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        if not other.coeffs:
+        if not other.packed:
             return self
-        if not self.coeffs:
+        if not self.packed:
             return other
+        bits = max(self.bits, other.bits)
+        if (self.bound + other.bound) >> (bits - 1):
+            bits = _spacing(self.bound + other.bound)
+        if self.bits != bits:
+            self = self._respaced(bits)
+        if other.bits != bits:
+            other = other._respaced(bits)
         first, second = (self, other) if self.low <= other.low else (other, self)
-        out = list(first.coeffs)
-        start = second.low - first.low
-        end = start + len(second.coeffs)
-        if end > len(out):
-            out.extend([0] * (end - len(out)))
-        out[start:end] = [x + y for x, y in zip(out[start:end], second.coeffs)]
-        return QPoly(first.low, out)
+        low = first.low
+        if second.low != low:
+            packed = first.packed + (second.packed << ((second.low - low) * bits))
+        else:
+            # Only equal lows can cancel, so only here can the lowest
+            # digits be zero.  The test masks |packed|: masking a
+            # negative int would convert all of it to two's complement.
+            packed = first.packed + second.packed
+            if not packed:
+                return QPoly._make(0, 0, bits, 0)
+            if not abs(packed) & ((1 << bits) - 1):
+                zeros = ((packed & -packed).bit_length() - 1) // bits
+                packed >>= zeros * bits
+                low += zeros
+        return QPoly._make(low, packed, bits, self.bound + other.bound)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        short, long = self.coeffs, other.coeffs
-        if not short:
+        if not self.packed:
             return self
-        if not long:
+        if not other.packed:
             return other
-        if len(short) > len(long):
-            short, long = long, short
-        # The first term of the short operand starts the output; each
-        # later one adds to it in one slice update.
-        n = len(long)
-        out = [short[0] * y for y in long]
-        out.extend([0] * (len(short) - 1))
-        for i in range(1, len(short)):
-            c = short[i]
-            if c:
-                out[i:i + n] = [x + c * y for x, y in zip(out[i:i + n], long)]
-        return QPoly(self.low + other.low, out)
+        short, long = (self, other) if self._count() <= other._count() else (other, self)
+        digits = short._decode()
+        l1 = sum(map(abs, digits))
+        if (l1 * long.bound) >> (long.bits - 1):
+            long = long._respaced(_spacing(l1 * long.bound))
+        bits, x = long.bits, long.packed
+        # Horner over the short operand's digits, top first.  Z[q] has no
+        # zero divisors, so the product's lowest digit is nonzero.
+        top = digits[-1]
+        acc = x if top == 1 else top * x
+        for c in reversed(digits[:-1]):
+            acc <<= bits
+            if c == 1:
+                acc += x
+            elif c == -1:
+                acc -= x
+            elif c:
+                acc += c * x
+        return QPoly._make(short.low + long.low, acc, bits, l1 * long.bound)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPoly):
-            return self.low == other.low and self.coeffs == other.coeffs
+            if self.bits == other.bits:
+                return self.low == other.low and self.packed == other.packed
+            return self.low == other.low and self._decode() == other._decode()
         if isinstance(other, LaurentPoly):
             return self.to_laurent() == other
         return NotImplemented

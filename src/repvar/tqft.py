@@ -26,12 +26,12 @@ the folded vector never carries the factor ``e_G^i`` and nothing is left
 to divide at the end.
 
 The ring of the fold is also chosen once per datum
-(``TqftDatum.fold_form``): dense Z[q] (``QPoly``) when every tube and
-disc entry is a polynomial in q, at least one is not constant and the
-q-exponents present fill at least half of their range, ``LaurentPoly``
-otherwise.  The matrix algebra only adds and multiplies,
-so the one fold loop serves both; the scalar is converted back to a
-``LaurentPoly`` before the division.
+(``TqftDatum.fold_form``): Z[q] packed into one integer per value
+(``QPoly``) when every tube and disc entry is a polynomial in q, at
+least one is not constant and the q-exponents present fill at least half
+of their range, ``LaurentPoly`` otherwise.  The matrix algebra only adds
+and multiplies, so the one fold loop serves both; the scalar is
+converted back to a ``LaurentPoly`` before the division.
 
 Matrices follow the column convention: column j holds the image of
 generator j, so words act by left multiplication on column vectors.
@@ -275,17 +275,20 @@ class TqftDatum(Record):
         When every tube and disc entry of ``e_g_free`` is a polynomial in q,
         at least one is not constant, and the q-exponents present fill at
         least half of the range from the lowest to the highest, the entries
-        become dense ``QPoly`` lists, which multiply without hashing
-        exponent pairs.  Otherwise the ``LaurentPoly`` datum ``e_g_free``
-        is returned: entries with separate u and v exponents need it,
-        all-constant data (every finite group) stays on it, and so does
-        sparse data such as ``q^1000000000 + 1``, whose dense list would be
-        as long as its exponent.  Every scalar of a t-factor word is a sum
-        of products of one entry per factor, so its exponents lie in t
-        times the data's range; under the rule above a dense list is at
-        most 2t times the number of distinct exponents in the data.  e_G
-        stays a ``LaurentPoly`` either way, for the division at the end of
-        the word.  Chosen on first use and cached with the datum.
+        become ``QPoly`` values, each packed into one integer with a digit
+        per exponent in its range, which multiply and add in a few
+        big-integer passes without hashing exponent pairs.  Otherwise the
+        ``LaurentPoly`` datum ``e_g_free`` is returned: entries with
+        separate u and v exponents need it, all-constant data (every
+        finite group) stays on it, and so does sparse data such as
+        ``q^1000000000 + 1``, whose packed integer would have a digit for
+        every exponent up to its own.  Every scalar of a t-factor word is
+        a sum of products of one entry per factor, so its exponents lie in
+        t times the data's range; under the rule above its packed integer
+        has at most 2t times as many digits as the data has distinct
+        exponents.  e_G stays a ``LaurentPoly`` either way, for the
+        division at the end of the word.  Chosen on first use and cached
+        with the datum.
         """
         free = self.e_g_free
         tubes = [free.genus_tube, *free.puncture_tubes.values()]
@@ -351,9 +354,12 @@ def evaluate_raw(datum: TqftDatum, word: TubeWord):
 def normalize(form: TqftDatum, raw, tubes: int) -> LaurentPoly:
     """The E-polynomial of a word of ``tubes`` tubes from its raw scalar
     over ``form`` (a datum's ``fold_form``): the scalar as a
-    ``LaurentPoly``, divided by the form's e_G^tubes."""
+    ``LaurentPoly``, divided by the form's e_G^tubes.  A form with
+    e_G = 1 (one with e_G divided out of its tubes) divides by nothing."""
     if isinstance(raw, QPoly):
         raw = raw.to_laurent()
+    if form.e_g == ONE:
+        return raw
     return raw.exact_div(form.e_g ** tubes)
 
 
@@ -361,8 +367,8 @@ def epoly_from_word(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
     """Normalized evaluation: raw scalar divided by e_G^(number of tubes).
 
     The word is folded over ``datum.fold_form``: e_G divided out of the
-    tubes where it divides them all (its e_G is then 1 and the final
-    division is by 1), in dense Z[q] where the data is q-polynomial.  The
+    tubes where it divides them all (its e_G is then 1 and nothing is
+    divided at the end), in packed Z[q] where the data is q-polynomial.  The
     scalar comes back as a ``LaurentPoly`` before the division.
     """
     form = datum.fold_form

@@ -344,3 +344,92 @@ class TestQPoly:
         # either end of the coefficient list.
         total = QPoly.from_laurent(p) + QPoly.from_laurent(r - p)
         assert canonical(total) == canonical(QPoly.from_laurent(r))
+
+
+wide_q_polys = st.dictionaries(
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    max_size=12,
+).map(lambda terms: LaurentPoly({(a, a): c for a, c in terms.items()}))
+
+
+def assert_canonical(dense, sparse):
+    """``dense`` holds ``sparse``, with canonical fields and a bound that
+    covers every coefficient inside the spacing."""
+    assert dense.to_laurent() == sparse
+    assert dense == sparse
+    assert canonical(dense) == canonical(QPoly.from_laurent(sparse))
+    coeffs = dense.coeffs
+    assert coeffs == [] or (coeffs[0] and coeffs[-1])
+    assert dense.bits % 8 == 0
+    assert max(map(abs, coeffs), default=0) <= dense.bound < 2 ** (dense.bits - 1)
+
+
+class TestPackedQPoly:
+    """The packed ring against ``LaurentPoly``: coefficients far wider than
+    a fresh value's spacing, so sums and products re-space their operands."""
+
+    @given(p=wide_q_polys, r=wide_q_polys)
+    def test_add_and_mul_agree_with_laurent(self, p, r):
+        dp, dr = QPoly.from_laurent(p), QPoly.from_laurent(r)
+        for dense, sparse in ((dp + dr, p + r), (dp * dr, p * r), (dr * dp, r * p)):
+            assert_canonical(dense, sparse)
+
+    @given(p=wide_q_polys, r=q_polys)
+    def test_mixed_spacings_agree_with_laurent(self, p, r):
+        # A narrow operand meets a wide one, in either order.
+        dp, dr = QPoly.from_laurent(p), QPoly.from_laurent(r)
+        for dense, sparse in ((dp + dr, p + r), (dr + dp, r + p), (dp * dr, p * r), (dr * dp, r * p)):
+            assert_canonical(dense, sparse)
+
+    def test_product_chain_widens_repeatedly(self):
+        factor = 10**12 * Q - 7
+        dense_factor = QPoly.from_laurent(factor)
+        dense, sparse = QPoly.from_laurent(ONE), ONE
+        spacings = set()
+        for _ in range(40):
+            dense, sparse = dense * dense_factor, sparse * factor
+            assert_canonical(dense, sparse)
+            spacings.add(dense.bits)
+        assert len(spacings) > 5
+        # the chain once more, with the long operand on the left
+        dense = QPoly.from_laurent(ONE)
+        for _ in range(40):
+            dense = dense_factor * dense
+        assert dense == sparse
+
+    def test_sum_chain_widens(self):
+        p = 3**200 * Q**3 - 5**100 * LaurentPoly.monomial(-2, -2)
+        dense, sparse = QPoly.from_laurent(p), p
+        spacings = set()
+        for _ in range(100):
+            dense, sparse = dense + dense + dense + QPoly.from_laurent(p), 3 * sparse + p
+            assert_canonical(dense, sparse)
+            spacings.add(dense.bits)
+        assert len(spacings) > 2
+
+    @given(p=wide_q_polys)
+    def test_all_negative_results(self, p):
+        negative = LaurentPoly({key: -abs(c) for key, c in p._terms.items()})
+        dn = QPoly.from_laurent(negative)
+        assert_canonical(dn, negative)
+        assert_canonical(dn + dn, negative + negative)
+        assert_canonical(dn * QPoly.from_laurent(Q + 2), negative * (Q + 2))
+
+    @given(p=wide_q_polys, r=wide_q_polys)
+    def test_zero_results(self, p, r):
+        dp, dr = QPoly.from_laurent(p), QPoly.from_laurent(r)
+        zero = dp + QPoly.from_laurent(-p)
+        assert canonical(zero) == (0, [])
+        assert zero.to_laurent() == ZERO
+        assert canonical(zero * dr) == (0, []) and canonical(dr * zero) == (0, [])
+        assert canonical(zero + dr) == canonical(dr) and canonical(dr + zero) == canonical(dr)
+
+    @given(p=wide_q_polys, r=wide_q_polys, low=st.integers(min_value=-50, max_value=50))
+    def test_low_end_cancellation(self, p, r, low):
+        # The sum keeps r above exponent `low` and cancels everything of
+        # p below it, so the lowest digits of the packed sum are zero.
+        below = LaurentPoly({key: c for key, c in p._terms.items() if key[0] < low})
+        above = LaurentPoly({key: c for key, c in r._terms.items() if key[0] >= low})
+        dense = QPoly.from_laurent(below + above) + QPoly.from_laurent(-below)
+        assert_canonical(dense, above)

@@ -24,6 +24,7 @@ from repvar.tqft import (
     epoly_from_word,
     epoly_rep_variety,
     evaluate_raw,
+    fold,
     insert_identity_tubes,
     load_datum,
     puncture_tube,
@@ -446,6 +447,43 @@ class TestFoldRing:
             outcomes.add(expected is NonExactDivision)
         # scaled tubes always divide; unscaled ones only on some words
         assert outcomes == ({False} if scale else {False, True})
+
+    def test_long_words_with_wide_coefficients_agree_on_both_rings(self):
+        # Coefficients near 10^40 and q^-1 entries: over 60 tubes the
+        # packed values outgrow their spacing again and again.
+        datum = wide_q_datum()
+        form, free = datum.fold_form, datum.e_g_free
+        assert {type(x) for x in fold_entries(datum)} == {QPoly}
+        genus, puncture = (GENUS_TUBE,), (puncture_tube("a"),)
+        dense, sparse = form.disc_in, free.disc_in
+        checked = 0
+        for g in range(61):
+            # the words genus^g . a^s for s = 0 .. 60 - g, sharing prefixes
+            dense_s, sparse_s = dense, sparse
+            for s in range(61 - g):
+                assert dot(form.disc_out, dense_s) == dot(free.disc_out, sparse_s)
+                checked += 1
+                dense_s, sparse_s = fold(form, dense_s, puncture), fold(free, sparse_s, puncture)
+            dense, sparse = fold(form, dense, genus), fold(free, sparse, genus)
+        assert checked == 61 * 62 // 2
+        for g in (0, 30, 60):
+            word = assemble_word(SurfaceSpec(g, ("a",) * (60 - g)))
+            assert evaluate_raw(form, word) == evaluate_raw(free, word)
+
+
+def wide_q_datum():
+    """Rank-2 q-polynomial datum with coefficients near 10^40 in the
+    genus tube and in one entry of the puncture tube, q^-1 entries, and
+    e_G = 1, so it folds with no division."""
+    qi = LaurentPoly.monomial(-1, -1)
+    c = [10**40 + k for k in (3, -7, 11, -13, 17, -19, 23)]
+    return TqftDatum(
+        e_g=ONE,
+        genus_tube=((c[0] * Q - c[1], c[2] * qi), (c[3] * qi + c[4] * Q**2, Q - c[5])),
+        puncture_tubes={"a": ((Q - 2 * qi, c[6] * ONE), (3 * qi, -Q))},
+        disc_in=(ONE, qi),
+        disc_out=(ONE, ZERO),
+    )
 
 
 class TestDatumFiles:
