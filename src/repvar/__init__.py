@@ -30,7 +30,6 @@ from .tqft import (
     epoly_from_word,
     epoly_rep_variety,
     evaluate_raw,
-    insert_identity_tubes,
     load_datum,
     puncture_tube,
     save_datum,
@@ -44,19 +43,14 @@ from .finite_group import (
     NotConjugationClosed,
     brute_force_count,
     class_datum,
-    class_reduce,
     conjugacy_classes,
     conjugacy_closure,
     from_cayley_table,
     from_permutation_generators,
-    genus_matrix,
     group_from_json_dict,
     group_to_json_dict,
     load_group,
     named_group,
-    puncture_matrix,
-    to_tqft_datum,
-    tube_matrix_P,
 )
 from .affc import affc_closed_form, affc_datum, xk_epoly
 

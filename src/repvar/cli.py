@@ -19,9 +19,6 @@ from .affc import affc_closed_form, affc_datum, xk_values
 from .finite_group import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    GroupTooLarge,
-    NotAGroup,
-    NotConjugationClosed,
     check_budget,
     class_datum,
     commutator_slot,
@@ -31,11 +28,10 @@ from .finite_group import (
     load_group,
     puncture_slot,
 )
-from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError
+from .poly import LaurentPoly, NonExactDivision, ONE
 from .tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
-    InvalidDatum,
     SurfaceSpec,
     UnknownPunctureLabel,
     dot,
@@ -53,17 +49,8 @@ EXIT_INPUT = 2
 EXIT_DIVISION = 3
 EXIT_VERIFY = 4
 
-_INPUT_ERRORS = (
-    NotAGroup,
-    GroupTooLarge,
-    NotConjugationClosed,
-    InvalidDatum,
-    PolyParseError,
-    UnknownPunctureLabel,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
+# UnknownPunctureLabel is a KeyError; every other input error is a ValueError.
+_INPUT_ERRORS = (ValueError, UnknownPunctureLabel, OSError)
 
 
 def build_parser() -> argparse.ArgumentParser:

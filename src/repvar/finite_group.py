@@ -1,5 +1,5 @@
-"""Finite groups as Cayley tables, their conjugacy data, and the integer
-transfer matrices their tube operators induce.
+"""Finite groups as Cayley tables, their conjugacy data, the class-space
+TQFT datum of their tube operators, and the brute-force oracle.
 
 A multiplication table is validated exactly (``from_cayley_table``), and
 its elements are its own indices 0..n-1, wherever it keeps its identity;
@@ -8,14 +8,12 @@ generators are closed breadth-first into rows, a group by construction
 that is not checked again (``from_permutation_generators``).  The named
 groups are built-in group files, read by the same code as a file on disk.
 
-All matrices here are plain integer matrices; they are lifted to Laurent
-polynomials only when packed into a ``TqftDatum``.
-
 ``class_datum`` builds the datum the CLI evaluates: rank = class number,
-straight from closed forms on class representatives.  The full-rank
-builders (``genus_matrix``, ``puncture_matrix``, ``tube_matrix_P``,
-``to_tqft_datum``) and ``class_reduce`` stay as the oracle it is tested
-against.
+straight from closed forms on class representatives, in plain integers
+that are lifted to Laurent polynomials only when packed into a
+``TqftDatum``.  No |G| x |G| matrix is built.  ``brute_force_count``
+checks it by folding the distribution of partial products over the
+multiplication table alone.
 
 ``FiniteGroup`` and ``ConjugacyClasses`` are immutable value classes
 (``record.Record``) over tuples: they refuse assignment, and compare and
@@ -45,11 +43,6 @@ __all__ = [
     "from_permutation_generators",
     "conjugacy_classes",
     "conjugacy_closure",
-    "genus_matrix",
-    "puncture_matrix",
-    "tube_matrix_P",
-    "to_tqft_datum",
-    "class_reduce",
     "class_datum",
     "brute_force_count",
     "commutator_slot",
@@ -349,75 +342,6 @@ def _check_union_of_classes(
 
 
 # ----------------------------------------------------------------------
-# Transfer matrices (integer form, row index = output generator)
-# ----------------------------------------------------------------------
-
-
-def genus_matrix(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """M[a][g] = number of (g1, g2, h) with h g [g1, g2] h^-1 = a.
-
-    Computed in O(n^3) through the commutator-count vector
-    c(k) = #{(g1, g2) : [g1, g2] = k}: summing over h, the count for
-    (a, g) is the sum of c(g^-1 h^-1 a h).
-    """
-    n = group.order
-    mult = group.mult
-    inv = group.inverse
-
-    comm_count = [0] * n
-    for a in range(n):
-        for b in range(n):
-            comm_count[group.commutator(a, b)] += 1
-
-    # conj[a][h] = h^-1 a h
-    conj = [
-        [mult[mult[inv[h]][a]][h] for h in range(n)] for a in range(n)
-    ]
-
-    rows = []
-    for a in range(n):
-        conj_a = conj[a]
-        row = []
-        for g in range(n):
-            mult_ginv = mult[inv[g]]
-            row.append(sum(comm_count[mult_ginv[x]] for x in conj_a))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def puncture_matrix(
-    group: FiniteGroup, subset: Iterable[int]
-) -> tuple[tuple[int, ...], ...]:
-    """M[a][g] = number of (g1, h) in G x subset with g1 g h g1^-1 = a.
-
-    The subset must be closed under conjugation.
-    """
-    lam = tuple(sorted(set(int(x) for x in subset)))
-    _check_conjugation_closed(group, lam)
-    n = group.order
-    mult = group.mult
-    rows = [[0] * n for _ in range(n)]
-    for g in range(n):
-        row_g = mult[g]
-        for h in lam:
-            gh = row_g[h]
-            for g1 in range(n):
-                rows[group.conjugate(g1, gh)][g] += 1
-    return tuple(tuple(row) for row in rows)
-
-
-def tube_matrix_P(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """M[a][g] = number of h with h g h^-1 = a; nonzero exactly on
-    conjugate pairs, where it equals the centralizer order."""
-    n = group.order
-    rows = [[0] * n for _ in range(n)]
-    for g in range(n):
-        for h in range(n):
-            rows[group.conjugate(h, g)][g] += 1
-    return tuple(tuple(row) for row in rows)
-
-
-# ----------------------------------------------------------------------
 # Datum construction
 # ----------------------------------------------------------------------
 
@@ -430,73 +354,14 @@ def _unit_vector(rank: int, index: int) -> tuple[LaurentPoly, ...]:
     return tuple(ONE if i == index else ZERO for i in range(rank))
 
 
-def to_tqft_datum(
-    group: FiniteGroup,
-    punctures: Mapping[str, Iterable[int]] | None = None,
-) -> TqftDatum:
-    """Full-rank datum: one coordinate per group element, e_G = |G|,
-    disc vectors at the identity coordinate."""
-    n = group.order
-    tubes = {}
-    for label, subset in (punctures or {}).items():
-        tubes[str(label)] = _lift(puncture_matrix(group, subset))
-    return TqftDatum(
-        e_g=LaurentPoly.const(n),
-        genus_tube=_lift(genus_matrix(group)),
-        puncture_tubes=tubes,
-        identity_tube=_lift(tube_matrix_P(group)),
-        disc_in=_unit_vector(n, group.identity),
-        disc_out=_unit_vector(n, group.identity),
-    )
-
-
-def class_reduce(datum: TqftDatum, group: FiniteGroup) -> TqftDatum:
-    """Rewrite a full-rank group datum on class-sum coordinates.
-
-    Every tube matrix of a group is conjugation-equivariant, so the span
-    of the class sums is invariant and contains the disc vector; the
-    reduced datum gives identical normalized results at rank = number of
-    conjugacy classes.
-    """
-    if datum.rank != group.order:
-        raise ValueError("datum rank does not match the group order")
-    classes = conjugacy_classes(group)
-    reps = classes.representatives
-    k = len(classes)
-
-    def reduce_matrix(matrix):
-        rows = []
-        for d in range(k):
-            full_row = matrix[reps[d]]
-            row = []
-            for c in range(k):
-                acc = ZERO
-                for g in classes.members[c]:
-                    acc = acc + full_row[g]
-                row.append(acc)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    return TqftDatum(
-        e_g=datum.e_g,
-        genus_tube=reduce_matrix(datum.genus_tube),
-        puncture_tubes={
-            label: reduce_matrix(m) for label, m in datum.puncture_tubes.items()
-        },
-        identity_tube=(
-            reduce_matrix(datum.identity_tube) if datum.identity_tube is not None else None
-        ),
-        disc_in=_unit_vector(k, 0),
-        disc_out=_unit_vector(k, 0),
-    )
-
-
 def class_datum(
     group: FiniteGroup,
     punctures: Mapping[str, Iterable[int]] | None = None,
 ) -> TqftDatum:
-    """Class-space datum, equal to ``class_reduce(to_tqft_datum(group,
-    punctures), group)`` but built without any |G| x |G| matrix.
+    """Class-space datum, built without any |G| x |G| matrix.  It equals
+    the full-rank datum reduced to class sums,
+    ``class_reduce(to_tqft_datum(group, punctures), group)``, the oracle
+    kept in ``tests/full_rank.py``.
 
     With a_d the representative and C_d the d-th class, |C(x)| the
     centralizer order of x, and comm(x) = #{(a, b) : [a, b] = x}

@@ -64,7 +64,6 @@ __all__ = [
     "TubeWord",
     "TqftDatum",
     "assemble_word",
-    "insert_identity_tubes",
     "fold",
     "evaluate_raw",
     "normalize",
@@ -164,14 +163,6 @@ def assemble_word(spec: SurfaceSpec) -> TubeWord:
     """Genus tubes first, then the punctures in their listed order."""
     gens = [GENUS_TUBE] * spec.genus + [puncture_tube(label) for label in spec.punctures]
     return TubeWord(gens)
-
-
-def insert_identity_tubes(word: TubeWord, k: int) -> TubeWord:
-    """Append k plain cylinders; a consistency probe, since the
-    normalized evaluation must not change."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return TubeWord(word.generators + (IDENTITY_TUBE,) * k)
 
 
 # ----------------------------------------------------------------------

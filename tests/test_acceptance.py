@@ -8,13 +8,8 @@ import time
 from repvar.affc import affc_datum, xk_epoly
 from repvar.finite_group import (
     brute_force_count,
-    class_reduce,
     conjugacy_classes,
-    genus_matrix,
     named_group,
-    puncture_matrix,
-    to_tqft_datum,
-    tube_matrix_P,
 )
 from repvar.poly import LaurentPoly, ONE, Q
 from repvar.tqft import (
@@ -22,7 +17,15 @@ from repvar.tqft import (
     assemble_word,
     epoly_from_word,
     epoly_rep_variety,
+)
+
+from full_rank import (
+    class_reduce,
+    genus_matrix,
     insert_identity_tubes,
+    puncture_matrix,
+    to_tqft_datum,
+    tube_matrix_P,
 )
 
 SUITE = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8", "a4")

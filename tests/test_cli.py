@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import repvar.cli
-import repvar.finite_group
 import repvar.tqft
 from repvar.affc import affc_closed_form, affc_datum, xk_epoly
 from repvar.cli import main
@@ -30,10 +29,11 @@ from repvar.tqft import (
     datum_to_json_dict,
     epoly_from_word,
     epoly_rep_variety,
-    insert_identity_tubes,
     load_datum,
     save_datum,
 )
+
+from full_rank import insert_identity_tubes
 
 DATUM_FILE = Path(__file__).resolve().parent.parent / "data" / "datums" / "affc.json"
 
@@ -197,6 +197,35 @@ class TestComputeErrors:
         )
         assert code == 3
         assert "inconsistent" in err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (
+                {"e_G": "q^"},
+                "error: bad polynomial in datum file: missing exponent after '^' at position 0",
+            ),
+            ({"L": [["1", "0"]]}, "error: genus tube must be a 1x1 matrix"),
+        ],
+        ids=["bad-polynomial", "non-square-tube"],
+    )
+    def test_malformed_datum_exits_two(self, capsys, tmp_path, override, message):
+        data = {
+            "rank": 1,
+            "e_G": "1",
+            "L": [["1"]],
+            "punctures": {},
+            "disc_in": ["1"],
+            "disc_out": ["1"],
+            **override,
+        }
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(
+            capsys, "compute", "--backend", "custom", "--datum", str(path), "--genus", "1"
+        )
+        assert code == 2
+        assert err.strip() == message
 
 
     @pytest.mark.parametrize(
@@ -546,18 +575,25 @@ class TestVerifyWork:
 
 
 class TestClassSpace:
-    """The finite backend never builds a |G| x |G| matrix."""
+    """The finite backend never builds a |G| x |G| matrix: the full-rank
+    builders live in the tests' oracle, and no module of the package has
+    them."""
 
-    FULL_RANK = ("genus_matrix", "puncture_matrix", "tube_matrix_P", "to_tqft_datum", "class_reduce")
+    FULL_RANK = (
+        "genus_matrix",
+        "puncture_matrix",
+        "tube_matrix_P",
+        "to_tqft_datum",
+        "class_reduce",
+        "insert_identity_tubes",
+    )
 
     @pytest.fixture(autouse=True)
-    def no_full_rank(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("full-rank builder called")
-
-        for name in self.FULL_RANK:
-            monkeypatch.setattr(repvar.finite_group, name, refuse)
-            monkeypatch.setattr(repvar.cli, name, refuse, raising=False)
+    def no_full_rank(self):
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "repvar"]
+        assert repvar.cli in modules
+        found = [(m.__name__, n) for m in modules for n in self.FULL_RANK if hasattr(m, n)]
+        assert found == []
 
     def test_compute(self, capsys, group_file_factory):
         path = group_file_factory("a4")

@@ -13,22 +13,19 @@ from repvar.finite_group import (
     NotConjugationClosed,
     brute_force_count,
     class_datum,
-    class_reduce,
     conjugacy_classes,
     conjugacy_closure,
     from_cayley_table,
     from_permutation_generators,
-    genus_matrix,
     group_from_json_dict,
     group_to_json_dict,
     load_group,
     named_group,
-    puncture_matrix,
-    to_tqft_datum,
-    tube_matrix_P,
 )
 from repvar.poly import LaurentPoly, ZERO
 from repvar.tqft import SurfaceSpec, epoly_rep_variety
+
+from full_rank import class_reduce, genus_matrix, puncture_matrix, to_tqft_datum, tube_matrix_P
 
 S3_TABLE = [
     [0, 1, 2, 3, 4, 5],

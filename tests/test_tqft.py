@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repvar.affc import affc_datum, affc_inner_genus_matrix
-from repvar.finite_group import class_datum, conjugacy_classes, named_group, to_tqft_datum
+from repvar.finite_group import class_datum, conjugacy_classes, named_group
 from repvar.poly import LaurentPoly, NonExactDivision, ONE, Q, QPoly, U, V, ZERO
 from repvar.tqft import (
     GENUS_TUBE,
@@ -25,11 +25,12 @@ from repvar.tqft import (
     epoly_rep_variety,
     evaluate_raw,
     fold,
-    insert_identity_tubes,
     load_datum,
     puncture_tube,
     save_datum,
 )
+
+from full_rank import insert_identity_tubes, to_tqft_datum
 
 
 def rank_one_datum(e_g=None, genus_entry=None, **overrides):
