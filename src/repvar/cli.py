@@ -239,6 +239,16 @@ class _Report:
         else:
             self.failed += 1
 
+    def compare(self, description: str, engine, oracle: str, expected) -> None:
+        """PASS if the engine's value equals the oracle's, else FAIL with
+        both values as the counterexample."""
+        if engine == expected:
+            self.record(description, "PASS")
+        else:
+            self.record(
+                description, "FAIL", f"counterexample: engine={engine} {oracle}={expected}"
+            )
+
     def finish(self) -> int:
         print(
             f"SUMMARY: {self.passed} passed, {self.failed} failed, "
@@ -271,23 +281,12 @@ def _verify_affc(args, report: _Report) -> None:
     for genus in range(1, max(args.max_genus, 1) + 1):
         vec = fold(form, vec, (GENUS_TUBE,))
         engine = normalize(form, dot(form.disc_out, vec), genus)
-        expected = affc_closed_form(genus)
-        desc = f"affc closed-form genus={genus}"
-        if engine == expected:
-            report.record(desc, "PASS")
-        else:
-            report.record(
-                desc, "FAIL", f"counterexample: engine={engine} closed-form={expected}"
-            )
+        report.compare(
+            f"affc closed-form genus={genus}", engine, "closed-form", affc_closed_form(genus)
+        )
         next(xk)
         recursion = next(xk)  # e(X_2g)
-        desc = f"affc recursion genus={genus}"
-        if engine == recursion:
-            report.record(desc, "PASS")
-        else:
-            report.record(
-                desc, "FAIL", f"counterexample: engine={engine} recursion={recursion}"
-            )
+        report.compare(f"affc recursion genus={genus}", engine, "recursion", recursion)
 
 
 def _verify_finite(args, report: _Report) -> None:
@@ -311,9 +310,8 @@ def _verify_finite(args, report: _Report) -> None:
     form = class_datum(group, dict(zip(labels, classes.members))).fold_form
     tubes = [(puncture_tube(label),) for label in labels]
     sizes = [len(members) for members in classes.members]
-    # Oracle slots, each built once: the classes only when some check has
-    # punctures, the commutators on the first genus step.
-    slots = [puncture_slot(group, m) for m in classes.members] if args.max_punctures else []
+    # Oracle slots, each built once: the commutators on the first genus step.
+    slots = [puncture_slot(group, m) for m in classes.members]
     commutators = None
     # (genus, engine vector, oracle distribution) after the genus tubes
     base = (0, form.disc_in, Counter({group.identity: 1}))
@@ -351,20 +349,12 @@ def _verify_finite(args, report: _Report) -> None:
                     stack.append((fold(form, vec, tubes[i]), fold_slot(group, dist, slots[i])))
                 last = combo
                 vec, dist = stack[-1]
-                expected = dist[group.identity]
                 try:
                     engine = normalize(form, dot(form.disc_out, vec), genus + s)
                 except NonExactDivision as exc:
                     report.record(desc, "FAIL", f"counterexample: {exc}")
                     continue
-                if engine == LaurentPoly.const(expected):
-                    report.record(desc, "PASS")
-                else:
-                    report.record(
-                        desc,
-                        "FAIL",
-                        f"counterexample: engine={engine} brute-force={expected}",
-                    )
+                report.compare(desc, engine, "brute-force", dist[group.identity])
 
 
 def _verify_custom(args, report: _Report) -> None:

@@ -8,6 +8,11 @@ generators are closed breadth-first into rows, a group by construction
 that is not checked again (``from_permutation_generators``).  The named
 groups are built-in group files, read by the same code as a file on disk.
 
+Every conjugation scan (the classes, the closure of some elements, the
+check that a puncture subset is a union of classes) conjugates one
+element of each class it meets by every element, O(n) per class and
+never per member, through the one helper ``_classes_met``.
+
 ``class_datum`` builds the datum the CLI evaluates: rank = class number,
 straight from closed forms on class representatives, in plain integers
 that are lifted to Laurent polynomials only when packed into a
@@ -26,6 +31,7 @@ import json
 import os
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 from operator import itemgetter
 
 from .poly import LaurentPoly, ONE, ZERO
@@ -287,58 +293,54 @@ def from_permutation_generators(
 # ----------------------------------------------------------------------
 
 
-def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
+def _classes_met(group: FiniteGroup, elements: Iterable[int]):
+    """Yield ``(x, conjugates of x)`` for each element x whose class no
+    earlier element meets.  The conjugates are a dict, in order of the
+    first h in 0..n-1 with h x h^-1 equal to each: the one loop that
+    conjugates by every element, O(n) per class met, not per element."""
     n = group.order
-    class_of = [-1] * n
+    met: set[int] = set()
+    for x in elements:
+        if x < 0 or x >= n:
+            raise ValueError(f"element index {x} out of range")
+        if x not in met:
+            conjugates = dict.fromkeys(map(group.conjugate, range(n), repeat(x)))
+            met.update(conjugates)
+            yield x, conjugates
+
+
+def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
+    class_of = [-1] * group.order
     members: list[tuple[int, ...]] = []
-    for x in (group.identity, *range(n)):
-        if class_of[x] != -1:
-            continue
-        orbit = sorted({group.conjugate(h, x) for h in range(n)})
-        idx = len(members)
+    for _, conjugates in _classes_met(group, (group.identity, *group.elements())):
+        orbit = tuple(sorted(conjugates))
         for y in orbit:
-            class_of[y] = idx
-        members.append(tuple(orbit))
+            class_of[y] = len(members)
+        members.append(orbit)
     return ConjugacyClasses(tuple(class_of), tuple(members))
 
 
 def conjugacy_closure(group: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]:
     """Smallest conjugation-closed subset containing the given elements."""
     closed: set[int] = set()
-    for x in elements:
-        x = int(x)
-        if x < 0 or x >= group.order:
-            raise ValueError(f"element index {x} out of range")
-        closed.update(group.conjugate(h, x) for h in range(group.order))
+    for _, conjugates in _classes_met(group, map(int, elements)):
+        closed.update(conjugates)
     return tuple(sorted(closed))
 
 
-def _check_conjugation_closed(group: FiniteGroup, subset: tuple[int, ...]) -> None:
-    member = set(subset)
-    for x in subset:
-        if x < 0 or x >= group.order:
-            raise ValueError(f"element index {x} out of range")
-        for h in range(group.order):
-            y = group.conjugate(h, x)
+def _check_conjugation_closed(group: FiniteGroup, subset: Iterable[int]) -> tuple[int, ...]:
+    """The subset as sorted distinct ints, checked to be a union of
+    conjugacy classes.  The witness is the first h x h^-1 outside it, for
+    the smallest member x whose class it does not hold."""
+    lam = tuple(sorted(set(map(int, subset))))
+    member = set(lam)
+    for x, conjugates in _classes_met(group, lam):
+        for y in conjugates:
             if y not in member:
                 raise NotConjugationClosed(
                     f"conjugate {y} of {x} is missing from the subset"
                 )
-
-
-def _check_union_of_classes(
-    group: FiniteGroup, classes: ConjugacyClasses, subset: tuple[int, ...]
-) -> None:
-    """``_check_conjugation_closed`` in O(|subset|) for a duplicate-free
-    subset, given the classes: it is conjugation-closed exactly when it
-    holds every member of each class it meets.  Only a subset that fails
-    is scanned against the table, for the same witness."""
-    for x in subset:
-        if x < 0 or x >= group.order:
-            raise ValueError(f"element index {x} out of range")
-    hits = Counter(classes.class_of[x] for x in subset)
-    if any(count < len(classes.members[c]) for c, count in hits.items()):
-        _check_conjugation_closed(group, subset)
+    return lam
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +378,8 @@ def class_datum(
     - plain cylinder: |G| times the identity.
 
     The cost is O(k n) for the genus tube (k classes, n = |G|) plus
-    O(k |lam|) per puncture.
+    O(k |lam|) per puncture, and O(n) per class it meets to check that lam
+    is conjugation-closed.
     """
     n = group.order
     mult = group.mult
@@ -401,8 +404,7 @@ def class_datum(
 
     tubes = {}
     for label, subset in (punctures or {}).items():
-        lam = tuple(sorted(set(int(x) for x in subset)))
-        _check_union_of_classes(group, classes, lam)
+        lam = _check_conjugation_closed(group, subset)
         counts = [[0] * k for _ in range(k)]
         for c, members in enumerate(classes.members):
             row_a = mult[members[0]]
@@ -475,9 +477,7 @@ def commutator_slot(group: FiniteGroup) -> Counter:
 def puncture_slot(group: FiniteGroup, subset: Iterable[int]) -> Counter:
     """The values of one puncture slot of the oracle: the subset, each
     element once, checked to be closed under conjugation."""
-    lam = tuple(sorted(set(int(x) for x in subset)))
-    _check_conjugation_closed(group, lam)
-    return Counter(lam)
+    return Counter(_check_conjugation_closed(group, subset))
 
 
 def check_budget(order: int, genus: int, sizes: Iterable[int], budget: int) -> None:

@@ -71,8 +71,7 @@ def puncture_matrix(
 
     The subset must be closed under conjugation.
     """
-    lam = tuple(sorted(set(int(x) for x in subset)))
-    _check_conjugation_closed(group, lam)
+    lam = _check_conjugation_closed(group, subset)
     n = group.order
     mult = group.mult
     rows = [[0] * n for _ in range(n)]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -275,6 +276,47 @@ class TestVerify:
                 expected.append(f"CHECK affc {name} genus={genus} ... {status}")
         expected.append("SUMMARY: 120 passed, 0 failed, 0 skipped")
         assert out.splitlines() == expected
+
+    def test_affc_mismatch_names_both_values(self, capsys, monkeypatch):
+        monkeypatch.setattr(repvar.cli, "affc_closed_form", lambda genus: ONE)
+
+        def recursion():
+            while True:
+                yield ONE
+                yield Q
+
+        monkeypatch.setattr(repvar.cli, "xk_values", recursion)
+        code, out, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "1")
+        assert code == 4
+        engine = affc_closed_form(1)
+        assert out.splitlines() == [
+            "CHECK affc closed-form genus=1 ... FAIL",
+            f"  counterexample: engine={engine} closed-form=1",
+            "CHECK affc recursion genus=1 ... FAIL",
+            f"  counterexample: engine={engine} recursion=q",
+            "SUMMARY: 0 passed, 2 failed, 0 skipped",
+        ]
+
+    def test_finite_mismatch_names_both_values(self, capsys, monkeypatch, group_file_factory):
+        # An oracle whose every commutator is the identity counts n^2 at genus 1.
+        monkeypatch.setattr(
+            repvar.cli,
+            "commutator_slot",
+            lambda group: Counter({group.identity: group.order**2}),
+        )
+        path = group_file_factory("s3")
+        code, out, _ = run(
+            capsys,
+            "verify", "--backend", "finite", "--group", str(path),
+            "--max-genus", "1", "--max-punctures", "0",
+        )
+        assert code == 4
+        assert out.splitlines() == [
+            "CHECK finite genus=0 punctures=[] ... PASS",
+            "CHECK finite genus=1 punctures=[] ... FAIL",
+            "  counterexample: engine=18 brute-force=36",
+            "SUMMARY: 1 passed, 1 failed, 0 skipped",
+        ]
 
     def test_affc_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "6")

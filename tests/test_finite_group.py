@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repvar.finite_group import (
     NAMED_GROUPS,
     BudgetExceeded,
+    FiniteGroup,
     GroupTooLarge,
     NotAGroup,
     NotConjugationClosed,
@@ -21,6 +23,7 @@ from repvar.finite_group import (
     group_to_json_dict,
     load_group,
     named_group,
+    puncture_slot,
 )
 from repvar.poly import LaurentPoly, ZERO
 from repvar.tqft import SurfaceSpec, epoly_rep_variety
@@ -77,6 +80,36 @@ def relabel(group, perm):
         for b in range(n):
             table[perm[a]][perm[b]] = perm[group.mul(a, b)]
     return table
+
+
+def scan_orbit(group, x):
+    """The conjugates of x, conjugating by every element."""
+    return tuple(sorted({group.conjugate(h, x) for h in group.elements()}))
+
+
+def scan_classes(group):
+    """The classes from every element's orbit: the identity's first, then
+    by smallest member."""
+    orbits = {scan_orbit(group, x) for x in group.elements()}
+    return sorted(orbits, key=lambda m: (group.identity not in m, m[0]))
+
+
+def scan_closure(group, elements):
+    return tuple(sorted({y for x in elements for y in scan_orbit(group, x)}))
+
+
+def scan_witness(group, subset):
+    """The closure check by conjugating every member by every element:
+    for the smallest member x with a conjugate outside the subset, the
+    first h x h^-1 outside it, worded as ``NotConjugationClosed`` words
+    it; None for a union of classes."""
+    member = set(subset)
+    for x in sorted(member):
+        for h in group.elements():
+            y = group.conjugate(h, x)
+            if y not in member:
+                return f"conjugate {y} of {x} is missing from the subset"
+    return None
 
 
 def class_punctures(group):
@@ -533,15 +566,19 @@ class TestClassDatum:
         with pytest.raises(NotConjugationClosed, match="conjugate"):
             class_datum(named_group("s3"), {"p": (1,)})
 
+    @settings(deadline=None)
     @given(
         name=st.sampled_from(["s3", "d4", "q8", "a4"]),
+        perm=st.permutations(range(12)),
         data=st.data(),
     )
-    def test_closure_check_matches_the_table_scan(self, name, data):
-        # class_datum tests closure against its classes; the full-rank
-        # builder conjugates by every element.  Both accept the same
-        # subsets and name the same witness.
+    def test_closure_check_matches_the_table_scan(self, name, perm, data):
+        # The check conjugates one member per class the subset meets; the
+        # scan conjugates every member.  Both accept the same subsets and
+        # name the same witness, in any labelling.
         group = named_group(name)
+        perm = [x for x in perm if x < group.order]
+        group = data.draw(st.sampled_from([group, from_cayley_table(relabel(group, perm))]))
         subset = data.draw(st.sets(st.integers(0, group.order - 1), min_size=1))
 
         def outcome(build):
@@ -551,18 +588,69 @@ class TestClassDatum:
                 return str(exc)
             return None
 
-        expected = outcome(puncture_matrix)
+        expected = scan_witness(group, subset)
         assert outcome(lambda g, lam: class_datum(g, {"p": lam})) == expected
+        assert outcome(puncture_slot) == expected
+        assert outcome(puncture_matrix) == expected
         closed = all(
             set(members) <= subset or not set(members) & subset
-            for members in conjugacy_classes(group).members
+            for members in scan_classes(group)
         )
         assert (expected is None) == closed
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(NAMED_GROUPS)),
+        perm=st.permutations(range(12)),
+        data=st.data(),
+    )
+    def test_classes_and_closure_match_the_table_scan(self, name, perm, data):
+        group = named_group(name)
+        perm = [x for x in perm if x < group.order]
+        for g in (group, from_cayley_table(relabel(group, perm))):
+            classes = conjugacy_classes(g)
+            expected = scan_classes(g)
+            assert list(classes.members) == expected
+            assert classes.class_of == tuple(
+                next(i for i, m in enumerate(expected) if y in m) for y in g.elements()
+            )
+            elements = data.draw(st.lists(st.integers(0, g.order - 1), max_size=6))
+            assert conjugacy_closure(g, elements) == scan_closure(g, elements)
 
     @pytest.mark.parametrize("subset", [(0, 6), (-1,), (1, 3, 4, 99)])
     def test_out_of_range_puncture_element(self, subset):
         with pytest.raises(ValueError, match="out of range"):
             class_datum(named_group("s3"), {"p": subset})
+
+
+class TestConjugationWork:
+    """Each conjugation scan conjugates one member of each class it meets
+    by every element: n conjugations per class, not per member."""
+
+    @pytest.fixture()
+    def conjugate_calls(self, monkeypatch):
+        calls = []
+        original = FiniteGroup.conjugate
+
+        def counted(group, h, g):
+            calls.append(1)
+            return original(group, h, g)
+
+        monkeypatch.setattr(FiniteGroup, "conjugate", counted)
+        return calls
+
+    def test_puncture_slot_on_the_five_cycles_of_s5(self, conjugate_calls):
+        group = load_group(DATA_GROUPS / "s5_generators.json")
+        (five_cycles,) = [m for m in conjugacy_classes(group).members if len(m) == 24]
+        conjugate_calls.clear()
+        assert puncture_slot(group, five_cycles) == Counter(five_cycles)
+        # A scan of every member by every element makes 24 * 120 = 2 880.
+        assert len(conjugate_calls) == 120
+
+    def test_classes_of_s5(self, conjugate_calls):
+        group = load_group(DATA_GROUPS / "s5_generators.json")
+        assert len(conjugacy_classes(group)) == 7
+        assert len(conjugate_calls) == 7 * 120
 
 
 def literal_count(group, genus, subsets):
