@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from itertools import islice
 
 from .poly import LaurentPoly, ONE, Q, ZERO
-from .tqft import TqftDatum
+from .tqft import GENUS_TUBE, TqftDatum
 
 __all__ = ["affc_datum", "affc_closed_form", "xk_epoly", "xk_values", "AFFC_E_GROUP"]
 
@@ -29,14 +29,10 @@ def affc_datum() -> TqftDatum:
     (``TqftDatum.e_g_free``) and folds ``affc_inner_genus_matrix``
     instead, with no division at the end of the word."""
     f = AFFC_E_GROUP
-    genus_tube = tuple(
-        tuple(f * entry for entry in row) for row in affc_inner_genus_matrix()
-    )
+    genus = tuple(tuple(f * entry for entry in row) for row in affc_inner_genus_matrix())
     return TqftDatum(
         e_g=f,
-        genus_tube=genus_tube,
-        puncture_tubes={},
-        identity_tube=None,
+        tubes={GENUS_TUBE: genus},
         disc_in=(ONE, ZERO),
         disc_out=(ONE, ZERO),
     )

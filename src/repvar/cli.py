@@ -32,12 +32,13 @@ from .poly import LaurentPoly, NonExactDivision, ONE
 from .tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
+    PrefixFold,
     SurfaceSpec,
     UnknownPunctureLabel,
     dot,
     epoly_rep_variety,
-    fold,
     load_datum,
+    mat_vec,
     normalize,
     puncture_tube,
 )
@@ -274,13 +275,18 @@ def _cmd_verify(args) -> int:
     return report.finish()
 
 
+def _word_epoly(form):
+    """The E-polynomial of a word over ``form`` (a ``fold_form``), its cap
+    vector folded through the word's tubes by one ``PrefixFold``."""
+    walk = PrefixFold(form.disc_in, lambda vec, tube: mat_vec(form.tube_matrix(tube), vec))
+    return lambda word: normalize(form, dot(form.disc_out, walk(word)), len(word))
+
+
 def _verify_affc(args, report: _Report) -> None:
-    form = affc_datum().fold_form
-    vec = form.disc_in  # carried one genus tube per step
+    epoly = _word_epoly(affc_datum().fold_form)
     xk = xk_values()  # e(X_1), e(X_2), ...: two steps per genus
     for genus in range(1, max(args.max_genus, 1) + 1):
-        vec = fold(form, vec, (GENUS_TUBE,))
-        engine = normalize(form, dot(form.disc_out, vec), genus)
+        engine = epoly((GENUS_TUBE,) * genus)
         report.compare(
             f"affc closed-form genus={genus}", engine, "closed-form", affc_closed_form(genus)
         )
@@ -293,32 +299,32 @@ def _verify_finite(args, report: _Report) -> None:
     """Check every (genus, puncture multiset) against the brute-force
     oracle, walking the specs as a prefix tree.
 
-    Both sides fold the same slots in the same order: the engine a vector
-    through genus^g then one puncture tube per class in the multiset, the
-    oracle a distribution of partial products through g commutator slots
-    then one slot per class.  The state after the genus tubes is carried
-    from genus to genus.  Within one genus and puncture count, ``stack[j]``
-    holds the state after the first j punctures of the last multiset
-    computed; the next one keeps the prefix they share and folds the rest.
-    A multiset over the budget is marked SKIP before any work for it.
+    Both sides fold the same word, genus^g then one puncture tube per
+    class in the multiset, through a ``PrefixFold`` each: the engine a
+    vector through the tube matrices, the oracle a distribution of
+    partial products through one slot per tube.  A multiset over the
+    budget is marked SKIP before any work for it.
     """
     if not args.group:
         raise ValueError("--backend finite requires --group")
     group = load_group(args.group)
     classes = conjugacy_classes(group)
-    labels = [f"c{i}" for i in range(len(classes))]
-    form = class_datum(group, dict(zip(labels, classes.members))).fold_form
-    tubes = [(puncture_tube(label),) for label in labels]
+    tubes = [puncture_tube(f"c{i}") for i in range(len(classes))]
+    datum = class_datum(group, {tube.label: m for tube, m in zip(tubes, classes.members)})
     sizes = [len(members) for members in classes.members]
-    # Oracle slots, each built once: the commutators on the first genus step.
-    slots = [puncture_slot(group, m) for m in classes.members]
-    commutators = None
-    # (genus, engine vector, oracle distribution) after the genus tubes
-    base = (0, form.disc_in, Counter({group.identity: 1}))
+    # Oracle slots keyed by the engine's tubes, each built once: the
+    # commutators on the first genus step.
+    slots = {tube: puncture_slot(group, m) for tube, m in zip(tubes, classes.members)}
+
+    def oracle_step(dist: Counter, tube) -> Counter:
+        if tube not in slots:
+            slots[tube] = commutator_slot(group)
+        return fold_slot(group, dist, slots[tube])
+
+    epoly = _word_epoly(datum.fold_form)
+    oracle = PrefixFold(Counter({group.identity: 1}), oracle_step)
     for genus in range(args.max_genus + 1):
         for s in range(args.max_punctures + 1):
-            stack = []
-            last = ()
             for combo in itertools.combinations_with_replacement(range(len(classes)), s):
                 desc = (
                     f"finite genus={genus} punctures="
@@ -329,45 +335,25 @@ def _verify_finite(args, report: _Report) -> None:
                 except BudgetExceeded as exc:
                     report.record(desc, "SKIP", str(exc))
                     continue
-                if not stack:
-                    while base[0] < genus:
-                        if commutators is None:
-                            commutators = commutator_slot(group)
-                        g, vec, dist = base
-                        base = (
-                            g + 1,
-                            fold(form, vec, (GENUS_TUBE,)),
-                            fold_slot(group, dist, commutators),
-                        )
-                    stack.append(base[1:])
-                shared = 0
-                while shared < len(last) and combo[shared] == last[shared]:
-                    shared += 1
-                del stack[shared + 1:]
-                for i in combo[shared:]:
-                    vec, dist = stack[-1]
-                    stack.append((fold(form, vec, tubes[i]), fold_slot(group, dist, slots[i])))
-                last = combo
-                vec, dist = stack[-1]
+                word = (GENUS_TUBE,) * genus + tuple(tubes[i] for i in combo)
                 try:
-                    engine = normalize(form, dot(form.disc_out, vec), genus + s)
+                    engine = epoly(word)
                 except NonExactDivision as exc:
                     report.record(desc, "FAIL", f"counterexample: {exc}")
                     continue
-                report.compare(desc, engine, "brute-force", dist[group.identity])
+                report.compare(desc, engine, "brute-force", oracle(word)[group.identity])
 
 
 def _verify_custom(args, report: _Report) -> None:
     if not args.datum:
         raise ValueError("--backend custom requires --datum")
     form = load_datum(args.datum).fold_form
-    vec = form.disc_in  # carried one genus tube per step
+    epoly = _word_epoly(form)
     for genus in range(args.max_genus + 1):
-        if genus:
-            vec = fold(form, vec, (GENUS_TUBE,))
+        word = (GENUS_TUBE,) * genus
         desc = f"custom normalization genus={genus}"
         try:
-            result = normalize(form, dot(form.disc_out, vec), genus)
+            result = epoly(word)
         except NonExactDivision as exc:
             report.record(desc, "FAIL", f"counterexample: genus={genus}: {exc}")
             continue
@@ -375,23 +361,18 @@ def _verify_custom(args, report: _Report) -> None:
             report.record(desc, "FAIL", f"counterexample: sphere value {result} != 1")
             continue
         report.record(desc, "PASS")
-        if form.identity_tube is not None:
+        if IDENTITY_TUBE in form.tubes:
             # The same word with one plain cylinder appended.
-            padded_vec = fold(form, vec, (IDENTITY_TUBE,))
             desc = f"custom cylinder-insertion genus={genus}"
             try:
-                padded = normalize(form, dot(form.disc_out, padded_vec), genus + 1)
+                padded = epoly(word + (IDENTITY_TUBE,))
             except NonExactDivision as exc:
                 report.record(desc, "FAIL", f"counterexample: genus={genus}: {exc}")
                 continue
             if padded == result:
                 report.record(desc, "PASS")
             else:
-                report.record(
-                    desc,
-                    "FAIL",
-                    f"counterexample: padded={padded} unpadded={result}",
-                )
+                report.record(desc, "FAIL", f"counterexample: padded={padded} unpadded={result}")
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from operator import itemgetter
 
 from .poly import LaurentPoly, ONE, ZERO
 from .record import Record
-from .tqft import TqftDatum
+from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
 
 __all__ = [
     "NotAGroup",
@@ -402,7 +402,10 @@ def class_datum(
             row[c] = n * sum(comm[class_of[mult[inv[g]][a]]] for g in members)
         genus.append(row)
 
-    tubes = {}
+    tubes = {
+        GENUS_TUBE: _lift(genus),
+        IDENTITY_TUBE: _lift([[n if c == d else 0 for c in range(k)] for d in range(k)]),
+    }
     for label, subset in (punctures or {}).items():
         lam = _check_conjugation_closed(group, subset)
         counts = [[0] * k for _ in range(k)]
@@ -410,17 +413,13 @@ def class_datum(
             row_a = mult[members[0]]
             for h in lam:
                 counts[class_of[row_a[h]]][c] += len(members)
-        tubes[str(label)] = _lift(
+        tubes[puncture_tube(str(label))] = _lift(
             [[cent[d] * x for x in row] for d, row in enumerate(counts)]
         )
 
     return TqftDatum(
         e_g=LaurentPoly.const(n),
-        genus_tube=_lift(genus),
-        puncture_tubes=tubes,
-        identity_tube=_lift(
-            [[n if c == d else 0 for c in range(k)] for d in range(k)]
-        ),
+        tubes=tubes,
         disc_in=_unit_vector(k, 0),
         disc_out=_unit_vector(k, 0),
     )

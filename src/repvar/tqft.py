@@ -1,11 +1,11 @@
 """Transfer-matrix evaluation of decorated closed surfaces.
 
 A ``TqftDatum`` packages the finitely generated module a group's tube
-operators act on: one square matrix per tube generator (the genus tube,
-the optional plain cylinder, and one cylinder per puncture label), the
-cap vector, the cup covector, and the group class ``e_G`` that normalizes
-the final answer.  A closed surface of genus g with s ordered punctures
-is the word
+operators act on: one mapping ``tubes`` from tube generator to square
+matrix (the genus tube always; the plain cylinder and one cylinder per
+puncture label optionally), the cap vector, the cup covector, and the
+group class ``e_G`` that normalizes the final answer.  A closed surface
+of genus g with s ordered punctures is the word
 
     cup . puncture_s . ... . puncture_1 . genus^g . cap
 
@@ -14,9 +14,10 @@ the number of tubes in the word (``normalize``).  The scalar comes from
 one loop, ``fold``, which applies the tubes to the cap vector one at a
 time.  By functoriality every word that starts with the same tubes
 passes through the same vector, so a caller that evaluates many words
-(``verify`` walks genera and puncture multisets as a prefix tree) keeps
-the vector of a prefix and folds only the tubes after it: each distinct
-prefix costs one matrix-vector product.
+(``verify`` walks genera and puncture multisets as a prefix tree) folds
+them through one ``PrefixFold``, which keeps the vectors along the last
+word and folds only the tubes after the prefix it shares with the next:
+each distinct prefix costs one matrix-vector product.
 
 The division is exact for any datum that comes from an actual group; a
 failure means the datum is inconsistent.  When ``e_G`` has more than one term and divides every
@@ -65,6 +66,7 @@ __all__ = [
     "TqftDatum",
     "assemble_word",
     "fold",
+    "PrefixFold",
     "evaluate_raw",
     "normalize",
     "epoly_from_word",
@@ -129,6 +131,9 @@ class TubeGenerator(Record):
             raise ValueError("exactly puncture tubes carry a label")
         self.__dict__.update(kind=kind, label=label)
 
+    def __str__(self) -> str:
+        return f"{self.kind} tube" + ("" if self.label is None else f" {self.label!r}")
+
 
 GENUS_TUBE = TubeGenerator("genus")
 IDENTITY_TUBE = TubeGenerator("identity")
@@ -171,31 +176,27 @@ def assemble_word(spec: SurfaceSpec) -> TubeWord:
 
 
 class TqftDatum(Record):
-    """Matrices and disc vectors for one coefficient module; its rank is
-    the length of the cap vector ``disc_in``.
+    """Tube matrices, keyed by ``TubeGenerator``, and disc vectors for one
+    coefficient module; its rank is the length of the cap vector ``disc_in``.
 
     Structural invariants are checked on construction; nothing verifies
     that the datum actually arises from a group, so an inconsistent
     custom datum surfaces later as a NonExactDivision.  A datum compares
-    by value but is not hashable, since its puncture tubes are a dict.
+    by value but is not hashable, since its tubes are a dict.
     """
 
-    _fields = ("e_g", "genus_tube", "puncture_tubes", "identity_tube", "disc_in", "disc_out")
+    _fields = ("e_g", "tubes", "disc_in", "disc_out")
 
     def __init__(
         self,
         e_g: LaurentPoly,
-        genus_tube: Sequence[Sequence],
-        puncture_tubes: Mapping[str, Sequence[Sequence]] = {},
-        identity_tube: Sequence[Sequence] | None = None,
+        tubes: Mapping[TubeGenerator, Sequence[Sequence]],
         disc_in: Sequence = (),
         disc_out: Sequence = (),
     ):
         self.__dict__.update(
             e_g=e_g,
-            genus_tube=_freeze_matrix(genus_tube),
-            puncture_tubes={str(k): _freeze_matrix(v) for k, v in dict(puncture_tubes).items()},
-            identity_tube=None if identity_tube is None else _freeze_matrix(identity_tube),
+            tubes={generator: tuple(map(tuple, m)) for generator, m in dict(tubes).items()},
             disc_in=tuple(disc_in),
             disc_out=tuple(disc_out),
         )
@@ -208,49 +209,47 @@ class TqftDatum(Record):
     def _validate(self) -> None:
         if self.rank < 1:
             raise InvalidDatum("rank must be a positive integer: disc_in is empty")
-        _check_square(self.genus_tube, self.rank, "genus tube")
-        if self.identity_tube is not None:
-            _check_square(self.identity_tube, self.rank, "identity tube")
-        for label, matrix in self.puncture_tubes.items():
-            _check_square(matrix, self.rank, f"puncture tube {label!r}")
+        for generator, matrix in self.tubes.items():
+            if not isinstance(generator, TubeGenerator):
+                raise InvalidDatum(f"tubes must be keyed by TubeGenerator, got {generator!r}")
+            if len(matrix) != self.rank or any(len(row) != self.rank for row in matrix):
+                raise InvalidDatum(f"{generator} must be a {self.rank}x{self.rank} matrix")
+        if GENUS_TUBE not in self.tubes:
+            raise InvalidDatum("tubes must include the genus tube")
         if len(self.disc_out) != self.rank:
             raise InvalidDatum(f"disc_out must have length {self.rank}")
         if self.e_g.is_zero():
             raise InvalidDatum("e_G must be nonzero")
         if dot(self.disc_out, self.disc_in) != ONE:
             raise InvalidDatum("sphere normalization fails: disc_out . disc_in != 1")
-        if self.identity_tube is not None:
-            through = dot(self.disc_out, mat_vec(self.identity_tube, self.disc_in))
+        if IDENTITY_TUBE in self.tubes:
+            through = dot(self.disc_out, mat_vec(self.tubes[IDENTITY_TUBE], self.disc_in))
             if through != self.e_g:
                 raise InvalidDatum(
                     "identity-tube consistency fails: disc_out . P . disc_in != e_G"
                 )
 
     def tube_matrix(self, generator: TubeGenerator) -> tuple:
-        if generator.kind == "genus":
-            return self.genus_tube
-        if generator.kind == "identity":
-            if self.identity_tube is None:
-                raise InvalidDatum("word uses the plain cylinder but the datum has no identity tube")
-            return self.identity_tube
-        try:
-            return self.puncture_tubes[generator.label]
-        except KeyError:
-            raise UnknownPunctureLabel(generator.label, self.puncture_tubes) from None
+        matrix = self.tubes.get(generator)
+        if matrix is not None:
+            return matrix
+        if generator.kind == "puncture":
+            labels = [tube.label for tube in self.tubes if tube.kind == "puncture"]
+            raise UnknownPunctureLabel(generator.label, labels)
+        raise InvalidDatum("word uses the plain cylinder but the datum has no identity tube")
 
     @cached_property
     def e_g_free(self) -> "TqftDatum":
         """This datum with e_G divided out of every tube, or the datum itself.
 
-        If e_G divides every entry of every tube (genus, plain cylinder
-        and each puncture), each tube is e_G times its quotient, so the
-        raw scalar of a t-tube word is e_G^t times the same word's scalar
-        over the quotients: the form returned has those quotients and
-        e_G = 1.  A single-term e_G (|G| for every finite group) changes
-        no term count, so dividing it out buys the fold nothing and the
-        datum is kept; so is a datum with a tube e_G does not divide,
-        which keeps its end-of-word division.  Computed on first use and
-        cached with the datum.
+        If e_G divides every entry of every tube, each tube is e_G times
+        its quotient, so the raw scalar of a t-tube word is e_G^t times
+        the same word's scalar over the quotients: the form returned has
+        those quotients and e_G = 1.  A single-term e_G (|G| for every
+        finite group) changes no term count, so dividing it out buys the
+        fold nothing and the datum is kept; so is a datum with a tube e_G
+        does not divide, which keeps its end-of-word division.  Computed
+        on first use and cached with the datum.
         """
         if len(self.e_g) < 2:
             return self
@@ -282,10 +281,8 @@ class TqftDatum(Record):
         with the datum.
         """
         free = self.e_g_free
-        tubes = [free.genus_tube, *free.puncture_tubes.values()]
-        if free.identity_tube is not None:
-            tubes.append(free.identity_tube)
-        entries = [x for m in tubes for row in m for x in row] + [*free.disc_in, *free.disc_out]
+        entries = [x for m in free.tubes.values() for row in m for x in row]
+        entries += [*free.disc_in, *free.disc_out]
         if any(not x.is_constant() for x in entries) and all(x.is_diagonal() for x in entries):
             exponents = {a for x in entries for (a, _), _ in x.items()}
             if max(exponents) - min(exponents) < 2 * len(exponents):
@@ -295,27 +292,15 @@ class TqftDatum(Record):
     def _map_entries(self, e_g, tube_entry, disc_entry) -> "TqftDatum":
         """A datum with the given e_G, ``tube_entry`` applied to every tube
         entry and ``disc_entry`` to every disc entry."""
-
-        def matrix(m: tuple) -> tuple:
-            return tuple(tuple(map(tube_entry, row)) for row in m)
-
         return TqftDatum(
             e_g=e_g,
-            genus_tube=matrix(self.genus_tube),
-            puncture_tubes={label: matrix(m) for label, m in self.puncture_tubes.items()},
-            identity_tube=None if self.identity_tube is None else matrix(self.identity_tube),
+            tubes={
+                generator: tuple(tuple(map(tube_entry, row)) for row in m)
+                for generator, m in self.tubes.items()
+            },
             disc_in=tuple(map(disc_entry, self.disc_in)),
             disc_out=tuple(map(disc_entry, self.disc_out)),
         )
-
-
-def _freeze_matrix(matrix) -> tuple:
-    return tuple(tuple(row) for row in matrix)
-
-
-def _check_square(matrix: tuple, rank: int, what: str) -> None:
-    if len(matrix) != rank or any(len(row) != rank for row in matrix):
-        raise InvalidDatum(f"{what} must be a {rank}x{rank} matrix")
 
 
 # ----------------------------------------------------------------------
@@ -325,15 +310,51 @@ def _check_square(matrix: tuple, rank: int, what: str) -> None:
 
 def fold(datum: TqftDatum, vec: Sequence, generators: Sequence[TubeGenerator]) -> tuple:
     """The vector ``vec`` after the given tubes, applied one at a time in
-    order: one matrix-vector product per tube at the datum's rank.
-
-    This is the only evaluation loop.  Words that share a prefix share
-    its vector, so a caller that walks many words can keep the vector of
-    a prefix and fold only what follows it.
+    order: one matrix-vector product per tube at the datum's rank.  Words
+    that share a prefix share its vector (``PrefixFold``).
     """
     for generator in generators:
         vec = mat_vec(datum.tube_matrix(generator), vec)
     return vec
+
+
+class PrefixFold:
+    """``step(state, generator)`` folded from ``start`` over the tubes of
+    each word the fold is called on (a tuple of tube generators).  The
+    states along the last word are kept, so a word resumes after the
+    prefix it shares with the last one: each tube past that prefix costs
+    one ``step``, and a prefix of the last word costs none.
+    """
+
+    def __init__(self, start, step):
+        self._step = step
+        self._word: tuple = ()
+        self._states = [start]  # state after word[:i] at index i
+
+    def __call__(self, word: tuple):
+        shared = _shared_prefix(self._word, word)
+        states = self._states
+        del states[shared + 1:]
+        self._word = word[:shared]  # what ``states`` matches, should a step raise
+        for generator in word[shared:]:
+            states.append(self._step(states[-1], generator))
+        self._word = word
+        return states[-1]
+
+
+def _shared_prefix(a: tuple, b: tuple) -> int:
+    """Length of the common prefix of two tuples, by bisection on slices
+    compared in C: one probe when one tuple extends the other."""
+    lo, hi = 0, min(len(a), len(b))
+    if a[:hi] == b[:hi]:
+        return hi
+    while hi - lo > 1:  # a[:lo] == b[:lo] and a[:hi] != b[:hi]
+        mid = (lo + hi) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def evaluate_raw(datum: TqftDatum, word: TubeWord):
@@ -391,16 +412,20 @@ def _matrix_from_json(data, what: str) -> tuple:
 
 
 def datum_to_json_dict(datum: TqftDatum) -> dict:
+    tubes = datum.tubes
     out: dict = {
         "rank": datum.rank,
         "e_G": datum.e_g.to_text(),
-        "L": _matrix_to_json(datum.genus_tube),
-        "punctures": {label: _matrix_to_json(m) for label, m in sorted(datum.puncture_tubes.items())},
+        "L": _matrix_to_json(tubes[GENUS_TUBE]),
+        "punctures": {
+            label: _matrix_to_json(m)
+            for label, m in sorted((t.label, m) for t, m in tubes.items() if t.kind == "puncture")
+        },
         "disc_in": [entry.to_text() for entry in datum.disc_in],
         "disc_out": [entry.to_text() for entry in datum.disc_out],
     }
-    if datum.identity_tube is not None:
-        out["P"] = _matrix_to_json(datum.identity_tube)
+    if IDENTITY_TUBE in tubes:
+        out["P"] = _matrix_to_json(tubes[IDENTITY_TUBE])
     return out
 
 
@@ -428,17 +453,12 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
     punctures = data.get("punctures", {})
     if not isinstance(punctures, dict):
         raise InvalidDatum("punctures must be an object of label -> matrix")
-    return TqftDatum(
-        e_g=e_g,
-        genus_tube=_matrix_from_json(data["L"], "L"),
-        puncture_tubes={
-            str(label): _matrix_from_json(m, f"punctures[{label!r}]")
-            for label, m in punctures.items()
-        },
-        identity_tube=_matrix_from_json(data["P"], "P") if "P" in data else None,
-        disc_in=disc_in,
-        disc_out=disc_out,
-    )
+    tubes = {GENUS_TUBE: _matrix_from_json(data["L"], "L")}
+    if "P" in data:
+        tubes[IDENTITY_TUBE] = _matrix_from_json(data["P"], "P")
+    for label, m in punctures.items():
+        tubes[puncture_tube(str(label))] = _matrix_from_json(m, f"punctures[{label!r}]")
+    return TqftDatum(e_g, tubes, disc_in, disc_out)
 
 
 def load_datum(path: str | os.PathLike[str]) -> TqftDatum:

@@ -24,7 +24,7 @@ from repvar.finite_group import (
     conjugacy_classes,
 )
 from repvar.poly import LaurentPoly, ZERO
-from repvar.tqft import IDENTITY_TUBE, TqftDatum, TubeWord
+from repvar.tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, TubeWord, puncture_tube
 
 
 # ----------------------------------------------------------------------
@@ -107,14 +107,12 @@ def to_tqft_datum(
     """Full-rank datum: one coordinate per group element, e_G = |G|,
     disc vectors at the identity coordinate."""
     n = group.order
-    tubes = {}
+    tubes = {GENUS_TUBE: _lift(genus_matrix(group)), IDENTITY_TUBE: _lift(tube_matrix_P(group))}
     for label, subset in (punctures or {}).items():
-        tubes[str(label)] = _lift(puncture_matrix(group, subset))
+        tubes[puncture_tube(str(label))] = _lift(puncture_matrix(group, subset))
     return TqftDatum(
         e_g=LaurentPoly.const(n),
-        genus_tube=_lift(genus_matrix(group)),
-        puncture_tubes=tubes,
-        identity_tube=_lift(tube_matrix_P(group)),
+        tubes=tubes,
         disc_in=_unit_vector(n, group.identity),
         disc_out=_unit_vector(n, group.identity),
     )
@@ -149,13 +147,7 @@ def class_reduce(datum: TqftDatum, group: FiniteGroup) -> TqftDatum:
 
     return TqftDatum(
         e_g=datum.e_g,
-        genus_tube=reduce_matrix(datum.genus_tube),
-        puncture_tubes={
-            label: reduce_matrix(m) for label, m in datum.puncture_tubes.items()
-        },
-        identity_tube=(
-            reduce_matrix(datum.identity_tube) if datum.identity_tube is not None else None
-        ),
+        tubes={tube: reduce_matrix(m) for tube, m in datum.tubes.items()},
         disc_in=_unit_vector(k, 0),
         disc_out=_unit_vector(k, 0),
     )

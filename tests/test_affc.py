@@ -13,6 +13,7 @@ from repvar.affc import (
 from repvar.poly import ONE, LaurentPoly, Q, ZERO
 from repvar.tqft import (
     GENUS_TUBE,
+    IDENTITY_TUBE,
     SurfaceSpec,
     TubeWord,
     dot,
@@ -28,7 +29,7 @@ class TestDatumEntries:
         assert affc_datum().e_g == Q * (Q - 1)
 
     def test_genus_tube_matrix(self):
-        m = affc_datum().genus_tube
+        m = affc_datum().tubes[GENUS_TUBE]
         f = Q * (Q - 1)
         assert m[0][0] == f * (Q**3 - Q**2)
         assert m[1][0] == f * (Q**3 - 2 * Q**2)
@@ -40,8 +41,8 @@ class TestDatumEntries:
         assert datum.disc_in == (ONE, ZERO)
         assert datum.disc_out == (ONE, ZERO)
         assert datum.rank == 2
-        assert datum.identity_tube is None
-        assert datum.puncture_tubes == {}
+        assert IDENTITY_TUBE not in datum.tubes
+        assert [tube for tube in datum.tubes if tube.kind == "puncture"] == []
 
 
 class TestRawEvaluation:

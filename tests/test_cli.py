@@ -25,6 +25,7 @@ from repvar.finite_group import (
 )
 from repvar.poly import ONE, LaurentPoly, NonExactDivision, Q, parse_poly
 from repvar.tqft import (
+    IDENTITY_TUBE,
     SurfaceSpec,
     assemble_word,
     datum_to_json_dict,
@@ -464,7 +465,7 @@ def custom_rows_one_genus_at_a_time(datum, max_genus):
             yield desc, "FAIL", f"counterexample: sphere value {result} != 1"
             continue
         yield desc, "PASS", None
-        if datum.identity_tube is not None:
+        if IDENTITY_TUBE in datum.tubes:
             desc = f"custom cylinder-insertion genus={genus}"
             try:
                 padded = epoly_from_word(datum, insert_identity_tubes(assemble_word(spec), 1))
@@ -614,6 +615,17 @@ class TestVerifyWork:
         )
         assert code == 0
         assert len(mat_vec_calls) == 40  # each genus on its own: 820
+
+    def test_custom_with_cylinder(self, capsys, mat_vec_calls):
+        path = DATUM_FILE.with_name("s3_classes.json")
+        code, out, _ = run(
+            capsys, "verify", "--backend", "custom", "--datum", str(path), "--max-genus", "40"
+        )
+        assert code == 0
+        assert "SUMMARY: 82 passed, 0 failed, 0 skipped" in out
+        # Per genus 1..40: one genus tube and the padded word's cylinder;
+        # the padded sphere's cylinder; 1 in the datum's validation.
+        assert len(mat_vec_calls) == 2 * 40 + 2
 
 
 class TestClassSpace:

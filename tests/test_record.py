@@ -25,16 +25,13 @@ RECORDS = {
     "TqftDatum": (
         lambda: TqftDatum(
             e_g=ONE,
-            genus_tube=[[Q]],
-            puncture_tubes={"t": [[ONE]]},
+            tubes={GENUS_TUBE: [[Q]], puncture_tube("t"): [[ONE]]},
             disc_in=[ONE],
             disc_out=[ONE],
         ),
         {
             "e_g": ONE,
-            "genus_tube": ((Q,),),
-            "puncture_tubes": {"t": ((ONE,),)},
-            "identity_tube": None,
+            "tubes": {GENUS_TUBE: ((Q,),), puncture_tube("t"): ((ONE,),)},
             "disc_in": (ONE,),
             "disc_out": (ONE,),
         },
@@ -70,7 +67,7 @@ def test_equal_values_compare_and_hash_equal(record):
     assert first == second
     assert not first != second
     if isinstance(first, TqftDatum):
-        # Its puncture tubes are a dict, so a datum is not hashable.
+        # Its tubes are a dict, so a datum is not hashable.
         with pytest.raises(TypeError):
             hash(first)
     else:

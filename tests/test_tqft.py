@@ -12,6 +12,7 @@ from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
     InvalidDatum,
+    PrefixFold,
     SurfaceSpec,
     TqftDatum,
     TubeGenerator,
@@ -33,13 +34,12 @@ from repvar.tqft import (
 from full_rank import insert_identity_tubes, to_tqft_datum
 
 
-def rank_one_datum(e_g=None, genus_entry=None, **overrides):
-    """Tiny hand-built datum for structural tests."""
+def rank_one_datum(e_g=None, genus_entry=None, tubes={}, **overrides):
+    """Tiny hand-built datum for structural tests; ``tubes`` adds to or
+    replaces its genus tube."""
     fields = dict(
         e_g=e_g if e_g is not None else ONE,
-        genus_tube=((genus_entry if genus_entry is not None else ONE,),),
-        puncture_tubes={},
-        identity_tube=None,
+        tubes={GENUS_TUBE: ((genus_entry if genus_entry is not None else ONE,),), **tubes},
         disc_in=(ONE,),
         disc_out=(ONE,),
     )
@@ -84,7 +84,7 @@ def covector_fold(datum, k):
     tube from the left; the engine folds the cap vector from the right."""
     cov = datum.disc_out
     for _ in range(k):
-        cov = tuple(dot(cov, column) for column in zip(*datum.genus_tube))
+        cov = tuple(dot(cov, column) for column in zip(*datum.tubes[GENUS_TUBE]))
     return dot(cov, datum.disc_in)
 
 
@@ -107,15 +107,23 @@ class TestMatrixAlgebra:
 class TestDatumValidation:
     def test_rank_positive(self):
         with pytest.raises(InvalidDatum):
-            rank_one_datum(genus_tube=(), disc_in=(), disc_out=())
+            rank_one_datum(tubes={GENUS_TUBE: ()}, disc_in=(), disc_out=())
 
     def test_square_matrices_required(self):
+        with pytest.raises(InvalidDatum, match="genus tube must be a 1x1 matrix"):
+            rank_one_datum(tubes={GENUS_TUBE: ((ONE, ONE),)})
         with pytest.raises(InvalidDatum):
-            rank_one_datum(genus_tube=((ONE, ONE),))
+            rank_one_datum(tubes={puncture_tube("t"): ((ONE, ZERO), (ZERO, ONE))})
         with pytest.raises(InvalidDatum):
-            rank_one_datum(puncture_tubes={"t": ((ONE, ZERO), (ZERO, ONE))})
-        with pytest.raises(InvalidDatum):
-            rank_one_datum(identity_tube=((ONE, ZERO),))
+            rank_one_datum(tubes={IDENTITY_TUBE: ((ONE, ZERO),)})
+
+    def test_genus_generator_required(self):
+        with pytest.raises(InvalidDatum, match="tubes must include the genus tube"):
+            TqftDatum(ONE, {puncture_tube("t"): ((ONE,),)}, (ONE,), (ONE,))
+
+    def test_tubes_keyed_by_generators(self):
+        with pytest.raises(InvalidDatum, match="tubes must be keyed by TubeGenerator, got 't'"):
+            rank_one_datum(tubes={"t": ((ONE,),)})
 
     def test_disc_lengths(self):
         with pytest.raises(InvalidDatum):
@@ -135,9 +143,9 @@ class TestDatumValidation:
     def test_identity_tube_consistency(self):
         # cup . P . cap must equal e_G
         with pytest.raises(InvalidDatum) as err:
-            rank_one_datum(e_g=LaurentPoly.const(2), identity_tube=((ONE,),))
+            rank_one_datum(e_g=LaurentPoly.const(2), tubes={IDENTITY_TUBE: ((ONE,),)})
         assert "identity-tube" in str(err.value)
-        rank_one_datum(e_g=LaurentPoly.const(2), identity_tube=((LaurentPoly.const(2),),))
+        rank_one_datum(e_g=LaurentPoly.const(2), tubes={IDENTITY_TUBE: ((LaurentPoly.const(2),),)})
 
 
 class TestEvaluation:
@@ -161,7 +169,7 @@ class TestEvaluation:
             epoly_rep_variety(datum, SurfaceSpec(0, ("nope",)))
 
     def test_unknown_puncture_label_names_the_provided_labels(self):
-        datum = rank_one_datum(puncture_tubes={"b": ((ONE,),), "a": ((ONE,),)})
+        datum = rank_one_datum(tubes={puncture_tube("b"): ((ONE,),), puncture_tube("a"): ((ONE,),)})
         with pytest.raises(UnknownPunctureLabel) as err:
             epoly_rep_variety(datum, SurfaceSpec(0, ("nope",)))
         assert str(err.value) == (
@@ -171,7 +179,9 @@ class TestEvaluation:
     def test_missing_identity_tube(self):
         datum = affc_datum()
         word = insert_identity_tubes(TubeWord([]), 1)
-        with pytest.raises(InvalidDatum):
+        with pytest.raises(
+            InvalidDatum, match="word uses the plain cylinder but the datum has no identity tube"
+        ):
             evaluate_raw(datum, word)
 
     def test_normalization_counts_all_tubes(self):
@@ -233,6 +243,7 @@ class TestEvaluation:
 
 
 DATUM_FILE = Path(__file__).resolve().parent.parent / "data" / "datums" / "affc.json"
+S3_CLASSES_FILE = DATUM_FILE.with_name("s3_classes.json")
 
 
 def stored_division(datum, word):
@@ -249,9 +260,7 @@ def outcome(evaluate, datum, word):
 
 
 def all_words(datum, max_length):
-    generators = [GENUS_TUBE] + [puncture_tube(label) for label in sorted(datum.puncture_tubes)]
-    if datum.identity_tube is not None:
-        generators.append(IDENTITY_TUBE)
+    generators = list(datum.tubes)
     for length in range(max_length + 1):
         for gens in itertools.product(generators, repeat=length):
             yield TubeWord(gens)
@@ -263,12 +272,12 @@ def partly_divisible_datum():
     e = Q - 1
     return TqftDatum(
         e_g=e,
-        genus_tube=((e * Q, e * 2), (e * (Q + 1), e * U)),
-        puncture_tubes={
-            "a": ((e * V, ZERO), (e, e * Q)),
-            "b": ((e * 3, e * Q), (e * V, Q + 2)),
+        tubes={
+            GENUS_TUBE: ((e * Q, e * 2), (e * (Q + 1), e * U)),
+            puncture_tube("a"): ((e * V, ZERO), (e, e * Q)),
+            puncture_tube("b"): ((e * 3, e * Q), (e * V, Q + 2)),
+            IDENTITY_TUBE: ((e * (1 - Q), e), (e * 4, e * V)),
         },
-        identity_tube=((e * (1 - Q), e), (e * 4, e * V)),
         disc_in=(ONE, Q),
         disc_out=(ONE, ZERO),
     )
@@ -279,7 +288,7 @@ class TestEgFreeForm:
         datum = affc_datum()
         free = datum.e_g_free
         assert free.e_g == ONE
-        assert free.genus_tube == affc_inner_genus_matrix()
+        assert free.tubes[GENUS_TUBE] == affc_inner_genus_matrix()
         assert (free.disc_in, free.disc_out) == (datum.disc_in, datum.disc_out)
         assert datum.e_g_free is free  # cached with the datum
         assert free.e_g_free is free
@@ -313,7 +322,7 @@ class TestEgFreeForm:
             expected = outcome(stored_division, datum, word)
             assert outcome(epoly_from_word, datum, word) == expected
             outcomes.add(expected is NonExactDivision)
-        if datum.puncture_tubes:
+        if any(tube.kind == "puncture" for tube in datum.tubes):
             assert outcomes == {False, True}  # both exits are exercised
 
     @given(data=st.data())
@@ -342,9 +351,12 @@ class TestEgFreeForm:
         p_inner[0][0] = ONE - sum((a * b for a, b in zip(p_inner[0][1:], tail)), ZERO)
         datum = TqftDatum(
             e_g=e_g,
-            genus_tube=scaled(matrix("M")),
-            puncture_tubes={"a": scaled(matrix("A")), "b": scaled(matrix("B"))},
-            identity_tube=scaled(p_inner),
+            tubes={
+                GENUS_TUBE: scaled(matrix("M")),
+                puncture_tube("a"): scaled(matrix("A")),
+                puncture_tube("b"): scaled(matrix("B")),
+                IDENTITY_TUBE: scaled(p_inner),
+            },
             disc_in=disc_in,
             disc_out=(ONE,) + (ZERO,) * (rank - 1),
         )
@@ -366,10 +378,8 @@ class TestEgFreeForm:
 def fold_entries(datum):
     """Every tube and disc entry of the datum the engine folds."""
     form = datum.fold_form
-    tubes = [form.genus_tube, *form.puncture_tubes.values()]
-    if form.identity_tube is not None:
-        tubes.append(form.identity_tube)
-    return [x for m in tubes for row in m for x in row] + [*form.disc_in, *form.disc_out]
+    entries = [x for m in form.tubes.values() for row in m for x in row]
+    return entries + [*form.disc_in, *form.disc_out]
 
 
 def inverse_q_datum(scale):
@@ -385,10 +395,12 @@ def inverse_q_datum(scale):
     f = e if scale else ONE
     return TqftDatum(
         e_g=e,
-        genus_tube=tube(((Q - 1, qi), (2 * qi - Q, Q**2)), f),
-        puncture_tubes={"a": tube(((qi, ONE - Q), (ZERO, 3 * Q)), f)},
-        # disc_out . P . disc_in = e_G
-        identity_tube=tube(((ZERO, Q), (qi, ONE)), e),
+        tubes={
+            GENUS_TUBE: tube(((Q - 1, qi), (2 * qi - Q, Q**2)), f),
+            puncture_tube("a"): tube(((qi, ONE - Q), (ZERO, 3 * Q)), f),
+            # disc_out . P . disc_in = e_G
+            IDENTITY_TUBE: tube(((ZERO, Q), (qi, ONE)), e),
+        },
         disc_in=(ONE, qi),
         disc_out=(ONE, ZERO),
     )
@@ -402,7 +414,7 @@ class TestFoldRing:
         datum = make()
         form = datum.fold_form
         assert {type(x) for x in fold_entries(datum)} == {QPoly}
-        assert form.genus_tube == affc_inner_genus_matrix()
+        assert form.tubes[GENUS_TUBE] == affc_inner_genus_matrix()
         assert type(form.e_g) is LaurentPoly and form.e_g == ONE
         assert datum.fold_form is form  # cached with the datum
 
@@ -412,7 +424,7 @@ class TestFoldRing:
         for datum in (
             class_datum(group, {"t": classes.members[1]}),
             to_tqft_datum(group, {"t": classes.members[1]}),
-            rank_one_datum(genus_entry=Q, puncture_tubes={"u": ((U,),)}),
+            rank_one_datum(genus_entry=Q, tubes={puncture_tube("u"): ((U,),)}),
             partly_divisible_datum(),
         ):
             assert datum.fold_form is datum.e_g_free
@@ -480,8 +492,10 @@ def wide_q_datum():
     c = [10**40 + k for k in (3, -7, 11, -13, 17, -19, 23)]
     return TqftDatum(
         e_g=ONE,
-        genus_tube=((c[0] * Q - c[1], c[2] * qi), (c[3] * qi + c[4] * Q**2, Q - c[5])),
-        puncture_tubes={"a": ((Q - 2 * qi, c[6] * ONE), (3 * qi, -Q))},
+        tubes={
+            GENUS_TUBE: ((c[0] * Q - c[1], c[2] * qi), (c[3] * qi + c[4] * Q**2, Q - c[5])),
+            puncture_tube("a"): ((Q - 2 * qi, c[6] * ONE), (3 * qi, -Q)),
+        },
         disc_in=(ONE, qi),
         disc_out=(ONE, ZERO),
     )
@@ -551,3 +565,90 @@ class TestDatumFiles:
     def test_shipped_example_is_the_builtin_affc_datum(self):
         assert load_datum(DATUM_FILE) == affc_datum()
         assert json.loads(DATUM_FILE.read_text()) == datum_to_json_dict(affc_datum())
+
+    def test_shipped_s3_classes_is_the_class_datum(self):
+        group = named_group("s3")
+        members = conjugacy_classes(group).members
+        datum = class_datum(group, {f"c{i}": m for i, m in enumerate(members)})
+        data = json.loads(S3_CLASSES_FILE.read_text())
+        assert data == datum_to_json_dict(datum)
+        assert "P" in data and sorted(data["punctures"]) == ["c0", "c1", "c2"]
+        assert load_datum(S3_CLASSES_FILE) == datum
+
+
+class TestPrefixFold:
+    """Each call folds only the tubes past the prefix its word shares
+    with the last word folded."""
+
+    G, A, B = GENUS_TUBE, puncture_tube("a"), puncture_tube("b")
+
+    @staticmethod
+    def walk(step=lambda state, tube: state + (tube,)):
+        """A fold whose state is the word so far, and the tubes it stepped."""
+        steps = []
+
+        def counted(state, tube):
+            steps.append(tube)
+            return step(state, tube)
+
+        return PrefixFold((), counted), steps
+
+    def test_extension_folds_only_its_new_tubes(self):
+        fold_word, steps = self.walk()
+        G, A, B = self.G, self.A, self.B
+        assert fold_word((G, A)) == (G, A)
+        assert fold_word((G, A, B, G)) == (G, A, B, G)
+        assert steps == [G, A, B, G]
+        long = (G,) * 1000
+        fold_word(long)
+        del steps[:]
+        assert fold_word(long + (A,)) == long + (A,)
+        assert steps == [A]
+
+    def test_prefix_of_the_last_word_folds_nothing(self):
+        fold_word, steps = self.walk()
+        G, A, B = self.G, self.A, self.B
+        fold_word((G, A, B))
+        del steps[:]
+        assert fold_word((G, A)) == (G, A)
+        assert fold_word((G,)) == (G,)
+        assert steps == []
+
+    def test_divergent_word_refolds_from_the_divergence(self):
+        fold_word, steps = self.walk()
+        G, A, B = self.G, self.A, self.B
+        fold_word((G, G, A, A))
+        del steps[:]
+        assert fold_word((G, G, B)) == (G, G, B)
+        assert steps == [B]
+        # An equal generator built anew is shared like the same object.
+        assert fold_word((G, G, puncture_tube("b"), A)) == (G, G, B, A)
+        assert steps == [B, A]
+        assert fold_word((A,)) == (A,)
+        assert steps == [B, A, A]
+
+    def test_empty_word_returns_start(self):
+        start = ()
+        fold_word, steps = self.walk()
+        assert fold_word(()) is start
+        fold_word((self.G, self.A))
+        assert fold_word(()) is start
+        assert steps == [self.G, self.A]
+
+    def test_a_step_that_raises_leaves_the_kept_states_consistent(self):
+        G, A, B = self.G, self.A, self.B
+
+        def step(state, tube):
+            if tube == B and len(state) == 3:
+                raise ValueError("no B at position 3")
+            return state + (tube,)
+
+        fold_word, steps = self.walk(step)
+        fold_word((G, A, B, A))
+        with pytest.raises(ValueError):
+            fold_word((G, G, A, B))
+        assert steps == [G, A, B, A, G, A, B]
+        # (G, A, B) shares only (G,) with the states kept, not with the
+        # last word folded in full.
+        assert fold_word((G, A, B)) == (G, A, B)
+        assert steps == [G, A, B, A, G, A, B, A, B]
