@@ -1,19 +1,26 @@
 """Command-line front end: compute invariants, verify a backend against
 its independent oracle, and inspect conjugacy classes.
 
-Exit codes are a stable contract: 0 success, 2 input validation failure,
-3 datum inconsistency (non-exact normalization division), 4 verification
-mismatch.
+Each command reads its options from one table (``_COMMANDS``): an
+option takes its value as ``--opt value`` or ``--opt=value``, any unique
+prefix names it, a repeated option keeps its last value (``--puncture``
+appends), a negative number is a value, and ``-h``/``--help`` prints the
+help text to stdout, before or after the command.
+
+Exit codes are a stable contract: 0 success, 2 input validation failure
+or usage error, 3 datum inconsistency (non-exact normalization
+division), 4 verification mismatch.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
+import re
 import sys
 from collections import Counter
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .affc import affc_closed_form, affc_datum, xk_values
 from .finite_group import (
@@ -43,7 +50,7 @@ from .tqft import (
     puncture_tube,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,71 +61,228 @@ EXIT_VERIFY = 4
 _INPUT_ERRORS = (ValueError, UnknownPunctureLabel, OSError)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repvar",
-        description="E-polynomials of surface-group representation varieties "
-        "by exact transfer-matrix evaluation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Option:
+    """One row of a command's option table: ``--name VALUE``, with the value
+    converted by ``convert`` (None for a flag) and checked against
+    ``choices``; a repeated option keeps the last value, or appends when it
+    ``repeats``."""
 
-    compute = sub.add_parser(
-        "compute", help="compute the E-polynomial of one decorated surface"
-    )
-    _add_backend_options(compute)
-    compute.add_argument("--genus", type=int, required=True, help="genus, >= 0")
-    compute.add_argument(
-        "--puncture",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="add one puncture; finite backend: rep=INDEX or elements=i,j,k "
-        "(rep= closes the class automatically); custom backend: a tube label "
-        "from the datum file; repeatable, order preserved",
-    )
-    compute.add_argument(
-        "--format",
-        choices=["q-text", "uv-text", "json"],
-        default="q-text",
-        help="output form (default: q form when the result is diagonal)",
-    )
+    __slots__ = ("name", "help", "convert", "choices", "default", "required", "repeats", "metavar")
 
-    verify = sub.add_parser(
-        "verify", help="cross-check a backend against its independent oracle"
-    )
-    _add_backend_options(verify)
-    verify.add_argument("--max-genus", type=int, default=2)
-    verify.add_argument(
-        "--max-punctures", type=int, default=2, help="finite backend only"
-    )
-    verify.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help="cap on the brute-force tuple count n^(2g) * prod |class| "
-        "(the oracle folds prefix-product distributions, so its work is far "
-        "smaller); a check over the cap is marked SKIP",
-    )
+    def __init__(self, name, help, convert=str, *, choices=None, default=None,
+                 required=False, repeats=False, metavar=None):
+        self.name = name
+        self.help = help
+        self.convert = convert
+        self.choices = choices
+        self.default = default
+        self.required = required
+        self.repeats = repeats
+        self.metavar = metavar
 
-    classes = sub.add_parser(
-        "classes", help="print the conjugacy classes of a finite group"
-    )
-    classes.add_argument("--group", required=True, help="group JSON file")
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
 
-    return parser
+    def invocation(self) -> str:
+        if self.convert is None:
+            return "-h, --help"
+        if self.choices:
+            return f"{self.name} {{{','.join(self.choices)}}}"
+        return f"{self.name} {self.metavar or self.dest.upper()}"
 
 
-def _add_backend_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--backend", choices=["finite", "affc", "custom"], required=True
-    )
-    sub.add_argument("--group", help="group JSON file (finite backend)")
-    sub.add_argument("--datum", help="datum JSON file (custom backend)")
+_HELP = _Option("--help", "show this help message and exit", None)
+
+_BACKEND_OPTIONS = (
+    _Option("--backend", "the backend that builds the datum",
+            choices=("finite", "affc", "custom"), required=True),
+    _Option("--group", "group JSON file (finite backend)"),
+    _Option("--datum", "datum JSON file (custom backend)"),
+)
+
+_DESCRIPTION = (
+    "E-polynomials of surface-group representation varieties "
+    "by exact transfer-matrix evaluation."
+)
+
+# command -> (help, option table)
+_COMMANDS = {
+    "compute": ("compute the E-polynomial of one decorated surface", (
+        *_BACKEND_OPTIONS,
+        _Option("--genus", "genus, >= 0", int, required=True),
+        _Option("--puncture", "add one puncture; finite backend: rep=INDEX or "
+                "elements=i,j,k (rep= closes the class automatically); custom "
+                "backend: a tube label from the datum file; repeatable, order "
+                "preserved", repeats=True, metavar="SPEC"),
+        _Option("--format", "output form (default: q form when the result is diagonal)",
+                choices=("q-text", "uv-text", "json"), default="q-text"),
+    )),
+    "verify": ("cross-check a backend against its independent oracle", (
+        *_BACKEND_OPTIONS,
+        _Option("--max-genus", "highest genus checked", int, default=2),
+        _Option("--max-punctures", "finite backend only", int, default=2),
+        _Option("--budget", "cap on the brute-force tuple count n^(2g) * prod |class| "
+                "(the oracle folds prefix-product distributions, so its work is far "
+                "smaller); a check over the cap is marked SKIP", int, default=DEFAULT_BUDGET),
+    )),
+    "classes": ("print the conjugacy classes of a finite group", (
+        _Option("--group", "group JSON file", required=True),
+    )),
+}
+
+
+class _UsageError(Exception):
+    """A command line the option tables reject; ``command`` is None at the
+    top level."""
+
+    def __init__(self, command: str | None, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """``command`` plus one attribute per option of that command, or None
+    once a help text has been printed.  Accepts ``--opt value``,
+    ``--opt=value``, any unique prefix of an option, and a negative number
+    as a value."""
+    tokens = list(argv)
+    top = {"-h": _HELP, "--help": _HELP}
+    extras = []
+    for i, token in enumerate(tokens):
+        found = None if token == "--" else _lookup(None, top, token)
+        if found is None:  # the first value names the command
+            break
+        if found[0] is None:
+            extras.append(token)
+            continue
+        _print_help(None, found[1])
+        return None
+    else:
+        raise _UsageError(None, "the following arguments are required: command")
+    if token not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+    command, options = token, _COMMANDS[token][1]
+    names = {**top, **{option.name: option for option in options}}
+    tokens = tokens[i + 1:]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_lookup(command, names, token) for token in tokens[:end]]
+    values = {o.dest: [] if o.repeats else o.default for o in options}
+    i = 0
+    while i < end:
+        found, i = kinds[i], i + 1
+        if found is None or found[0] is None:  # a stray value or an unknown option
+            extras.append(tokens[i - 1])
+            continue
+        option, value = found
+        if option is _HELP:
+            _print_help(command, value)
+            return None
+        if value is None:
+            if i == end or kinds[i] is not None:
+                raise _UsageError(command, f"argument {option.name}: expected one argument")
+            value, i = tokens[i], i + 1
+        try:
+            value = option.convert(value)
+        except ValueError:
+            raise _UsageError(
+                command, f"argument {option.name}: invalid {option.convert.__name__} value: {value!r}"
+            ) from None
+        if option.choices and value not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            raise _UsageError(
+                command, f"argument {option.name}: invalid choice: {value!r} (choose from {choices})"
+            )
+        if option.repeats:
+            values[option.dest].append(value)
+        else:
+            values[option.dest] = value
+    missing = [o.name for o in options if o.required and values[o.dest] is None]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    extras += tokens[end:]
+    if extras:
+        raise _UsageError(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **values)
+
+
+def _lookup(command: str | None, names: dict, token: str):
+    """``(option, explicit value or None)`` for an option token,
+    ``(None, None)`` for an unknown one, and None for a value.  An option is
+    named in full or by a unique prefix, with ``=value`` or without."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in names:
+        return names[token], None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return names[name], value
+    if token.startswith("--"):
+        matches = [n for n in names if n.startswith(name)]
+        if not eq:
+            value = None
+    else:  # a single dash: -h with text run on
+        matches = ["-h"] if token.startswith("-h") else []
+        value = token[2:]
+    if len(matches) > 1:
+        raise _UsageError(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return names[matches[0]], value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number or a value with a space
+    return None, None
+
+
+def _print_help(command: str | None, value: str | None) -> None:
+    """Print the help text of ``command`` (the top level when None); a
+    value given to ``--help`` is a usage error."""
+    if value is not None:
+        raise _UsageError(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    print(_usage(command))
+    print()
+    if command is None:
+        print(_DESCRIPTION)
+        print()
+        print("commands:")
+        for name, (text, _) in _COMMANDS.items():
+            print(_help_row(name, text))
+        options = (_HELP,)
+    else:
+        text, options = _COMMANDS[command]
+        print(text)
+        options = (_HELP, *options)
+    print()
+    print("options:")
+    for option in options:
+        print(_help_row(option.invocation(), option.help))
+
+
+def _help_row(left: str, text: str) -> str:
+    if len(left) > 20:
+        return f"  {left}\n{'':24}{text}"
+    return f"  {left:22}{text}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: repvar [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [
+        o.invocation() if o.required else f"[{o.invocation()}]" for o in _COMMANDS[command][1]
+    ]
+    return f"usage: repvar {command} [-h] {' '.join(words)}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        prog = "repvar" if exc.command is None else f"repvar {exc.command}"
+        print(_usage(exc.command), file=sys.stderr)
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if args is None:
+        return EXIT_OK
     handler = {
         "compute": _cmd_compute,
         "verify": _cmd_verify,

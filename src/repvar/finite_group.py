@@ -580,5 +580,8 @@ def group_to_json_dict(group: FiniteGroup) -> dict:
 
 def load_group(path: str | os.PathLike[str], max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise NotAGroup("group file nests JSON arrays or objects too deeply") from None
     return group_from_json_dict(data, max_order=max_order)

@@ -463,7 +463,10 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
 
 def load_datum(path: str | os.PathLike[str]) -> TqftDatum:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise InvalidDatum("datum file nests JSON arrays or objects too deeply") from None
     return datum_from_json_dict(data)
 
 

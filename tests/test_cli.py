@@ -159,8 +159,10 @@ class TestComputeErrors:
         assert "identity" in err
 
     def test_negative_genus(self, capsys):
-        code, _, _ = run(capsys, "compute", "--backend", "affc", "--genus", "-1")
+        # -1 is a value, not an option: the genus check rejects it.
+        code, _, err = run(capsys, "compute", "--backend", "affc", "--genus", "-1")
         assert code == 2
+        assert err == "error: --genus must be >= 0\n"
 
     def test_rep_spec_needs_finite_backend(self, capsys):
         code, _, err = run(
@@ -824,6 +826,24 @@ class TestFileIndices:
         assert out.strip() == "0"
 
 
+def test_deeply_nested_group_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10_000 + "]" * 10_000)
+    code, out, err = run(capsys, "classes", "--group", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: group file nests JSON arrays or objects too deeply\n"
+
+
+def test_deeply_nested_datum_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"rank": 1, "L": ' + "[" * 10_000 + "]" * 10_000 + "}")
+    code, out, err = run(
+        capsys, "compute", "--backend", "custom", "--datum", str(path), "--genus", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: datum file nests JSON arrays or objects too deeply\n"
+
+
 def test_table_over_max_order_exits_two(capsys, tmp_path):
     # Rejected on its row count alone, before any row is read.
     path = tmp_path / "big.json"
@@ -851,7 +871,10 @@ def test_cli_import_loads_no_module_a_request_does_not_need():
     # bare run is subtracted because site may preload some of them.
     added = modules_after("import repvar.cli") - modules_after("pass")
     assert "repvar.cli" in added
-    assert not added & {"dataclasses", "inspect", "fractions", "decimal", "typing", "pathlib"}
+    assert not added & {
+        "argparse", "gettext", "locale",
+        "dataclasses", "inspect", "fractions", "decimal", "typing", "pathlib",
+    }
     # fractions is imported where it is used.
     half = LaurentPoly.monomial(-1, 0).evaluate(2, 1)
     assert type(half) is Fraction and half == Fraction(1, 2)

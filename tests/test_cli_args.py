@@ -1,0 +1,179 @@
+"""The table-driven argument parser of ``repvar.cli``, checked against the
+argparse parser it replaced (``argparse_reference.build_parser``) and for
+its usage errors and help texts."""
+
+import ast
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from argparse_reference import build_parser
+from repvar.cli import _COMMANDS, _parse_args, _UsageError
+from test_cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def reference_outcome(argv):
+    """("ok", vars) when argparse accepts ``argv``, ("help",) when it
+    prints help, ("error",) when it rejects it."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return ("ok", vars(build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            return ("help",) if exc.code == 0 else ("error",)
+
+
+def outcome(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = _parse_args(argv)
+        except _UsageError:
+            return ("error",)
+    return ("help",) if args is None else ("ok", vars(args))
+
+
+def documented_argvs():
+    """Every command line in tests/test_cli.py (a value that is not a
+    literal becomes "1"), the README and the CI workflow."""
+    argvs = {}
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run":
+            argv = (arg.value if isinstance(arg, ast.Constant) else "1" for arg in node.args[1:])
+            argvs[tuple(argv)] = None
+    for name in ("README.md", ".github/workflows/tests.yml"):
+        for line in (ROOT / name).read_text().splitlines():
+            found = re.search(r"(?:^\s*repvar|python -m repvar\.cli)( .*)", line)
+            if found:
+                argvs[tuple(shlex.split(re.split(r"[)|>]", found.group(1))[0]))] = None
+    return [list(argv) for argv in argvs]
+
+
+DOCUMENTED = documented_argvs()
+
+
+def test_documented_argvs_are_found():
+    assert len(DOCUMENTED) > 40
+    assert ["compute", "--backend", "affc", "--genus", "1"] in DOCUMENTED
+    assert ["--help"] in DOCUMENTED
+
+
+@pytest.mark.parametrize("argv", DOCUMENTED, ids=" ".join)
+def test_documented_argv_parses_as_argparse_did(argv):
+    assert outcome(argv) == reference_outcome(argv)
+
+
+OPTIONS = sorted({o.name for _, options in _COMMANDS.values() for o in options})
+NAMES = st.sampled_from(
+    OPTIONS + ["-h", "--help", "--h", "--he", "--g", "--gen", "--gr", "--max", "--max-g",
+               "--max-p", "--pun", "--b", "--back", "--f", "--d", "--bud", "--bogus", "-x", "--"]
+)
+VALUES = st.sampled_from(
+    ["compute", "verify", "classes", "bogus", "finite", "affc", "custom", "nope", "q-text",
+     "uv-text", "json", "0", "1", "2", "-1", "-01", "+3", " 4 ", "1_0", "1.5", "-1.5", "-.5",
+     "x", "", "-", "a b", "-a b", "--x y", "rep=2", "c2", "x.json"]
+)
+TOKENS = st.one_of(NAMES, VALUES, st.builds("{}={}".format, NAMES, VALUES))
+
+
+GOOD = {int: st.sampled_from(["0", "1", "-1", "+3", " 4 "]), str: VALUES}
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its options (required ones always among them) spelt in
+    full or by a prefix, each with a value fitting it or any value, and
+    now and then a stray token."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    options = _COMMANDS[command][1]
+    chosen = draw(st.lists(st.sampled_from(options), max_size=4))
+    chosen = draw(st.permutations(chosen + [o for o in options if o.required]))
+    argv = [command]
+    for option in chosen:
+        name = draw(st.sampled_from([option.name[:k] for k in range(3, len(option.name) + 1)]))
+        good = st.sampled_from(option.choices) if option.choices else GOOD[option.convert]
+        value = draw(st.one_of(good, VALUES))
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+def test_parses_command_lines_as_argparse_did(argv):
+    assert outcome(argv) == reference_outcome(argv)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from(list(_COMMANDS) + ["-h", "bogus", "--bogus"]),
+    st.lists(st.one_of(TOKENS, st.tuples(NAMES, VALUES).map(list)), max_size=10),
+)
+def test_parses_any_tokens_as_argparse_did(command, tokens):
+    argv = [command]
+    for token in tokens:
+        argv += token if isinstance(token, list) else [token]
+    assert outcome(argv) == reference_outcome(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--gen=2", "--backend", "affc"],
+    ["compute", "--backend", "affc", "--genus", "0", "--pun", "a", "--puncture=b", "--p", "c"],
+    ["compute", "--backend", "affc", "--genus", "-1"],
+    ["verify", "--backend", "finite", "--budget", "5", "--budget=-7", "--max-g", "-3"],
+    ["classes", "--group", "a b", "--gr", "-5"],
+], ids=" ".join)
+def test_accepted_forms(argv):
+    expected = reference_outcome(argv)
+    assert expected[0] == "ok"
+    assert outcome(argv) == expected
+
+
+@pytest.mark.parametrize("argv, named", [
+    ((), "command"),
+    (("bogus",), "bogus"),
+    (("compute", "--backend", "affc", "--genus", "1", "--bogus"), "--bogus"),
+    (("compute", "--backend", "affc"), "--genus"),
+    (("compute", "--backend", "affc", "--genus", "one"), "--genus"),
+    (("compute", "--backend", "nope", "--genus", "1"), "--backend"),
+    (("compute", "--backend", "affc", "--genus"), "--genus"),
+    (("verify", "--backend", "affc", "--max", "3"), "--max"),
+], ids=["no command", "unknown command", "unknown option", "missing required",
+        "bad int", "bad choice", "missing value", "ambiguous prefix"])
+def test_usage_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: repvar")
+    assert re.match(r"repvar( \w+)?: error: ", error)
+    assert named in error
+
+
+@pytest.mark.parametrize("argv, command", [
+    (("-h",), None),
+    (("compute", "--help"), "compute"),
+    (("verify", "-h"), "verify"),
+    (("classes", "--he"), "classes"),
+    (("--bogus", "verify", "stray", "-h"), "verify"),
+])
+def test_help_lists_every_option(capsys, argv, command):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: repvar {command or ''}".rstrip())
+    assert "-h, --help            show this help message and exit" in out
+    if command is None:
+        for name, (text, _) in _COMMANDS.items():
+            assert re.search(rf"^  {name} +{re.escape(text)}$", out, re.M)
+    else:
+        text, options = _COMMANDS[command]
+        assert text in out
+        for option in options:
+            assert re.search(rf"^  {option.name}[^\n]*\s+{re.escape(option.help)}$", out, re.M)
