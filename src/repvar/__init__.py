@@ -22,17 +22,15 @@ from .tqft import (
     SurfaceSpec,
     TqftDatum,
     TubeGenerator,
-    TubeWord,
     UnknownPunctureLabel,
     assemble_word,
     datum_from_json_dict,
     datum_to_json_dict,
-    epoly_from_word,
     epoly_rep_variety,
-    evaluate_raw,
     load_datum,
     puncture_tube,
     save_datum,
+    word_epoly,
 )
 from .finite_group import (
     BudgetExceeded,

@@ -42,12 +42,10 @@ from .tqft import (
     PrefixFold,
     SurfaceSpec,
     UnknownPunctureLabel,
-    dot,
     epoly_rep_variety,
     load_datum,
-    mat_vec,
-    normalize,
     puncture_tube,
+    word_epoly,
 )
 
 __all__ = ["main"]
@@ -439,15 +437,8 @@ def _cmd_verify(args) -> int:
     return report.finish()
 
 
-def _word_epoly(form):
-    """The E-polynomial of a word over ``form`` (a ``fold_form``), its cap
-    vector folded through the word's tubes by one ``PrefixFold``."""
-    walk = PrefixFold(form.disc_in, lambda vec, tube: mat_vec(form.tube_matrix(tube), vec))
-    return lambda word: normalize(form, dot(form.disc_out, walk(word)), len(word))
-
-
 def _verify_affc(args, report: _Report) -> None:
-    epoly = _word_epoly(affc_datum().fold_form)
+    epoly = word_epoly(affc_datum())
     xk = xk_values()  # e(X_1), e(X_2), ...: two steps per genus
     for genus in range(1, max(args.max_genus, 1) + 1):
         engine = epoly((GENUS_TUBE,) * genus)
@@ -485,7 +476,7 @@ def _verify_finite(args, report: _Report) -> None:
             slots[tube] = commutator_slot(group)
         return fold_slot(group, dist, slots[tube])
 
-    epoly = _word_epoly(datum.fold_form)
+    epoly = word_epoly(datum)
     oracle = PrefixFold(Counter({group.identity: 1}), oracle_step)
     for genus in range(args.max_genus + 1):
         for s in range(args.max_punctures + 1):
@@ -511,8 +502,8 @@ def _verify_finite(args, report: _Report) -> None:
 def _verify_custom(args, report: _Report) -> None:
     if not args.datum:
         raise ValueError("--backend custom requires --datum")
-    form = load_datum(args.datum).fold_form
-    epoly = _word_epoly(form)
+    datum = load_datum(args.datum)
+    epoly = word_epoly(datum)
     for genus in range(args.max_genus + 1):
         word = (GENUS_TUBE,) * genus
         desc = f"custom normalization genus={genus}"
@@ -525,7 +516,7 @@ def _verify_custom(args, report: _Report) -> None:
             report.record(desc, "FAIL", f"counterexample: sphere value {result} != 1")
             continue
         report.record(desc, "PASS")
-        if IDENTITY_TUBE in form.tubes:
+        if IDENTITY_TUBE in datum.tubes:
             # The same word with one plain cylinder appended.
             desc = f"custom cylinder-insertion genus={genus}"
             try:

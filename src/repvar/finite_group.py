@@ -35,7 +35,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .poly import LaurentPoly, ONE, ZERO
-from .record import Record
+from .record import Record, echo
 from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
 
 __all__ = [
@@ -160,11 +160,11 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> FiniteGroup:
     rows = []
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)) or len(row) != n:
-            raise NotAGroup(f"not a square table over 0..{n - 1}: row {i} is {row!r}")
+            raise NotAGroup(f"not a square table over 0..{n - 1}: row {i} is {echo(row)}")
         for j, x in enumerate(row):
             if type(x) is not int or not 0 <= x < n:
                 raise NotAGroup(
-                    f"not a square table over 0..{n - 1}: entry ({i}, {j}) is {x!r}"
+                    f"not a square table over 0..{n - 1}: entry ({i}, {j}) is {echo(x)}"
                 )
         rows.append(tuple(row))
 
@@ -253,7 +253,7 @@ def from_permutation_generators(
             or any(type(x) is not int for x in g)
             or sorted(g) != list(range(degree))
         ):
-            raise NotAGroup(f"generator {i}, {g!r}, is not a permutation of 0..{degree - 1}")
+            raise NotAGroup(f"generator {i}, {echo(g)}, is not a permutation of 0..{degree - 1}")
         gens.append(tuple(g))
 
     # Without generators the group is trivial at any degree, and its one
@@ -567,9 +567,9 @@ def group_from_json_dict(data: dict, max_order: int = DEFAULT_MAX_ORDER) -> Fini
     if "degree" in data and "generators" in data:
         degree, generators = data["degree"], data["generators"]
         if type(degree) is not int or degree < 0:
-            raise NotAGroup(f"'degree' must be a nonnegative integer, got {degree!r}")
+            raise NotAGroup(f"'degree' must be a nonnegative integer, got {echo(degree)}")
         if not isinstance(generators, list):
-            raise NotAGroup(f"'generators' must be a list of permutations, got {generators!r}")
+            raise NotAGroup(f"'generators' must be a list of permutations, got {echo(generators)}")
         return from_permutation_generators(degree, generators, max_order=max_order)
     raise NotAGroup("group file needs either 'table' or 'degree' + 'generators'")
 

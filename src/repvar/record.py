@@ -1,6 +1,7 @@
-"""Base class for repvar's immutable value records.
+"""Base class for repvar's immutable value records, and ``echo``, the
+bounded ``repr`` through which error messages quote input values.
 
-A subclass names its fields in ``_fields`` and sets them once, in its
+A record subclass names its fields in ``_fields`` and sets them once, in its
 ``__init__``, through ``self.__dict__``.  The base class then compares,
 hashes and prints instances by those fields, in that order, and refuses
 every later assignment.  A record whose fields are not all hashable is
@@ -11,7 +12,20 @@ part of the value.
 
 from __future__ import annotations
 
-__all__ = ["Record"]
+__all__ = ["Record", "echo"]
+
+#: The most characters of an input value that an error message quotes.
+ECHO_LIMIT = 80
+
+
+def echo(value) -> str:
+    """``repr(value)``, cut after ``ECHO_LIMIT`` characters, where the
+    length of the whole is given: a long row or a deeply nested value in
+    an input file makes a short error message."""
+    text = repr(value)
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 class Record:

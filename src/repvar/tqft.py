@@ -10,14 +10,14 @@ of genus g with s ordered punctures is the word
     cup . puncture_s . ... . puncture_1 . genus^g . cap
 
 and its E-polynomial is the evaluated scalar divided by ``e_G`` raised to
-the number of tubes in the word (``normalize``).  The scalar comes from
-one loop, ``fold``, which applies the tubes to the cap vector one at a
-time.  By functoriality every word that starts with the same tubes
-passes through the same vector, so a caller that evaluates many words
-(``verify`` walks genera and puncture multisets as a prefix tree) folds
-them through one ``PrefixFold``, which keeps the vectors along the last
-word and folds only the tubes after the prefix it shares with the next:
-each distinct prefix costs one matrix-vector product.
+the number of tubes in the word.  A word is a tuple of tube generators,
+and one evaluator, ``word_epoly``, applies its tubes to the cap vector
+one at a time.  By functoriality every word that starts with the same
+tubes passes through the same vector, so the evaluator folds its words
+through one ``PrefixFold``, which folds only the tubes after the prefix
+a word shares with the last: a caller that evaluates many words
+(``verify`` walks genera and puncture multisets as a prefix tree) pays
+one matrix-vector product per distinct prefix.
 
 The division is exact for any datum that comes from an actual group; a
 failure means the datum is inconsistent.  When ``e_G`` has more than one term and divides every
@@ -31,13 +31,13 @@ The ring of the fold is also chosen once per datum
 (``QPoly``) when every tube and disc entry is a polynomial in q, at
 least one is not constant and the q-exponents present fill at least half
 of their range, ``LaurentPoly`` otherwise.  The matrix algebra only adds
-and multiplies, so the one fold loop serves both; the scalar is
+and multiplies, so the one evaluator serves both; the scalar is
 converted back to a ``LaurentPoly`` before the division.
 
 Matrices follow the column convention: column j holds the image of
 generator j, so words act by left multiplication on column vectors.
 
-``TubeGenerator``, ``SurfaceSpec``, ``TubeWord`` and ``TqftDatum`` are
+``TubeGenerator``, ``SurfaceSpec`` and ``TqftDatum`` are
 immutable value classes (``record.Record``): each checks its arguments
 on construction, stores sequences as tuples, refuses assignment, and
 compares by value.
@@ -52,7 +52,7 @@ from functools import cached_property, reduce
 from operator import add, mul
 
 from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, QPoly, parse_poly
-from .record import Record
+from .record import Record, echo
 
 __all__ = [
     "InvalidDatum",
@@ -62,14 +62,10 @@ __all__ = [
     "IDENTITY_TUBE",
     "puncture_tube",
     "SurfaceSpec",
-    "TubeWord",
     "TqftDatum",
     "assemble_word",
-    "fold",
     "PrefixFold",
-    "evaluate_raw",
-    "normalize",
-    "epoly_from_word",
+    "word_epoly",
     "epoly_rep_variety",
     "mat_vec",
     "dot",
@@ -132,7 +128,7 @@ class TubeGenerator(Record):
         self.__dict__.update(kind=kind, label=label)
 
     def __str__(self) -> str:
-        return f"{self.kind} tube" + ("" if self.label is None else f" {self.label!r}")
+        return f"{self.kind} tube" + ("" if self.label is None else f" {echo(self.label)}")
 
 
 GENUS_TUBE = TubeGenerator("genus")
@@ -154,20 +150,10 @@ class SurfaceSpec(Record):
         self.__dict__.update(genus=genus, punctures=tuple(punctures))
 
 
-class TubeWord(Record):
-    """Generator sequence between the cap and the cup; its length fixes
-    the normalization exponent."""
-
-    _fields = ("generators",)
-
-    def __init__(self, generators: Sequence[TubeGenerator]):
-        self.__dict__.update(generators=tuple(generators))
-
-
-def assemble_word(spec: SurfaceSpec) -> TubeWord:
-    """Genus tubes first, then the punctures in their listed order."""
-    gens = [GENUS_TUBE] * spec.genus + [puncture_tube(label) for label in spec.punctures]
-    return TubeWord(gens)
+def assemble_word(spec: SurfaceSpec) -> tuple:
+    """The surface's word: genus tubes first, then the punctures in their
+    listed order."""
+    return (GENUS_TUBE,) * spec.genus + tuple(map(puncture_tube, spec.punctures))
 
 
 # ----------------------------------------------------------------------
@@ -308,36 +294,40 @@ class TqftDatum(Record):
 # ----------------------------------------------------------------------
 
 
-def fold(datum: TqftDatum, vec: Sequence, generators: Sequence[TubeGenerator]) -> tuple:
-    """The vector ``vec`` after the given tubes, applied one at a time in
-    order: one matrix-vector product per tube at the datum's rank.  Words
-    that share a prefix share its vector (``PrefixFold``).
-    """
-    for generator in generators:
-        vec = mat_vec(datum.tube_matrix(generator), vec)
-    return vec
-
-
 class PrefixFold:
     """``step(state, generator)`` folded from ``start`` over the tubes of
-    each word the fold is called on (a tuple of tube generators).  The
-    states along the last word are kept, so a word resumes after the
-    prefix it shares with the last one: each tube past that prefix costs
-    one ``step``, and a prefix of the last word costs none.
+    each word the fold is called on (a tuple of tube generators).  A word
+    resumes after the longest prefix it shares with the last word whose
+    state is still kept: each tube past that prefix costs one ``step``.
+
+    The states along the last word are kept, but of its leading run of
+    genus tubes only the last two, and the start.  A surface word is the
+    genus run then the punctures (``assemble_word``), so at any genus the
+    states kept are at most three more than the punctures.  A word that
+    branches off earlier in the run refolds from the start; ``verify``
+    raises the genus, so it never does.
     """
 
     def __init__(self, start, step):
+        self._start = start
         self._step = step
         self._word: tuple = ()
-        self._states = [start]  # state after word[:i] at index i
+        self._base = 0
+        self._states = [start]  # state after word[:base + i] at index i
 
     def __call__(self, word: tuple):
         shared = _shared_prefix(self._word, word)
+        if shared < self._base:
+            shared, self._base, self._states = 0, 0, [self._start]
         states = self._states
-        del states[shared + 1:]
+        del states[shared - self._base + 1:]
         self._word = word[:shared]  # what ``states`` matches, should a step raise
-        for generator in word[shared:]:
-            states.append(self._step(states[-1], generator))
+        run = _shared_prefix(word, (GENUS_TUBE,) * len(word))
+        for i in range(shared, len(word)):
+            states.append(self._step(states[-1], word[i]))
+            if i < run and self._base < i:  # keep the states after word[:i] and word[:i + 1]
+                del states[0]
+                self._base += 1
         self._word = word
         return states[-1]
 
@@ -357,40 +347,29 @@ def _shared_prefix(a: tuple, b: tuple) -> int:
     return lo
 
 
-def evaluate_raw(datum: TqftDatum, word: TubeWord):
-    """Un-normalized scalar: disc_out . M_t ... M_1 . disc_in, in the ring
-    of the datum's entries."""
-    return dot(datum.disc_out, fold(datum, datum.disc_in, word.generators))
-
-
-def normalize(form: TqftDatum, raw, tubes: int) -> LaurentPoly:
-    """The E-polynomial of a word of ``tubes`` tubes from its raw scalar
-    over ``form`` (a datum's ``fold_form``): the scalar as a
-    ``LaurentPoly``, divided by the form's e_G^tubes.  A form with
-    e_G = 1 (one with e_G divided out of its tubes) divides by nothing."""
-    if isinstance(raw, QPoly):
-        raw = raw.to_laurent()
-    if form.e_g == ONE:
-        return raw
-    return raw.exact_div(form.e_g ** tubes)
-
-
-def epoly_from_word(datum: TqftDatum, word: TubeWord) -> LaurentPoly:
-    """Normalized evaluation: raw scalar divided by e_G^(number of tubes).
-
-    The word is folded over ``datum.fold_form``: e_G divided out of the
-    tubes where it divides them all (its e_G is then 1 and nothing is
-    divided at the end), in packed Z[q] where the data is q-polynomial.  The
-    scalar comes back as a ``LaurentPoly`` before the division.
-    """
+def word_epoly(datum: TqftDatum):
+    """The evaluator of words over ``datum``: a callable from a word (a
+    tuple of tube generators, as from ``assemble_word``) to its
+    E-polynomial.  The words fold the cap vector through their tubes over
+    ``datum.fold_form``, one ``PrefixFold`` for all of them; the cup's
+    scalar, back as a ``LaurentPoly``, is divided by the form's e_G once
+    per tube, or by nothing when that e_G is 1."""
     form = datum.fold_form
-    return normalize(form, evaluate_raw(form, word), len(word.generators))
+    walk = PrefixFold(form.disc_in, lambda vec, tube: mat_vec(form.tube_matrix(tube), vec))
+
+    def epoly(word: tuple) -> LaurentPoly:
+        raw = dot(form.disc_out, walk(word))
+        if isinstance(raw, QPoly):
+            raw = raw.to_laurent()
+        return raw if form.e_g == ONE else raw.exact_div(form.e_g ** len(word))
+
+    return epoly
 
 
 def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:
     """E-polynomial of the representation variety of the decorated
     surface, computed over the given datum."""
-    return epoly_from_word(datum, assemble_word(spec))
+    return word_epoly(datum)(assemble_word(spec))
 
 
 # ----------------------------------------------------------------------
@@ -437,12 +416,12 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
         raise InvalidDatum(f"datum file is missing keys: {', '.join(sorted(missing))}")
     for key in ("disc_in", "disc_out"):
         if not isinstance(data[key], list):
-            raise InvalidDatum(f"{key} must be a list of polynomials, got {data[key]!r}")
+            raise InvalidDatum(f"{key} must be a list of polynomials, got {echo(data[key])}")
     rank = data["rank"]
     if type(rank) is not int or rank != len(data["disc_in"]):
         raise InvalidDatum(
             "rank must be an integer equal to the length of disc_in "
-            f"({len(data['disc_in'])}), got {rank!r}"
+            f"({len(data['disc_in'])}), got {echo(rank)}"
         )
     try:
         e_g = parse_poly(str(data["e_G"]))
@@ -457,7 +436,7 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
     if "P" in data:
         tubes[IDENTITY_TUBE] = _matrix_from_json(data["P"], "P")
     for label, m in punctures.items():
-        tubes[puncture_tube(str(label))] = _matrix_from_json(m, f"punctures[{label!r}]")
+        tubes[puncture_tube(str(label))] = _matrix_from_json(m, f"punctures[{echo(label)}]")
     return TqftDatum(e_g, tubes, disc_in, disc_out)
 
 

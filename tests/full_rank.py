@@ -24,7 +24,7 @@ from repvar.finite_group import (
     conjugacy_classes,
 )
 from repvar.poly import LaurentPoly, ZERO
-from repvar.tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, TubeWord, puncture_tube
+from repvar.tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
 
 
 # ----------------------------------------------------------------------
@@ -158,9 +158,9 @@ def class_reduce(datum: TqftDatum, group: FiniteGroup) -> TqftDatum:
 # ----------------------------------------------------------------------
 
 
-def insert_identity_tubes(word: TubeWord, k: int) -> TubeWord:
+def insert_identity_tubes(word: tuple, k: int) -> tuple:
     """Append k plain cylinders; a consistency probe, since the
     normalized evaluation must not change."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return TubeWord(word.generators + (IDENTITY_TUBE,) * k)
+    return word + (IDENTITY_TUBE,) * k

@@ -15,11 +15,10 @@ from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
     SurfaceSpec,
-    TubeWord,
     dot,
     epoly_rep_variety,
-    evaluate_raw,
     mat_vec,
+    word_epoly,
 )
 
 
@@ -49,11 +48,13 @@ class TestRawEvaluation:
     def test_single_genus_tube(self):
         # The cup projects onto the first coordinate of the matrix's
         # first column.
-        raw = evaluate_raw(affc_datum(), TubeWord([GENUS_TUBE]))
+        # The evaluator divides the raw scalar by e_G once per tube.
+        datum = affc_datum()
+        raw = word_epoly(datum)((GENUS_TUBE,)) * datum.e_g
         assert raw == Q * (Q - 1) * (Q**3 - Q**2)
 
     def test_empty_word(self):
-        assert evaluate_raw(affc_datum(), TubeWord([])) == ONE
+        assert word_epoly(affc_datum())(()) == ONE
 
 
 class TestClosedForm:

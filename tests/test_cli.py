@@ -29,10 +29,10 @@ from repvar.tqft import (
     SurfaceSpec,
     assemble_word,
     datum_to_json_dict,
-    epoly_from_word,
     epoly_rep_variety,
     load_datum,
     save_datum,
+    word_epoly,
 )
 
 from full_rank import insert_identity_tubes
@@ -470,7 +470,7 @@ def custom_rows_one_genus_at_a_time(datum, max_genus):
         if IDENTITY_TUBE in datum.tubes:
             desc = f"custom cylinder-insertion genus={genus}"
             try:
-                padded = epoly_from_word(datum, insert_identity_tubes(assemble_word(spec), 1))
+                padded = word_epoly(datum)(insert_identity_tubes(assemble_word(spec), 1))
             except NonExactDivision as exc:
                 yield desc, "FAIL", f"counterexample: genus={genus}: {exc}"
                 continue
@@ -605,6 +605,17 @@ class TestVerifyWork:
         assert "SUMMARY: 0 passed, 0 failed, 30 skipped" in out
         assert len(mat_vec_calls) == 1  # the datum's validation
         assert commutator_calls == []
+
+    def test_finite_s3_three_punctures(self, capsys, group_file_factory, mat_vec_calls):
+        # Genus-0 words branch inside their leading puncture run, from
+        # (c0, c0, c0) to (c0, c1, c1): every state of a puncture run is
+        # kept, so each distinct prefix still costs one mat_vec.
+        path = group_file_factory("s3")
+        code, _, _ = run(
+            capsys, "verify", "--backend", "finite", "--group", str(path), "--max-punctures", "3"
+        )
+        assert code == 0
+        assert len(mat_vec_calls) == 96
 
     def test_affc(self, capsys, mat_vec_calls):
         code, _, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "60")
@@ -842,6 +853,35 @@ def test_deeply_nested_datum_file_exits_two(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err == "error: datum file nests JSON arrays or objects too deeply\n"
+
+
+AFFC_FILE_DATA = json.loads(DATUM_FILE.read_text())
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("classes", '{"table": ' + "[" * 950 + "]" * 950 + "}"),
+        ("classes", json.dumps({"table": [list(range(5000))]})),
+        ("compute", json.dumps({**AFFC_FILE_DATA, "disc_in": "x" * 5000})),
+        ("compute", json.dumps({**AFFC_FILE_DATA, "punctures": {"x" * 5000: [["1"]]}})),
+    ],
+    ids=["950-deep-entry", "5000-entry-row", "5000-character-disc_in", "5000-character-label"],
+)
+def test_a_long_bad_value_makes_a_short_error_line(capsys, tmp_path, command, text):
+    # Each message once quoted the whole value: 1 949, 28 943, 5 052 and
+    # 5 044 characters.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    if command == "classes":
+        code, out, err = run(capsys, "classes", "--group", str(path))
+    else:
+        code, out, err = run(
+            capsys, "compute", "--backend", "custom", "--datum", str(path), "--genus", "1"
+        )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 300
+    assert "characters)" in err  # the length of the whole value
 
 
 def test_table_over_max_order_exits_two(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Value semantics of the six record classes: construction checks, tuple
+"""Value semantics of the five record classes: construction checks, tuple
 storage, equality, hashing, repr and read-only fields."""
 
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from repvar.affc import affc_datum
 from repvar.finite_group import ConjugacyClasses, FiniteGroup
 from repvar.poly import ONE, Q
-from repvar.tqft import GENUS_TUBE, SurfaceSpec, TqftDatum, TubeGenerator, TubeWord, puncture_tube
+from repvar.record import echo
+from repvar.tqft import GENUS_TUBE, SurfaceSpec, TqftDatum, TubeGenerator, puncture_tube
 
 # name -> (builder from list arguments, the value each field must hold)
 RECORDS = {
@@ -17,10 +18,6 @@ RECORDS = {
     "SurfaceSpec": (
         lambda: SurfaceSpec(2, ["a", "b"]),
         {"genus": 2, "punctures": ("a", "b")},
-    ),
-    "TubeWord": (
-        lambda: TubeWord([GENUS_TUBE, puncture_tube("t")]),
-        {"generators": (GENUS_TUBE, puncture_tube("t"))},
     ),
     "TqftDatum": (
         lambda: TqftDatum(
@@ -91,10 +88,9 @@ def test_values_differ_by_field():
     assert SurfaceSpec(2) != SurfaceSpec(3)
     assert SurfaceSpec(1, ("a",)) != SurfaceSpec(1, ("b",))
     assert TubeGenerator("genus") != TubeGenerator("identity")
-    assert TubeWord([GENUS_TUBE]) != TubeWord([])
     assert FiniteGroup([[0]], [0]) != FiniteGroup([[0, 1], [1, 0]], [0, 1])
     # A record never equals a tuple of its fields.
-    assert TubeWord([]) != ((),)
+    assert SurfaceSpec(0) != (0, ())
 
 
 def test_repr_names_every_field():
@@ -122,3 +118,10 @@ def test_cached_forms_are_kept_but_not_part_of_the_value():
     assert datum.fold_form is form
     assert datum == affc_datum()
     assert repr(datum) == before
+
+
+def test_echo_quotes_a_short_value_whole_and_cuts_a_long_one():
+    assert echo([0, "a"]) == "[0, 'a']"
+    cut = echo("x" * 5000)
+    assert cut.startswith("'xxx") and cut.endswith("... (5002 characters)")
+    assert len(cut) < 120

@@ -1,5 +1,8 @@
+import gc
 import json
 import itertools
+import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,19 +19,17 @@ from repvar.tqft import (
     SurfaceSpec,
     TqftDatum,
     TubeGenerator,
-    TubeWord,
     UnknownPunctureLabel,
     assemble_word,
     datum_from_json_dict,
     datum_to_json_dict,
     dot,
-    epoly_from_word,
     epoly_rep_variety,
-    evaluate_raw,
-    fold,
     load_datum,
+    mat_vec,
     puncture_tube,
     save_datum,
+    word_epoly,
 )
 
 from full_rank import insert_identity_tubes, to_tqft_datum
@@ -50,21 +51,21 @@ def rank_one_datum(e_g=None, genus_entry=None, tubes={}, **overrides):
 class TestWords:
     def test_assemble_closed_surface(self):
         word = assemble_word(SurfaceSpec(2))
-        assert word.generators == (GENUS_TUBE, GENUS_TUBE)
-        assert len(word.generators) == 2
+        assert word == (GENUS_TUBE, GENUS_TUBE)
+        assert len(word) == 2
 
     def test_assemble_sphere(self):
         word = assemble_word(SurfaceSpec(0))
-        assert word.generators == ()
+        assert word == ()
 
     def test_assemble_punctured_torus(self):
         word = assemble_word(SurfaceSpec(1, ("t",)))
-        assert word.generators == (GENUS_TUBE, puncture_tube("t"))
+        assert word == (GENUS_TUBE, puncture_tube("t"))
 
     def test_insert_identity_tubes(self):
-        assert insert_identity_tubes(TubeWord([]), 1).generators == (IDENTITY_TUBE,)
-        word = insert_identity_tubes(TubeWord([GENUS_TUBE]), 2)
-        assert word.generators == (GENUS_TUBE, IDENTITY_TUBE, IDENTITY_TUBE)
+        assert insert_identity_tubes((), 1) == (IDENTITY_TUBE,)
+        word = insert_identity_tubes((GENUS_TUBE,), 2)
+        assert word == (GENUS_TUBE, IDENTITY_TUBE, IDENTITY_TUBE)
 
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
@@ -77,6 +78,21 @@ class TestWords:
             TubeGenerator("genus", "spurious-label")
         with pytest.raises(ValueError):
             TubeGenerator("puncture")
+
+
+def fold(datum, vec, word):
+    """``vec`` after the word's tubes, one matrix-vector product each, over
+    the datum's own tubes and ring."""
+    for tube in word:
+        vec = mat_vec(datum.tube_matrix(tube), vec)
+    return vec
+
+
+def raw_scalar(datum, word):
+    """disc_out . M_t ... M_1 . disc_in, folded tube by tube from the cap
+    with no prefix kept: the oracle the evaluator's prefix fold and its
+    choice of form are checked against."""
+    return dot(datum.disc_out, fold(datum, datum.disc_in, word))
 
 
 def covector_fold(datum, k):
@@ -92,16 +108,17 @@ class TestMatrixAlgebra:
     @pytest.mark.parametrize("k", range(7))
     def test_power_matches_iterated_mul_affc(self, k):
         # The engine applies L^k as k matrix-vector products; the same
-        # power taken as k covector-matrix products must agree.
+        # power taken as k covector-matrix products must agree.  The
+        # evaluator divides the raw scalar by e_G^k.
         datum = affc_datum()
-        word = TubeWord([GENUS_TUBE] * k)
-        assert evaluate_raw(datum, word) == covector_fold(datum, k)
+        word = (GENUS_TUBE,) * k
+        assert word_epoly(datum)(word) * datum.e_g**k == covector_fold(datum, k)
 
     @pytest.mark.parametrize("k", range(7))
     def test_power_matches_iterated_mul_finite(self, k):
         datum = to_tqft_datum(named_group("s3"))
-        word = TubeWord([GENUS_TUBE] * k)
-        assert evaluate_raw(datum, word) == covector_fold(datum, k)
+        word = (GENUS_TUBE,) * k
+        assert word_epoly(datum)(word) * datum.e_g**k == covector_fold(datum, k)
 
 
 class TestDatumValidation:
@@ -151,7 +168,7 @@ class TestDatumValidation:
 class TestEvaluation:
     def test_empty_word_is_one(self):
         for datum in (affc_datum(), to_tqft_datum(named_group("s3"))):
-            assert evaluate_raw(datum, TubeWord([])) == ONE
+            assert word_epoly(datum)(()) == ONE
 
     def test_sphere_normalizes_to_one(self):
         for datum in (affc_datum(), to_tqft_datum(named_group("q8"))):
@@ -160,7 +177,7 @@ class TestEvaluation:
     def test_plain_cylinder_counts_group_order(self):
         group = named_group("s3")
         datum = to_tqft_datum(group)
-        raw = evaluate_raw(datum, TubeWord([IDENTITY_TUBE]))
+        raw = word_epoly(datum)((IDENTITY_TUBE,)) * datum.e_g
         assert raw == LaurentPoly.const(group.order)
 
     def test_unknown_puncture_label(self):
@@ -178,11 +195,11 @@ class TestEvaluation:
 
     def test_missing_identity_tube(self):
         datum = affc_datum()
-        word = insert_identity_tubes(TubeWord([]), 1)
+        word = insert_identity_tubes((), 1)
         with pytest.raises(
             InvalidDatum, match="word uses the plain cylinder but the datum has no identity tube"
         ):
-            evaluate_raw(datum, word)
+            word_epoly(datum)(word)
 
     def test_normalization_counts_all_tubes(self):
         # Appending plain cylinders scales the raw value by e_G each time
@@ -190,10 +207,11 @@ class TestEvaluation:
         group = named_group("d4")
         datum = to_tqft_datum(group)
         word = assemble_word(SurfaceSpec(1))
-        base = epoly_from_word(datum, word)
+        epoly = word_epoly(datum)
+        base = epoly(word)
         for k in (1, 2):
             padded = insert_identity_tubes(word, k)
-            assert epoly_from_word(datum, padded) == base
+            assert epoly(padded) == base
 
     def test_inconsistent_datum_divides_inexactly(self):
         datum = rank_one_datum(e_g=Q - 1)
@@ -236,10 +254,9 @@ class TestEvaluation:
         classes = conjugacy_classes(group)
         datum = to_tqft_datum(group, {"t": classes.members[1]})
         straight = assemble_word(SurfaceSpec(2, ("t",)))
-        shuffled = TubeWord(
-            [GENUS_TUBE, puncture_tube("t"), GENUS_TUBE]
-        )
-        assert epoly_from_word(datum, straight) == epoly_from_word(datum, shuffled)
+        shuffled = (GENUS_TUBE, puncture_tube("t"), GENUS_TUBE)
+        epoly = word_epoly(datum)
+        assert epoly(straight) == epoly(shuffled)
 
 
 DATUM_FILE = Path(__file__).resolve().parent.parent / "data" / "datums" / "affc.json"
@@ -249,12 +266,12 @@ S3_CLASSES_FILE = DATUM_FILE.with_name("s3_classes.json")
 def stored_division(datum, word):
     """The normalization as the stored matrices define it: the raw scalar
     over the datum's own tubes, divided by e_G^t at the end."""
-    return evaluate_raw(datum, word).exact_div(datum.e_g ** len(word.generators))
+    return raw_scalar(datum, word).exact_div(datum.e_g ** len(word))
 
 
-def outcome(evaluate, datum, word):
+def outcome(evaluate, word):
     try:
-        return evaluate(datum, word)
+        return evaluate(word)
     except NonExactDivision:
         return NonExactDivision
 
@@ -262,8 +279,7 @@ def outcome(evaluate, datum, word):
 def all_words(datum, max_length):
     generators = list(datum.tubes)
     for length in range(max_length + 1):
-        for gens in itertools.product(generators, repeat=length):
-            yield TubeWord(gens)
+        yield from itertools.product(generators, repeat=length)
 
 
 def partly_divisible_datum():
@@ -317,10 +333,11 @@ class TestEgFreeForm:
     )
     def test_matches_the_stored_division(self, make):
         datum = make()
+        epoly = word_epoly(datum)
         outcomes = set()
         for word in all_words(datum, 4):
-            expected = outcome(stored_division, datum, word)
-            assert outcome(epoly_from_word, datum, word) == expected
+            expected = outcome(partial(stored_division, datum), word)
+            assert outcome(epoly, word) == expected
             outcomes.add(expected is NonExactDivision)
         if any(tube.kind == "puncture" for tube in datum.tubes):
             assert outcomes == {False, True}  # both exits are exercised
@@ -360,7 +377,7 @@ class TestEgFreeForm:
             disc_in=disc_in,
             disc_out=(ONE,) + (ZERO,) * (rank - 1),
         )
-        word = TubeWord(
+        word = tuple(
             data.draw(
                 st.lists(
                     st.sampled_from(
@@ -372,7 +389,7 @@ class TestEgFreeForm:
             )
         )
         assert datum.e_g_free.e_g == ONE
-        assert epoly_from_word(datum, word) == stored_division(datum, word)
+        assert word_epoly(datum)(word) == stored_division(datum, word)
 
 
 def fold_entries(datum):
@@ -451,12 +468,13 @@ class TestFoldRing:
     def test_inverse_q_entries_agree_on_both_rings(self, scale):
         datum = inverse_q_datum(scale)
         assert {type(x) for x in fold_entries(datum)} == {QPoly}
+        epoly = word_epoly(datum)
         outcomes = set()
         for word in all_words(datum, 4):
-            dense = evaluate_raw(datum.fold_form, word)
-            assert dense == evaluate_raw(datum.e_g_free, word)
-            expected = outcome(stored_division, datum, word)
-            assert outcome(epoly_from_word, datum, word) == expected
+            dense = raw_scalar(datum.fold_form, word)
+            assert dense == raw_scalar(datum.e_g_free, word)
+            expected = outcome(partial(stored_division, datum), word)
+            assert outcome(epoly, word) == expected
             outcomes.add(expected is NonExactDivision)
         # scaled tubes always divide; unscaled ones only on some words
         assert outcomes == ({False} if scale else {False, True})
@@ -481,7 +499,7 @@ class TestFoldRing:
         assert checked == 61 * 62 // 2
         for g in (0, 30, 60):
             word = assemble_word(SurfaceSpec(g, ("a",) * (60 - g)))
-            assert evaluate_raw(form, word) == evaluate_raw(free, word)
+            assert raw_scalar(form, word) == raw_scalar(free, word)
 
 
 def wide_q_datum():
@@ -652,3 +670,46 @@ class TestPrefixFold:
         # last word folded in full.
         assert fold_word((G, A, B)) == (G, A, B)
         assert steps == [G, A, B, A, G, A, B, A, B]
+
+    def test_a_long_genus_run_keeps_three_states(self):
+        class State:
+            """A state that a weak reference can watch."""
+
+            __slots__ = ("word", "__weakref__")
+
+            def __init__(self, word):
+                self.word = word
+
+        live = weakref.WeakSet()
+
+        def step(state, tube):
+            state = State(state.word + (tube,))
+            live.add(state)
+            return state
+
+        start = State(())
+        live.add(start)
+        fold_word = PrefixFold(start, step)
+        for word in ((self.G,) * 1000, (self.G,) * 1001):
+            assert fold_word(word).word == word
+            gc.collect()
+            # the start and the run's last two states
+            assert len(live) <= 3
+
+    def test_a_word_that_branches_inside_the_leading_run_refolds_it(self):
+        fold_word, steps = self.walk()
+        G, A = self.G, self.A
+        fold_word((G,) * 5)
+        del steps[:]
+        assert fold_word((G,) * 3) == (G,) * 3
+        assert steps == [G] * 3  # from the start: the states before G^4 are gone
+        assert fold_word((G,) * 3 + (A,)) == (G,) * 3 + (A,)
+        assert steps == [G] * 3 + [A]
+
+    @given(st.lists(st.lists(st.sampled_from([G, A, B]), max_size=8).map(tuple), max_size=12))
+    def test_property_every_call_equals_a_fold_from_the_start(self, words):
+        # The state is the word so far: a fold from the start gives the word.
+        G = self.G
+        fold_word, _ = self.walk()
+        for word in [(G,) * 5, (G,) * 3, *words]:
+            assert fold_word(word) == word
