@@ -323,13 +323,22 @@ def _element_index(spec: str, token: str) -> int:
         ) from None
 
 
+def _input_file(args) -> str:
+    """The file the finite (--group) or custom (--datum) backend reads."""
+    if args.backend == "finite":
+        flag, path = "--group", args.group
+    else:
+        flag, path = "--datum", args.datum
+    if not path:
+        raise ValueError(f"--backend {args.backend} requires {flag}")
+    return path
+
+
 def _build_datum_and_spec(args) -> tuple:
     puncture_specs = [_parse_puncture_spec(s) for s in args.puncture]
 
     if args.backend == "finite":
-        if not args.group:
-            raise ValueError("--backend finite requires --group")
-        group = load_group(args.group)
+        group = load_group(_input_file(args))
         subsets = {}
         labels = []
         for i, (text, (kind, value)) in enumerate(
@@ -358,9 +367,7 @@ def _build_datum_and_spec(args) -> tuple:
     if args.backend == "affc":
         return affc_datum(), SurfaceSpec(args.genus, labels)
 
-    if not args.datum:
-        raise ValueError("--backend custom requires --datum")
-    return load_datum(args.datum), SurfaceSpec(args.genus, labels)
+    return load_datum(_input_file(args)), SurfaceSpec(args.genus, labels)
 
 
 def _format_poly(poly: LaurentPoly, fmt: str) -> str:
@@ -460,9 +467,7 @@ def _verify_finite(args, report: _Report) -> None:
     partial products through one slot per tube.  A multiset over the
     budget is marked SKIP before any work for it.
     """
-    if not args.group:
-        raise ValueError("--backend finite requires --group")
-    group = load_group(args.group)
+    group = load_group(_input_file(args))
     classes = conjugacy_classes(group)
     tubes = [puncture_tube(f"c{i}") for i in range(len(classes))]
     datum = class_datum(group, {tube.label: m for tube, m in zip(tubes, classes.members)})
@@ -500,9 +505,7 @@ def _verify_finite(args, report: _Report) -> None:
 
 
 def _verify_custom(args, report: _Report) -> None:
-    if not args.datum:
-        raise ValueError("--backend custom requires --datum")
-    datum = load_datum(args.datum)
+    datum = load_datum(_input_file(args))
     epoly = word_epoly(datum)
     for genus in range(args.max_genus + 1):
         word = (GENUS_TUBE,) * genus

@@ -19,10 +19,18 @@ it.  ``QPoly`` has only ``+``, ``*`` and the conversions to and from
 polynomials in q over it, and converts back to ``LaurentPoly`` for
 division and output; parsing and printing stay with ``LaurentPoly``.
 
+Polynomial text is signed terms, each an optional leading integer and
+any number of ``u``, ``v`` or ``q`` factors with an optional exponent
+``^k`` or ``^-k``, juxtaposed or joined by ``*``.  Whitespace may
+separate tokens but not split one, and digits are decimal.
+
 >>> (Q * (Q - 1)).to_text()
 'q^2 - q'
 >>> parse_poly("q^3 - q^2") == Q**3 - Q**2
 True
+>>> parse_poly("q² - q")
+Traceback (most recent call last):
+repvar.poly.PolyParseError: unexpected character '²' at position 1
 >>> (Q**3 - Q**2).exact_div(Q**2).to_text()
 'q - 1'
 >>> square = QPoly.from_laurent(Q - 1) * QPoly.from_laurent(Q - 1)
@@ -36,6 +44,7 @@ True
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -583,102 +592,57 @@ class QPoly:
         return f"QPoly({self.to_laurent().to_text()!r})"
 
 
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-":
-            tokens.append(("sign", -1 if ch == "-" else 1))
-            pos += 1
-            continue
-        if ch == "*":
-            tokens.append(("star", None))
-            pos += 1
-            continue
-        if ch.isdigit():
-            end = pos
-            while end < n and text[end].isdigit():
-                end += 1
-            tokens.append(("int", int(text[pos:end])))
-            pos = end
-            continue
-        if ch in "uvq":
-            exp = 1
-            end = pos + 1
-            if end < n and text[end] == "^":
-                end += 1
-                sign = 1
-                if end < n and text[end] == "-":
-                    sign = -1
-                    end += 1
-                digits_start = end
-                while end < n and text[end].isdigit():
-                    end += 1
-                if end == digits_start:
-                    raise PolyParseError(f"missing exponent after '^' at position {pos}")
-                exp = sign * int(text[digits_start:end])
-            tokens.append(("var", (ch, exp)))
-            pos = end
-            continue
-        raise PolyParseError(f"unexpected character {ch!r} at position {pos}")
-    return tokens
+# One token after optional whitespace: a sign, a '*', a run of decimal
+# digits, a variable with an optional exponent, or any other character,
+# which is an error.  Compiled on first use through re's own cache.
+_TOKEN = (
+    r"\s*(?:(?P<sign>[-+])|(?P<star>\*)|(?P<int>\d+)"
+    r"|(?P<var>[uvq])(?:\^(?P<exp>-?\d*))?|(?P<bad>\S))"
+)
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse the text format: signed terms of u^a*v^b or q^k monomials.
+    """Parse polynomial text, whose grammar the module docstring gives.
 
-    Accepts both explicit '*' separators and juxtaposition, e.g.
-    ``2*q^2 - q`` and ``2q^2 - q`` parse identically, as do
-    ``u^2*v^3`` and ``u^2v^3``.
+    ``2*q^2 - q`` and ``2q^2 - q`` parse identically, as do ``u^2*v^3``
+    and ``u^2v^3``.  The whole text is scanned before any term is read,
+    so a bad character anywhere wins over a misplaced token before it.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    terms: list[tuple[int, list]] = []  # (sign, factor tokens) per term
+    for m in re.finditer(_TOKEN, text):
+        if m["bad"]:
+            at = m.start("bad")
+            raise PolyParseError(f"unexpected character {m['bad']!r} at position {at}")
+        if m["exp"] in ("", "-"):
+            at = m.start("var")
+            raise PolyParseError(f"missing exponent after '^' at position {at}")
+        if m["sign"] or not terms:
+            terms.append((-1 if m["sign"] == "-" else 1, []))
+        if not m["sign"]:
+            terms[-1][1].append(m)
+    if not terms:
         raise PolyParseError("empty polynomial text")
 
     triples: list[tuple[int, int, int]] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        if tokens[i][0] == "sign":
-            sign = tokens[i][1]
-            i += 1
-        coeff: int | None = None
-        a = b = 0
-        saw_factor = False
-        after_star = False
-        while i < n and tokens[i][0] in ("int", "var", "star"):
-            kind, value = tokens[i]
-            if kind == "star":
-                if not saw_factor or after_star:
-                    raise PolyParseError("misplaced '*'")
-                after_star = True
-            elif kind == "int":
-                if saw_factor:
-                    raise PolyParseError("integer may only lead a term")
-                coeff = value
-                saw_factor = True
-                after_star = False
-            else:
-                var, exp = value
-                if var == "u":
-                    a += exp
-                elif var == "v":
-                    b += exp
-                else:
-                    a += exp
-                    b += exp
-                saw_factor = True
-                after_star = False
-            i += 1
-        if not saw_factor:
+    for sign, factors in terms:
+        if not factors:
             raise PolyParseError("empty term")
-        if after_star:
+        coeff, a, b = 1, 0, 0
+        for i, m in enumerate(factors):
+            if m["star"]:
+                if i == 0 or factors[i - 1]["star"]:
+                    raise PolyParseError("misplaced '*'")
+            elif m["int"]:
+                if i:  # after a factor: a leading '*' was refused above
+                    raise PolyParseError("integer may only lead a term")
+                coeff = int(m["int"])
+            else:
+                exp = int(m["exp"] or 1)
+                if m["var"] != "v":
+                    a += exp
+                if m["var"] != "u":
+                    b += exp
+        if factors[-1]["star"]:
             raise PolyParseError("trailing '*'")
-        triples.append((a, b, sign * (coeff if coeff is not None else 1)))
+        triples.append((a, b, sign * coeff))
     return LaurentPoly.from_terms(triples)

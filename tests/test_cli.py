@@ -209,9 +209,13 @@ class TestComputeErrors:
                 {"e_G": "q^"},
                 "error: bad polynomial in datum file: missing exponent after '^' at position 0",
             ),
+            (
+                {"e_G": "q² - q"},
+                "error: bad polynomial in datum file: unexpected character '²' at position 1",
+            ),
             ({"L": [["1", "0"]]}, "error: genus tube must be a 1x1 matrix"),
         ],
-        ids=["bad-polynomial", "non-square-tube"],
+        ids=["bad-polynomial", "superscript-digit", "non-square-tube"],
     )
     def test_malformed_datum_exits_two(self, capsys, tmp_path, override, message):
         data = {
@@ -260,6 +264,15 @@ class TestComputeErrors:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [("compute", "--genus", "1"), ("verify",)])
+@pytest.mark.parametrize("backend, flag", [("finite", "--group"), ("custom", "--datum")])
+def test_missing_input_file_is_named(capsys, command, backend, flag):
+    code, out, err = run(capsys, command[0], "--backend", backend, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --backend {backend} requires {flag}\n"
 
 
 class TestVerify:

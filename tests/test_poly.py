@@ -209,6 +209,9 @@ class TestText:
             ("0", ZERO),
             ("+5", LaurentPoly.const(5)),
             ("q*q", Q**2),
+            # U+0663 is ARABIC-INDIC DIGIT THREE, a decimal digit int() reads.
+            ("\u0663q", 3 * Q),
+            ("q^\u0663 - 1\u0663", Q**3 - 13),
         ]:
             assert parse_poly(text) == expected
 
@@ -219,6 +222,46 @@ class TestText:
     def test_parse_errors(self, bad):
         with pytest.raises(PolyParseError):
             parse_poly(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("", "empty polynomial text"),
+            ("   ", "empty polynomial text"),
+            ("q^", "missing exponent after '^' at position 0"),
+            ("q^-", "missing exponent after '^' at position 0"),
+            ("2 + x", "unexpected character 'x' at position 4"),
+            # A scanning error anywhere wins over a grammar error before it.
+            ("* q x", "unexpected character 'x' at position 4"),
+            ("* q", "misplaced '*'"),
+            ("q * * q", "misplaced '*'"),
+            ("2 3", "integer may only lead a term"),
+            ("q 3", "integer may only lead a term"),
+            ("q +", "empty term"),
+            ("+ - q", "empty term"),
+            ("q*", "trailing '*'"),
+        ],
+    )
+    def test_parse_error_messages(self, bad, message):
+        with pytest.raises(PolyParseError) as excinfo:
+            parse_poly(bad)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("q²", "unexpected character '²' at position 1"),
+            ("²q", "unexpected character '²' at position 0"),
+            ("q^²", "missing exponent after '^' at position 0"),
+        ],
+        ids=["after-a-variable", "leading", "exponent"],
+    )
+    def test_superscript_digits_are_parse_errors(self, bad, message):
+        # str.isdigit() accepts superscripts, int() does not: they are
+        # not digits of the grammar.
+        with pytest.raises(PolyParseError) as excinfo:
+            parse_poly(bad)
+        assert str(excinfo.value) == message
 
 
 class TestJson:
