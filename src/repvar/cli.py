@@ -1,11 +1,14 @@
 """Command-line front end: compute invariants, verify a backend against
 its independent oracle, and inspect conjugacy classes.
 
-Each command reads its options from one table (``_COMMANDS``): an
-option takes its value as ``--opt value`` or ``--opt=value``, any unique
-prefix names it, a repeated option keeps its last value (``--puncture``
-appends), a negative number is a value, and ``-h``/``--help`` prints the
-help text to stdout, before or after the command.
+Each command declares its options in one table (``_COMMANDS``), and
+the command line follows argparse's rules: an option takes its value as
+``--opt value`` or ``--opt=value``, any unique prefix names it, a
+repeated option keeps its last value (``--puncture`` appends), a
+negative number is a value, and ``-h``/``--help`` prints the help text
+to stdout, before or after the command.  The form every request uses,
+full option names each with a separate value, is read without importing
+argparse; argparse, built from the same tables, reads every other form.
 
 Exit codes are a stable contract: 0 success, 2 input validation failure
 or usage error, 3 datum inconsistency (non-exact normalization
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 import sys
 from collections import Counter
 from collections.abc import Sequence
@@ -61,9 +63,8 @@ _INPUT_ERRORS = (ValueError, UnknownPunctureLabel, OSError)
 
 class _Option:
     """One row of a command's option table: ``--name VALUE``, with the value
-    converted by ``convert`` (None for a flag) and checked against
-    ``choices``; a repeated option keeps the last value, or appends when it
-    ``repeats``."""
+    converted by ``convert`` and checked against ``choices``; a repeated
+    option keeps the last value, or appends when it ``repeats``."""
 
     __slots__ = ("name", "help", "convert", "choices", "default", "required", "repeats", "metavar")
 
@@ -83,14 +84,10 @@ class _Option:
         return self.name[2:].replace("-", "_")
 
     def invocation(self) -> str:
-        if self.convert is None:
-            return "-h, --help"
         if self.choices:
             return f"{self.name} {{{','.join(self.choices)}}}"
         return f"{self.name} {self.metavar or self.dest.upper()}"
 
-
-_HELP = _Option("--help", "show this help message and exit", None)
 
 _BACKEND_OPTIONS = (
     _Option("--backend", "the backend that builds the datum",
@@ -130,130 +127,79 @@ _COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    """A command line the option tables reject; ``command`` is None at the
-    top level."""
+def _parse_args(argv: Sequence[str]):
+    """``command`` plus one attribute per option of that command.
 
-    def __init__(self, command: str | None, message: str):
-        super().__init__(message)
-        self.command = command
-
-
-def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
-    """``command`` plus one attribute per option of that command, or None
-    once a help text has been printed.  Accepts ``--opt value``,
-    ``--opt=value``, any unique prefix of an option, and a negative number
-    as a value."""
-    tokens = list(argv)
-    top = {"-h": _HELP, "--help": _HELP}
-    extras = []
-    for i, token in enumerate(tokens):
-        found = None if token == "--" else _lookup(None, top, token)
-        if found is None:  # the first value names the command
-            break
-        if found[0] is None:
-            extras.append(token)
-            continue
-        _print_help(None, found[1])
-        return None
-    else:
-        raise _UsageError(None, "the following arguments are required: command")
-    if token not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        raise _UsageError(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
-    command, options = token, _COMMANDS[token][1]
-    names = {**top, **{option.name: option for option in options}}
-    tokens = tokens[i + 1:]
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_lookup(command, names, token) for token in tokens[:end]]
-    values = {o.dest: [] if o.repeats else o.default for o in options}
-    i = 0
-    while i < end:
-        found, i = kinds[i], i + 1
-        if found is None or found[0] is None:  # a stray value or an unknown option
-            extras.append(tokens[i - 1])
-            continue
-        option, value = found
-        if option is _HELP:
-            _print_help(command, value)
-            return None
-        if value is None:
-            if i == end or kinds[i] is not None:
-                raise _UsageError(command, f"argument {option.name}: expected one argument")
-            value, i = tokens[i], i + 1
-        try:
-            value = option.convert(value)
-        except ValueError:
-            raise _UsageError(
-                command, f"argument {option.name}: invalid {option.convert.__name__} value: {value!r}"
-            ) from None
-        if option.choices and value not in option.choices:
-            choices = ", ".join(map(repr, option.choices))
-            raise _UsageError(
-                command, f"argument {option.name}: invalid choice: {value!r} (choose from {choices})"
-            )
-        if option.repeats:
-            values[option.dest].append(value)
+    ``COMMAND (--full-name VALUE)*``, with no value starting with ``-``, is
+    read here without importing argparse; every other command line goes to
+    argparse, which prints the help text or a usage error and raises
+    SystemExit.  Both read the same tables, so they accept the same
+    command lines with the same result.
+    """
+    if argv and argv[0] in _COMMANDS and len(argv) % 2:
+        options = {o.name: o for o in _COMMANDS[argv[0]][1]}
+        values = {o.dest: [] if o.repeats else o.default for o in options.values()}
+        for name, value in zip(argv[1::2], argv[2::2]):
+            option = options.get(name)
+            if option is None or value.startswith("-"):
+                break
+            try:
+                value = option.convert(value)
+            except ValueError:
+                break
+            if option.choices and value not in option.choices:
+                break
+            if option.repeats:
+                values[option.dest].append(value)
+            else:
+                values[option.dest] = value
         else:
-            values[option.dest] = value
-    missing = [o.name for o in options if o.required and values[o.dest] is None]
-    if missing:
-        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
-    extras += tokens[end:]
-    if extras:
-        raise _UsageError(command, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(command=command, **values)
+            if {name for name, o in options.items() if o.required} <= set(argv[1::2]):
+                return SimpleNamespace(command=argv[0], **values)
+    return _argparse_parser().parse_args(argv)
 
 
-def _lookup(command: str | None, names: dict, token: str):
-    """``(option, explicit value or None)`` for an option token,
-    ``(None, None)`` for an unknown one, and None for a value.  An option is
-    named in full or by a unique prefix, with ``=value`` or without."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in names:
-        return names[token], None
-    name, eq, value = token.partition("=")
-    if eq and name in names:
-        return names[name], value
-    if token.startswith("--"):
-        matches = [n for n in names if n.startswith(name)]
-        if not eq:
-            value = None
-    else:  # a single dash: -h with text run on
-        matches = ["-h"] if token.startswith("-h") else []
-        value = token[2:]
-    if len(matches) > 1:
-        raise _UsageError(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return names[matches[0]], value
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None  # a negative number or a value with a space
-    return None, None
+def _argparse_parser():
+    """The argparse parser of the option tables, printing the same help
+    and usage texts as ``_help`` and ``_usage``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, command=None, **kwargs):
+            super().__init__(**kwargs)
+            self.command = command
+
+        def format_usage(self):
+            return _usage(self.command) + "\n"
+
+        def format_help(self):
+            return _help(self.command)
+
+    parser = Parser(prog="repvar")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, options) in _COMMANDS.items():
+        command = commands.add_parser(name, command=name)
+        for o in options:
+            command.add_argument(
+                o.name, action="append" if o.repeats else "store", type=o.convert,
+                choices=o.choices, default=[] if o.repeats else o.default, required=o.required,
+            )
+    return parser
 
 
-def _print_help(command: str | None, value: str | None) -> None:
-    """Print the help text of ``command`` (the top level when None); a
-    value given to ``--help`` is a usage error."""
-    if value is not None:
-        raise _UsageError(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    print(_usage(command))
-    print()
+def _help(command: str | None) -> str:
+    """The help text of ``command`` (the top level when None)."""
+    lines = [_usage(command), ""]
     if command is None:
-        print(_DESCRIPTION)
-        print()
-        print("commands:")
-        for name, (text, _) in _COMMANDS.items():
-            print(_help_row(name, text))
-        options = (_HELP,)
+        lines += [_DESCRIPTION, "", "commands:"]
+        lines += [_help_row(name, text) for name, (text, _) in _COMMANDS.items()]
+        options = ()
     else:
         text, options = _COMMANDS[command]
-        print(text)
-        options = (_HELP, *options)
-    print()
-    print("options:")
-    for option in options:
-        print(_help_row(option.invocation(), option.help))
+        lines.append(text)
+    lines += ["", "options:", _help_row("-h, --help", "show this help message and exit")]
+    lines += [_help_row(o.invocation(), o.help) for o in options]
+    return "\n".join(lines) + "\n"
 
 
 def _help_row(left: str, text: str) -> str:
@@ -274,13 +220,8 @@ def _usage(command: str | None) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except _UsageError as exc:
-        prog = "repvar" if exc.command is None else f"repvar {exc.command}"
-        print(_usage(exc.command), file=sys.stderr)
-        print(f"{prog}: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args is None:
-        return EXIT_OK
+    except SystemExit as exc:  # argparse printed the help text or a usage error
+        return exc.code
     handler = {
         "compute": _cmd_compute,
         "verify": _cmd_verify,

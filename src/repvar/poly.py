@@ -45,6 +45,7 @@ True
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -363,9 +364,9 @@ class LaurentPoly:
             if mono and mag == 1:
                 body = mono
             elif mono:
-                body = f"{mag}*{mono}"
+                body = f"{_decimal(mag)}*{mono}"
             else:
-                body = str(mag)
+                body = _decimal(mag)
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -380,7 +381,7 @@ class LaurentPoly:
 
     def to_json_terms(self) -> list[list]:
         """JSON form: list of [a, b, coefficient-as-decimal-string]."""
-        return [[a, b, str(c)] for (a, b), c in self.items()]
+        return [[a, b, _decimal(c)] for (a, b), c in self.items()]
 
     @classmethod
     def from_json_terms(cls, data: Iterable) -> "LaurentPoly":
@@ -392,6 +393,22 @@ class LaurentPoly:
             except (TypeError, ValueError) as exc:
                 raise PolyParseError(f"bad JSON term {item!r}: expected [a, b, coeff]") from exc
         return cls.from_terms(triples)
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` at any length.  CPython refuses to convert an int of more
+    than ``sys.get_int_max_str_digits()`` digits, to bound the quadratic
+    cost of converting untrusted input; a value repvar computed is not
+    that, so the limit is lifted for this one conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 ZERO = LaurentPoly()
@@ -635,9 +652,9 @@ def parse_poly(text: str) -> LaurentPoly:
             elif m["int"]:
                 if i:  # after a factor: a leading '*' was refused above
                     raise PolyParseError("integer may only lead a term")
-                coeff = int(m["int"])
+                coeff = _digit_run(m, "int")
             else:
-                exp = int(m["exp"] or 1)
+                exp = _digit_run(m, "exp") if m["exp"] else 1
                 if m["var"] != "v":
                     a += exp
                 if m["var"] != "u":
@@ -646,3 +663,15 @@ def parse_poly(text: str) -> LaurentPoly:
             raise PolyParseError("trailing '*'")
         triples.append((a, b, sign * coeff))
     return LaurentPoly.from_terms(triples)
+
+
+def _digit_run(m: re.Match, group: str) -> int:
+    """The integer spelt by a run of digits in polynomial text.  Input is
+    held to CPython's limit on the length of a decimal string."""
+    try:
+        return int(m[group])
+    except ValueError:
+        raise PolyParseError(
+            f"integer of {len(m[group].lstrip('-'))} digits at position {m.start(group)} "
+            f"is longer than the {sys.get_int_max_str_digits()} digits allowed"
+        ) from None

@@ -114,6 +114,27 @@ class TestCompute:
         assert out.strip() == "u^3*v^3 - u^2*v^2"
         assert parse_poly(out.strip()) == Q**3 - Q**2
 
+    @pytest.mark.parametrize("fmt", ["q-text", "uv-text", "json"])
+    def test_result_longer_than_the_int_string_limit(self, capsys, group_file_factory, fmt):
+        # |Hom(pi_1 of a genus-g surface, S3)| = 6 (2 * 6^(2g-2) + 3^(2g-2)) has
+        # 4 670 digits at g = 3000, more than CPython turns into text by default.
+        path = group_file_factory("s3")
+        code, out, err = run(
+            capsys, "compute", "--backend", "finite", "--group", str(path),
+            "--genus", "3000", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            [[a, b, out]] = json.loads(out)
+            assert (a, b) == (0, 0)
+        expected = 6 * (2 * 6**5998 + 3**5998)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out.strip() == str(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_custom_datum(self, capsys, tmp_path):
         path = tmp_path / "datum.json"
         save_datum(affc_datum(), path)
@@ -214,8 +235,19 @@ class TestComputeErrors:
                 "error: bad polynomial in datum file: unexpected character '²' at position 1",
             ),
             ({"L": [["1", "0"]]}, "error: genus tube must be a 1x1 matrix"),
+            (
+                {"e_G": "1" * 5000},
+                "error: bad polynomial in datum file: integer of 5000 digits at position 0 "
+                f"is longer than the {sys.get_int_max_str_digits()} digits allowed",
+            ),
+            (
+                {"L": [["q^-" + "2" * 5000]]},
+                "error: bad polynomial in L: integer of 5000 digits at position 2 "
+                f"is longer than the {sys.get_int_max_str_digits()} digits allowed",
+            ),
         ],
-        ids=["bad-polynomial", "superscript-digit", "non-square-tube"],
+        ids=["bad-polynomial", "superscript-digit", "non-square-tube", "long-integer",
+             "long-exponent"],
     )
     def test_malformed_datum_exits_two(self, capsys, tmp_path, override, message):
         data = {

@@ -1,6 +1,6 @@
-"""The table-driven argument parser of ``repvar.cli``, checked against the
-argparse parser it replaced (``argparse_reference.build_parser``) and for
-its usage errors and help texts."""
+"""The argument parser of ``repvar.cli``, checked against the argparse
+parser the CLI once built by hand (``argparse_reference.build_parser``)
+and for its usage errors and help texts."""
 
 import ast
 import contextlib
@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from argparse_reference import build_parser
-from repvar.cli import _COMMANDS, _parse_args, _UsageError
-from test_cli import run
+from repvar.cli import _COMMANDS, _parse_args
+from test_cli import modules_after, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,12 +30,11 @@ def reference_outcome(argv):
 
 
 def outcome(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args = _parse_args(argv)
-        except _UsageError:
-            return ("error",)
-    return ("help",) if args is None else ("ok", vars(args))
+            return ("ok", vars(_parse_args(argv)))
+        except SystemExit as exc:
+            return ("help",) if exc.code == 0 else ("error",)
 
 
 def documented_argvs():
@@ -72,7 +71,8 @@ def test_documented_argv_parses_as_argparse_did(argv):
 OPTIONS = sorted({o.name for _, options in _COMMANDS.values() for o in options})
 NAMES = st.sampled_from(
     OPTIONS + ["-h", "--help", "--h", "--he", "--g", "--gen", "--gr", "--max", "--max-g",
-               "--max-p", "--pun", "--b", "--back", "--f", "--d", "--bud", "--bogus", "-x", "--"]
+               "--max-p", "--pun", "--b", "--back", "--f", "--d", "--bud", "--bogus", "-x", "--",
+               "-hh", "-hh=x"]
 )
 VALUES = st.sampled_from(
     ["compute", "verify", "classes", "bogus", "finite", "affc", "custom", "nope", "q-text",
@@ -88,19 +88,23 @@ GOOD = {int: st.sampled_from(["0", "1", "-1", "+3", " 4 "]), str: VALUES}
 @st.composite
 def command_lines(draw):
     """A command, its options (required ones always among them) spelt in
-    full or by a prefix, each with a value fitting it or any value, and
-    now and then a stray token."""
+    full or by a prefix, each with a value fitting it, any value or an
+    option name, and now and then a stray token.  Half of them spell
+    every option in full with a separate value and have no stray token,
+    the form ``_parse_args`` reads without argparse when the values fit."""
     command = draw(st.sampled_from(list(_COMMANDS)))
     options = _COMMANDS[command][1]
     chosen = draw(st.lists(st.sampled_from(options), max_size=4))
     chosen = draw(st.permutations(chosen + [o for o in options if o.required]))
+    plain = draw(st.booleans())
     argv = [command]
     for option in chosen:
-        name = draw(st.sampled_from([option.name[:k] for k in range(3, len(option.name) + 1)]))
+        names = [option.name[:k] for k in range(3, len(option.name) + 1)]
+        name = option.name if plain else draw(st.sampled_from(names))
         good = st.sampled_from(option.choices) if option.choices else GOOD[option.convert]
-        value = draw(st.one_of(good, VALUES))
-        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
-    for _ in range(draw(st.integers(0, 2))):
+        value = draw(st.one_of(good, VALUES, NAMES))
+        argv += [f"{name}={value}"] if not plain and draw(st.booleans()) else [name, value]
+    for _ in range(0 if plain else draw(st.integers(0, 2))):
         argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
     return argv
 
@@ -136,6 +140,26 @@ def test_accepted_forms(argv):
     assert outcome(argv) == expected
 
 
+S3 = str(ROOT / "data" / "groups" / "s3.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--backend", "finite", "--group", S3, "--genus", "2",
+     "--puncture", "rep=1", "--puncture", "rep=2"],
+    ["verify", "--backend", "finite", "--group", S3, "--max-genus", "2",
+     "--max-punctures", "2", "--budget", "10000"],
+    ["compute", "--backend", "affc", "--genus", "3", "--format", "json"],
+], ids=["finite compute", "finite verify", "affc compute"])
+def test_benchmark_forms_do_not_import_argparse(argv):
+    # A fresh interpreter, as pytest itself has imported argparse.
+    loaded = modules_after(
+        "import io\nfrom repvar.cli import main\nout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = main({argv!r})\nsys.stdout = out\nassert code == 0, code"
+    )
+    assert "repvar.cli" in loaded
+    assert "argparse" not in loaded
+
+
 @pytest.mark.parametrize("argv, named", [
     ((), "command"),
     (("bogus",), "bogus"),
@@ -145,8 +169,9 @@ def test_accepted_forms(argv):
     (("compute", "--backend", "nope", "--genus", "1"), "--backend"),
     (("compute", "--backend", "affc", "--genus"), "--genus"),
     (("verify", "--backend", "affc", "--max", "3"), "--max"),
+    (("classes", "--group", "--group"), "--group"),
 ], ids=["no command", "unknown command", "unknown option", "missing required",
-        "bad int", "bad choice", "missing value", "ambiguous prefix"])
+        "bad int", "bad choice", "missing value", "ambiguous prefix", "option as value"])
 def test_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 2
