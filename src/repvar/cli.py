@@ -10,6 +10,10 @@ to stdout, before or after the command.  The form every request uses,
 full option names each with a separate value, is read without importing
 argparse; argparse, built from the same tables, reads every other form.
 
+As the process entry (``main()`` with no argv), the front end freezes
+the collector once its output is written: a request's objects are left
+to the process's exit, which then does not collect them.
+
 Exit codes are a stable contract: 0 success, 2 input validation failure
 or usage error, 3 datum inconsistency (non-exact normalization
 division), 4 verification mismatch.
@@ -17,6 +21,7 @@ division), 4 verification mismatch.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import sys
@@ -218,8 +223,25 @@ def _usage(command: str | None) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` when None) and
+    return its exit code; never raises SystemExit.
+
+    ``argv is None`` is the process entry (the console script,
+    ``python -m repvar.cli``, ``sys.exit(main())``): once the command has
+    run and written its output, the heap is frozen (``gc.freeze``), so
+    interpreter exit does not run full collections over it.  Exit still
+    flushes stdio, runs ``atexit`` and tears down the modules.  A caller
+    that passes ``argv`` keeps its collector as it was.
+    """
+    code = _run(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        gc.freeze()
+    return code
+
+
+def _run(argv: Sequence[str]) -> int:
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse printed the help text or a usage error
         return exc.code
     handler = {
@@ -403,10 +425,14 @@ def _verify_finite(args, report: _Report) -> None:
     oracle, walking the specs as a prefix tree.
 
     Both sides fold the same word, genus^g then one puncture tube per
-    class in the multiset, through a ``PrefixFold`` each: the engine a
-    vector through the tube matrices, the oracle a distribution of
-    partial products through one slot per tube.  A multiset over the
-    budget is marked SKIP before any work for it.
+    class in the multiset, through a ``PrefixFold`` each, up to its last
+    tube: the engine a vector through the tube matrices, the oracle a
+    distribution of partial products through one slot per tube.  Neither
+    folds the last tube: the engine dots the vector with the covector
+    ``cup . T`` of that tube (``word_epoly``), and the oracle sums
+    ``slot[x] * dist[x^-1]`` over the last slot, the tuples whose product
+    is the identity.  A multiset over the budget is marked SKIP before
+    any work for it.
     """
     group = load_group(_input_file(args))
     classes = conjugacy_classes(group)
@@ -417,13 +443,24 @@ def _verify_finite(args, report: _Report) -> None:
     # commutators on the first genus step.
     slots = {tube: puncture_slot(group, m) for tube, m in zip(tubes, classes.members)}
 
-    def oracle_step(dist: Counter, tube) -> Counter:
+    def slot_of(tube) -> Counter:
         if tube not in slots:
             slots[tube] = commutator_slot(group)
-        return fold_slot(group, dist, slots[tube])
+        return slots[tube]
+
+    prefix = PrefixFold(
+        Counter({group.identity: 1}), lambda dist, tube: fold_slot(group, dist, slot_of(tube))
+    )
+
+    def oracle(word: tuple) -> int:
+        """The tuples whose product is the identity: a product p·x over the
+        last slot is 1 exactly when p is the inverse of x."""
+        if not word:
+            return 1
+        dist = prefix(word[:-1])
+        return sum(m * dist[group.inverse[x]] for x, m in slot_of(word[-1]).items())
 
     epoly = word_epoly(datum)
-    oracle = PrefixFold(Counter({group.identity: 1}), oracle_step)
     for genus in range(args.max_genus + 1):
         for s in range(args.max_punctures + 1):
             for combo in itertools.combinations_with_replacement(range(len(classes)), s):
@@ -442,7 +479,7 @@ def _verify_finite(args, report: _Report) -> None:
                 except NonExactDivision as exc:
                     report.record(desc, "FAIL", f"counterexample: {exc}")
                     continue
-                report.compare(desc, engine, "brute-force", oracle(word)[group.identity])
+                report.compare(desc, engine, "brute-force", oracle(word))
 
 
 def _verify_custom(args, report: _Report) -> None:

@@ -36,7 +36,7 @@ from operator import itemgetter
 
 from .poly import LaurentPoly, ONE, ZERO
 from .record import Record, echo
-from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
+from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, json_input_error, puncture_tube
 
 __all__ = [
     "NotAGroup",
@@ -582,6 +582,6 @@ def load_group(path: str | os.PathLike[str], max_order: int = DEFAULT_MAX_ORDER)
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except RecursionError:
-            raise NotAGroup("group file nests JSON arrays or objects too deeply") from None
+        except (RecursionError, ValueError) as exc:
+            raise json_input_error(exc, "group file", NotAGroup) from None
     return group_from_json_dict(data, max_order=max_order)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -597,9 +598,10 @@ class TestVerifyRows:
 
 
 class TestVerifyWork:
-    """Each distinct word prefix is folded once: one mat_vec per tube of
-    the prefix tree, one oracle slot per prefix, one commutator table per
-    group."""
+    """Each distinct word prefix short of the last tube is folded once:
+    one mat_vec per tube of that prefix tree, plus one per tube for its
+    covector cup . T; one oracle slot per prefix, one commutator table
+    per group."""
 
     @pytest.fixture()
     def mat_vec_calls(self, monkeypatch):
@@ -633,10 +635,11 @@ class TestVerifyWork:
         path = group_file_factory("s3")
         code, _, _ = run(capsys, "verify", "--backend", "finite", "--group", str(path))
         assert code == 0
-        # Per genus 0..2: 3 for one puncture, 9 for the six two-puncture
-        # multisets; 2 genus steps; 1 in the datum's validation.  Each spec
-        # on its own took 76.
-        assert len(mat_vec_calls) <= 39
+        # The prefixes short of the last tube: 3 one-puncture prefixes per
+        # genus 0..2 and 2 genus steps; 4 covectors (the genus tube and
+        # c0..c2); 1 in the datum's validation.  Folding every tube took
+        # 39, and each spec on its own 76.
+        assert len(mat_vec_calls) == 3 * 3 + 2 + 4 + 1
         assert len(commutator_calls) == 6**2
 
     def test_finite_skipped_specs_compute_nothing(
@@ -653,14 +656,17 @@ class TestVerifyWork:
 
     def test_finite_s3_three_punctures(self, capsys, group_file_factory, mat_vec_calls):
         # Genus-0 words branch inside their leading puncture run, from
-        # (c0, c0, c0) to (c0, c1, c1): every state of a puncture run is
-        # kept, so each distinct prefix still costs one mat_vec.
+        # (c0, c0, c0) to (c0, c1, c1): every state along the last prefix
+        # is kept.  Per genus 0..2: 3 one-puncture prefixes, and 9 steps
+        # for the six two-puncture ones (each new first class is folded
+        # again); 2 genus steps; 4 covectors; 1 in the validation.
+        # Folding every tube took 96.
         path = group_file_factory("s3")
         code, _, _ = run(
             capsys, "verify", "--backend", "finite", "--group", str(path), "--max-punctures", "3"
         )
         assert code == 0
-        assert len(mat_vec_calls) == 96
+        assert len(mat_vec_calls) == 3 * (3 + 9) + 2 + 4 + 1
 
     def test_affc(self, capsys, mat_vec_calls):
         code, _, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "60")
@@ -681,9 +687,10 @@ class TestVerifyWork:
         )
         assert code == 0
         assert "SUMMARY: 82 passed, 0 failed, 0 skipped" in out
-        # Per genus 1..40: one genus tube and the padded word's cylinder;
-        # the padded sphere's cylinder; 1 in the datum's validation.
-        assert len(mat_vec_calls) == 2 * 40 + 2
+        # Per genus 1..40 one genus tube, the prefix of the padded word;
+        # the covectors of the genus tube and the cylinder; 1 in the
+        # datum's validation.  Folding every tube took 82.
+        assert len(mat_vec_calls) == 40 + 2 + 1
 
 
 class TestClassSpace:
@@ -901,6 +908,53 @@ def test_deeply_nested_datum_file_exits_two(capsys, tmp_path):
 
 
 AFFC_FILE_DATA = json.loads(DATUM_FILE.read_text())
+LONG_INTEGER = "1" * 5000  # over CPython's default limit of 4 300 digits
+
+
+@pytest.mark.parametrize(
+    "what, argv, text",
+    [
+        ("group", ("classes", "--group"), '{"table": [[' + LONG_INTEGER + "]]}"),
+        (
+            "group",
+            ("compute", "--backend", "finite", "--genus", "1", "--group"),
+            '{"degree": ' + LONG_INTEGER + ', "generators": []}',
+        ),
+        (
+            "datum",
+            ("compute", "--backend", "custom", "--genus", "1", "--datum"),
+            json.dumps({**AFFC_FILE_DATA, "rank": 0}).replace("0", LONG_INTEGER, 1),
+        ),
+    ],
+    ids=["table-entry", "degree", "rank"],
+)
+def test_a_json_number_over_the_int_string_limit_names_the_file(
+    capsys, tmp_path, what, argv, text
+):
+    # json.load raised CPython's bare "Exceeds the limit" ValueError,
+    # naming neither the file nor the field.  The limit is kept.
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: {what} file holds an integer longer than the {limit} digits allowed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classes", "--group"),
+    ("compute", "--backend", "custom", "--genus", "1", "--datum"),
+])
+@pytest.mark.parametrize("data, message", [
+    (b'{"table": [[0]', "error: Expecting ',' delimiter: line 1 column 15 (char 14)\n"),
+    (b'{"table": [[0]], "x": "\xff"}', "error: 'utf-8' codec can't decode byte 0xff"),
+], ids=["malformed", "not-utf-8"])
+def test_unreadable_json_keeps_the_decoder_message(capsys, tmp_path, argv, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize(
@@ -963,3 +1017,47 @@ def test_cli_import_loads_no_module_a_request_does_not_need():
     # fractions is imported where it is used.
     half = LaurentPoly.monomial(-1, 0).evaluate(2, 1)
     assert type(half) is Fraction and half == Fraction(1, 2)
+
+
+# What the console script and the benchmark run: ``main()`` with no argv.
+ENTRY = "import sys; from repvar.cli import main; sys.exit(main())"
+ROOT = DATUM_FILE.parent.parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--backend", "affc", "--genus", "3"),
+    ("compute", "--backend", "finite", "--group", str(ROOT / "data" / "groups" / "s3.json"),
+     "--genus", "2", "--puncture", "rep=2"),
+])
+def test_the_process_entry_freezes_the_heap_after_its_output(capsys, argv):
+    # An atexit hook, which runs after sys.exit, reports the freeze count.
+    hook = (
+        "import atexit, gc; "
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; {hook}; {ENTRY}", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == run(capsys, *argv)[:2]
+    assert done.returncode == 0 and done.stdout
+    assert int(done.stderr) > 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("compute", "--backend", "affc", "--genus", "1"), 0),
+    (("compute", "--help"), 0),
+    (("compute", "--backend", "nope", "--genus", "1"), 2),
+    (("compute", "--backend", "custom", "--genus", "1", "--datum"), 3),
+], ids=["success", "help", "usage-error", "inconsistent-datum"])
+def test_a_call_with_argv_leaves_the_collector_alone(capsys, tmp_path, argv, expected):
+    if argv[-1] == "--datum":
+        data = json.loads(DATUM_FILE.read_text())
+        data["L"][0][0] = "q^3"  # e_G = q^2 - q no longer divides L
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(data))
+        argv += (str(path),)
+    before = gc.get_freeze_count()
+    assert run(capsys, *argv)[0] == expected
+    assert gc.get_freeze_count() == before

@@ -193,6 +193,14 @@ class TestEvaluation:
             "unknown puncture label 'nope'; the datum provides: 'a', 'b'"
         )
 
+    def test_the_first_unknown_label_is_reported(self):
+        # The last tube meets the vector as a covector, built after the
+        # rest of the word is folded.
+        datum = affc_datum()
+        with pytest.raises(UnknownPunctureLabel) as err:
+            epoly_rep_variety(datum, SurfaceSpec(1, ("first", "second")))
+        assert err.value.label == "first"
+
     def test_missing_identity_tube(self):
         datum = affc_datum()
         word = insert_identity_tubes((), 1)
@@ -517,6 +525,54 @@ def wide_q_datum():
         disc_in=(ONE, qi),
         disc_out=(ONE, ZERO),
     )
+
+
+def cap_to_cup(datum, word):
+    """The E-polynomial of ``word`` folded with the test's own sums over
+    the stored tubes: the cap vector through every tube up to the cup, no
+    covector, no prefix kept, no change of ring, the division at the end."""
+    vec = datum.disc_in
+    for tube in word:
+        matrix = datum.tubes[tube]
+        vec = [sum((entry * x for entry, x in zip(row, vec)), ZERO) for row in matrix]
+    raw = sum((c * x for c, x in zip(datum.disc_out, vec)), ZERO)
+    return raw.exact_div(datum.e_g ** len(word))
+
+
+def class_data_with_punctures(name):
+    group = named_group(name)
+    members = conjugacy_classes(group).members
+    return class_datum(group, {f"c{i}": m for i, m in enumerate(members)})
+
+
+LAST_TUBE_DATA = {
+    "s3": class_data_with_punctures("s3"),
+    "d4": class_data_with_punctures("d4"),
+    "affc": affc_datum(),
+    "wide-q": wide_q_datum(),
+}
+
+
+class TestLastTube:
+    """``word_epoly`` folds all but a word's last tube and dots the result
+    with that tube's covector cup . T: the same value as the fold from
+    cap to cup."""
+
+    @pytest.mark.parametrize("name", LAST_TUBE_DATA)
+    def test_every_word_of_up_to_two_tubes(self, name):
+        datum = LAST_TUBE_DATA[name]
+        epoly = word_epoly(datum)
+        for word in all_words(datum, 2):
+            assert epoly(word) == cap_to_cup(datum, word)
+
+    @given(st.data())
+    def test_property_random_words_share_one_evaluator(self, data):
+        name = data.draw(st.sampled_from(sorted(LAST_TUBE_DATA)))
+        datum = LAST_TUBE_DATA[name]
+        words = st.lists(st.sampled_from(list(datum.tubes)), max_size=7).map(tuple)
+        epoly = word_epoly(datum)
+        for word in data.draw(st.lists(words, min_size=1, max_size=6)):
+            assert epoly(word) == cap_to_cup(datum, word)
 
 
 class TestDatumFiles:
