@@ -425,14 +425,10 @@ def _verify_finite(args, report: _Report) -> None:
     oracle, walking the specs as a prefix tree.
 
     Both sides fold the same word, genus^g then one puncture tube per
-    class in the multiset, through a ``PrefixFold`` each, up to its last
-    tube: the engine a vector through the tube matrices, the oracle a
-    distribution of partial products through one slot per tube.  Neither
-    folds the last tube: the engine dots the vector with the covector
-    ``cup . T`` of that tube (``word_epoly``), and the oracle sums
-    ``slot[x] * dist[x^-1]`` over the last slot, the tuples whose product
-    is the identity.  A multiset over the budget is marked SKIP before
-    any work for it.
+    class in the multiset, through a ``PrefixFold`` each: the engine a
+    vector through the tube matrices, the oracle a distribution of
+    partial products through one slot per tube.  A multiset over the
+    budget is marked SKIP before any work for it.
     """
     group = load_group(_input_file(args))
     classes = conjugacy_classes(group)
@@ -443,24 +439,13 @@ def _verify_finite(args, report: _Report) -> None:
     # commutators on the first genus step.
     slots = {tube: puncture_slot(group, m) for tube, m in zip(tubes, classes.members)}
 
-    def slot_of(tube) -> Counter:
+    def oracle_step(dist: Counter, tube) -> Counter:
         if tube not in slots:
             slots[tube] = commutator_slot(group)
-        return slots[tube]
-
-    prefix = PrefixFold(
-        Counter({group.identity: 1}), lambda dist, tube: fold_slot(group, dist, slot_of(tube))
-    )
-
-    def oracle(word: tuple) -> int:
-        """The tuples whose product is the identity: a product p·x over the
-        last slot is 1 exactly when p is the inverse of x."""
-        if not word:
-            return 1
-        dist = prefix(word[:-1])
-        return sum(m * dist[group.inverse[x]] for x, m in slot_of(word[-1]).items())
+        return fold_slot(group, dist, slots[tube])
 
     epoly = word_epoly(datum)
+    oracle = PrefixFold(Counter({group.identity: 1}), oracle_step)
     for genus in range(args.max_genus + 1):
         for s in range(args.max_punctures + 1):
             for combo in itertools.combinations_with_replacement(range(len(classes)), s):
@@ -479,7 +464,7 @@ def _verify_finite(args, report: _Report) -> None:
                 except NonExactDivision as exc:
                     report.record(desc, "FAIL", f"counterexample: {exc}")
                     continue
-                report.compare(desc, engine, "brute-force", oracle(word))
+                report.compare(desc, engine, "brute-force", oracle(word)[group.identity])
 
 
 def _verify_custom(args, report: _Report) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
@@ -36,7 +37,7 @@ from operator import itemgetter
 
 from .poly import LaurentPoly, ONE, ZERO
 from .record import Record, echo
-from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, json_input_error, puncture_tube
+from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
 
 __all__ = [
     "NotAGroup",
@@ -582,6 +583,13 @@ def load_group(path: str | os.PathLike[str], max_order: int = DEFAULT_MAX_ORDER)
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (RecursionError, ValueError) as exc:
-            raise json_input_error(exc, "group file", NotAGroup) from None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise  # malformed JSON or text keeps the decoder's message
+        except RecursionError:
+            raise NotAGroup("group file nests JSON arrays or objects too deeply") from None
+        except ValueError:  # an integer over CPython's digit limit, which is kept
+            limit = sys.get_int_max_str_digits()
+            raise NotAGroup(
+                f"group file holds an integer longer than the {limit} digits allowed"
+            ) from None
     return group_from_json_dict(data, max_order=max_order)

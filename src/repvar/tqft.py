@@ -11,15 +11,13 @@ of genus g with s ordered punctures is the word
 
 and its E-polynomial is the evaluated scalar divided by ``e_G`` raised to
 the number of tubes in the word.  A word is a tuple of tube generators,
-and one evaluator, ``word_epoly``, applies all but its last tube to the
-cap vector one at a time, then dots the result with the covector
-``cup . T`` of the last tube T, built once per tube.  By functoriality
-every word that starts with the same tubes passes through the same
-vector, so the evaluator folds its words through one ``PrefixFold``,
-which folds only the tubes after the prefix a word shares with the
-last: a caller that evaluates many words (``verify`` walks genera and
-puncture multisets as a prefix tree) pays one matrix-vector product per
-distinct prefix without the last tube, and one dot product per word.
+and one evaluator, ``word_epoly``, applies its tubes to the cap vector
+one at a time.  By functoriality every word that starts with the same
+tubes passes through the same vector, so the evaluator folds its words
+through one ``PrefixFold``, which folds only the tubes after the prefix
+a word shares with the last: a caller that evaluates many words
+(``verify`` walks genera and puncture multisets as a prefix tree) pays
+one matrix-vector product per distinct prefix.
 
 The division is exact for any datum that comes from an actual group; a
 failure means the datum is inconsistent.  When ``e_G`` has more than one term and divides every
@@ -353,36 +351,18 @@ def _shared_prefix(a: tuple, b: tuple) -> int:
 def word_epoly(datum: TqftDatum):
     """The evaluator of words over ``datum``: a callable from a word (a
     tuple of tube generators, as from ``assemble_word``) to its
-    E-polynomial.  Over ``datum.fold_form``, each word but its last tube
-    folds the cap vector through one ``PrefixFold`` shared by all words,
-    and the last tube T meets it as the covector ``cup . T``, built once
-    per tube.  The prefix is folded first, so an unknown label in an
-    earlier tube is the one reported.  The scalar, back as a
-    ``LaurentPoly``, is divided by the form's e_G once per tube (each
-    power built once per word length), or by nothing when that e_G is 1."""
+    E-polynomial.  The words fold the cap vector through their tubes over
+    ``datum.fold_form``, one ``PrefixFold`` for all of them; the cup's
+    scalar, back as a ``LaurentPoly``, is divided by the form's e_G once
+    per tube, or by nothing when that e_G is 1."""
     form = datum.fold_form
     walk = PrefixFold(form.disc_in, lambda vec, tube: mat_vec(form.tube_matrix(tube), vec))
-    covectors = {}  # tube T -> cup . T
-    powers = {}  # t -> e_G^t
 
     def epoly(word: tuple) -> LaurentPoly:
-        if word:
-            vec, last = walk(word[:-1]), word[-1]
-            cup = covectors.get(last)
-            if cup is None:
-                transposed = tuple(zip(*form.tube_matrix(last)))
-                cup = covectors[last] = mat_vec(transposed, form.disc_out)
-        else:
-            vec, cup = form.disc_in, form.disc_out
-        raw = dot(cup, vec)
+        raw = dot(form.disc_out, walk(word))
         if isinstance(raw, QPoly):
             raw = raw.to_laurent()
-        if form.e_g == ONE:
-            return raw
-        power = powers.get(len(word))
-        if power is None:
-            power = powers[len(word)] = form.e_g ** len(word)
-        return raw.exact_div(power)
+        return raw if form.e_g == ONE else raw.exact_div(form.e_g ** len(word))
 
     return epoly
 
@@ -461,27 +441,19 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
     return TqftDatum(e_g, tubes, disc_in, disc_out)
 
 
-def json_input_error(exc: Exception, what: str, error: type[ValueError]) -> Exception:
-    """What to raise for ``exc`` from ``json.load`` of a ``what`` file.
-    JSON nested too deeply, or an integer longer than CPython's limit on
-    decimal strings (which is kept), becomes ``error`` naming the file;
-    malformed JSON or text keeps its own exception and message.  The
-    loaders call ``json.load`` themselves: through one more frame it would
-    read one level of nesting less."""
-    if isinstance(exc, RecursionError):
-        return error(f"{what} nests JSON arrays or objects too deeply")
-    if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
-        return exc
-    limit = sys.get_int_max_str_digits()
-    return error(f"{what} holds an integer longer than the {limit} digits allowed")
-
-
 def load_datum(path: str | os.PathLike[str]) -> TqftDatum:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (RecursionError, ValueError) as exc:
-            raise json_input_error(exc, "datum file", InvalidDatum) from None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise  # malformed JSON or text keeps the decoder's message
+        except RecursionError:
+            raise InvalidDatum("datum file nests JSON arrays or objects too deeply") from None
+        except ValueError:  # an integer over CPython's digit limit, which is kept
+            limit = sys.get_int_max_str_digits()
+            raise InvalidDatum(
+                f"datum file holds an integer longer than the {limit} digits allowed"
+            ) from None
     return datum_from_json_dict(data)
 
 

@@ -193,14 +193,6 @@ class TestEvaluation:
             "unknown puncture label 'nope'; the datum provides: 'a', 'b'"
         )
 
-    def test_the_first_unknown_label_is_reported(self):
-        # The last tube meets the vector as a covector, built after the
-        # rest of the word is folded.
-        datum = affc_datum()
-        with pytest.raises(UnknownPunctureLabel) as err:
-            epoly_rep_variety(datum, SurfaceSpec(1, ("first", "second")))
-        assert err.value.label == "first"
-
     def test_missing_identity_tube(self):
         datum = affc_datum()
         word = insert_identity_tubes((), 1)
@@ -530,7 +522,7 @@ def wide_q_datum():
 def cap_to_cup(datum, word):
     """The E-polynomial of ``word`` folded with the test's own sums over
     the stored tubes: the cap vector through every tube up to the cup, no
-    covector, no prefix kept, no change of ring, the division at the end."""
+    prefix kept, no change of ring, the division at the end."""
     vec = datum.disc_in
     for tube in word:
         matrix = datum.tubes[tube]
@@ -545,7 +537,7 @@ def class_data_with_punctures(name):
     return class_datum(group, {f"c{i}": m for i, m in enumerate(members)})
 
 
-LAST_TUBE_DATA = {
+WORD_DATA = {
     "s3": class_data_with_punctures("s3"),
     "d4": class_data_with_punctures("d4"),
     "affc": affc_datum(),
@@ -553,22 +545,21 @@ LAST_TUBE_DATA = {
 }
 
 
-class TestLastTube:
-    """``word_epoly`` folds all but a word's last tube and dots the result
-    with that tube's covector cup . T: the same value as the fold from
-    cap to cup."""
+class TestWordEpoly:
+    """``word_epoly``, one ``PrefixFold`` over the fold form for every
+    word, gives the same value as the fold from cap to cup."""
 
-    @pytest.mark.parametrize("name", LAST_TUBE_DATA)
+    @pytest.mark.parametrize("name", WORD_DATA)
     def test_every_word_of_up_to_two_tubes(self, name):
-        datum = LAST_TUBE_DATA[name]
+        datum = WORD_DATA[name]
         epoly = word_epoly(datum)
         for word in all_words(datum, 2):
             assert epoly(word) == cap_to_cup(datum, word)
 
     @given(st.data())
     def test_property_random_words_share_one_evaluator(self, data):
-        name = data.draw(st.sampled_from(sorted(LAST_TUBE_DATA)))
-        datum = LAST_TUBE_DATA[name]
+        name = data.draw(st.sampled_from(sorted(WORD_DATA)))
+        datum = WORD_DATA[name]
         words = st.lists(st.sampled_from(list(datum.tubes)), max_size=7).map(tuple)
         epoly = word_epoly(datum)
         for word in data.draw(st.lists(words, min_size=1, max_size=6)):
