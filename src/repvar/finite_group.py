@@ -15,8 +15,8 @@ never per member, through the one helper ``_classes_met``.
 
 ``class_datum`` builds the datum the CLI evaluates: rank = class number,
 straight from closed forms on class representatives, in plain integers
-that are lifted to Laurent polynomials only when packed into a
-``TqftDatum``.  No |G| x |G| matrix is built.  ``brute_force_count``
+that the engine folds as they are; only e_G = |G| is a Laurent
+polynomial.  No |G| x |G| matrix is built.  ``brute_force_count``
 checks it by folding the distribution of partial products over the
 multiplication table alone.
 
@@ -35,7 +35,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import itemgetter
 
-from .poly import LaurentPoly, ONE, ZERO
+from .poly import LaurentPoly
 from .record import Record, echo
 from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
 
@@ -349,14 +349,6 @@ def _check_conjugation_closed(group: FiniteGroup, subset: Iterable[int]) -> tupl
 # ----------------------------------------------------------------------
 
 
-def _lift(matrix: Sequence[Sequence[int]]) -> tuple[tuple[LaurentPoly, ...], ...]:
-    return tuple(tuple(LaurentPoly.const(x) for x in row) for row in matrix)
-
-
-def _unit_vector(rank: int, index: int) -> tuple[LaurentPoly, ...]:
-    return tuple(ONE if i == index else ZERO for i in range(rank))
-
-
 def class_datum(
     group: FiniteGroup,
     punctures: Mapping[str, Iterable[int]] | None = None,
@@ -378,6 +370,8 @@ def class_datum(
       function of g;
     - plain cylinder: |G| times the identity.
 
+    The tube and disc entries are plain ``int``, so words fold over the
+    integers (``TqftDatum.fold_form``); e_G is ``LaurentPoly.const(|G|)``.
     The cost is O(k n) for the genus tube (k classes, n = |G|) plus
     O(k |lam|) per puncture, and O(n) per class it meets to check that lam
     is conjugation-closed.
@@ -404,8 +398,8 @@ def class_datum(
         genus.append(row)
 
     tubes = {
-        GENUS_TUBE: _lift(genus),
-        IDENTITY_TUBE: _lift([[n if c == d else 0 for c in range(k)] for d in range(k)]),
+        GENUS_TUBE: genus,
+        IDENTITY_TUBE: [[n if c == d else 0 for c in range(k)] for d in range(k)],
     }
     for label, subset in (punctures or {}).items():
         lam = _check_conjugation_closed(group, subset)
@@ -414,16 +408,12 @@ def class_datum(
             row_a = mult[members[0]]
             for h in lam:
                 counts[class_of[row_a[h]]][c] += len(members)
-        tubes[puncture_tube(str(label))] = _lift(
-            [[cent[d] * x for x in row] for d, row in enumerate(counts)]
-        )
+        tubes[puncture_tube(str(label))] = [
+            [cent[d] * x for x in row] for d, row in enumerate(counts)
+        ]
 
-    return TqftDatum(
-        e_g=LaurentPoly.const(n),
-        tubes=tubes,
-        disc_in=_unit_vector(k, 0),
-        disc_out=_unit_vector(k, 0),
-    )
+    disc = [1] + [0] * (k - 1)
+    return TqftDatum(e_g=LaurentPoly.const(n), tubes=tubes, disc_in=disc, disc_out=disc)
 
 
 # ----------------------------------------------------------------------
@@ -469,9 +459,15 @@ def brute_force_count(
 
 def commutator_slot(group: FiniteGroup) -> Counter:
     """The commutators [a, b] over all n^2 pairs (a, b), with
-    multiplicity: the values of one genus slot of the oracle."""
-    n = group.order
-    return Counter(group.commutator(a, b) for a in range(n) for b in range(n))
+    multiplicity: the values of one genus slot of the oracle.  Each a
+    reads its row of the table and its inverse once, and each b then
+    costs three lookups: ab, then (ab) a^-1, then that times b^-1."""
+    mult, inverse = group.mult, group.inverse
+    return Counter(
+        mult[mult[ab][inv_a]][inv_b]
+        for row_a, inv_a in zip(mult, inverse)
+        for ab, inv_b in zip(row_a, inverse)
+    )
 
 
 def puncture_slot(group: FiniteGroup, subset: Iterable[int]) -> Counter:
@@ -583,8 +579,10 @@ def load_group(path: str | os.PathLike[str], max_order: int = DEFAULT_MAX_ORDER)
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise  # malformed JSON or text keeps the decoder's message
+        except json.JSONDecodeError as exc:
+            raise NotAGroup(f"group file is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise NotAGroup(f"group file is not UTF-8 text: {exc}") from None
         except RecursionError:
             raise NotAGroup("group file nests JSON arrays or objects too deeply") from None
         except ValueError:  # an integer over CPython's digit limit, which is kept

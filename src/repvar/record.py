@@ -7,7 +7,10 @@ hashes and prints instances by those fields, in that order, and refuses
 every later assignment.  A record whose fields are not all hashable is
 not hashable either: ``hash`` raises ``TypeError``.  Anything else kept
 in ``__dict__``, such as a ``functools.cached_property`` value, is not
-part of the value.
+part of the value.  Among those entries are the field tuple and the
+hash, each cached on first use: the fields cannot be assigned, so the
+caches cannot go stale.  Pickling leaves out the cached hash, since a
+string's hash differs between processes.
 """
 
 from __future__ import annotations
@@ -32,15 +35,31 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(self.__dict__[name] for name in self._fields)
+        try:
+            return self.__dict__["_record_values"]
+        except KeyError:
+            values = tuple(self.__dict__[name] for name in self._fields)
+            self.__dict__["_record_values"] = values
+            return values
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        try:
+            return self.__dict__["_record_hash"]
+        except KeyError:
+            value = self.__dict__["_record_hash"] = hash(self._values())
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_record_hash", None)
+        return state
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)

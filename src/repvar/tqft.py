@@ -27,12 +27,15 @@ the folded vector never carries the factor ``e_G^i`` and nothing is left
 to divide at the end.
 
 The ring of the fold is also chosen once per datum
-(``TqftDatum.fold_form``): Z[q] packed into one integer per value
-(``QPoly``) when every tube and disc entry is a polynomial in q, at
+(``TqftDatum.fold_form``): plain ``int`` when every tube and disc entry
+is an ``int`` (a finite group's ``class_datum``), Z[q] packed into one
+integer per value (``QPoly``) when every entry is a polynomial in q, at
 least one is not constant and the q-exponents present fill at least half
 of their range, ``LaurentPoly`` otherwise.  The matrix algebra only adds
-and multiplies, so the one evaluator serves both; the scalar is
-converted back to a ``LaurentPoly`` before the division.
+and multiplies, so the one evaluator serves all three.  An ``int``
+scalar is divided by a constant e_G^t with ``divmod``; any other scalar
+is converted back to a ``LaurentPoly`` before the division, and the
+result is a ``LaurentPoly`` either way.
 
 Matrices follow the column convention: column j holds the image of
 generator j, so words act by left multiplication on column vectors.
@@ -249,6 +252,11 @@ class TqftDatum(Record):
     def fold_form(self) -> "TqftDatum":
         """``e_g_free`` with its entries in the ring the fold runs over.
 
+        A datum whose tube and disc entries are all ``int`` (a finite
+        group's ``class_datum``) is its own fold form: it folds over the
+        integers, and each word is divided by e_G at its end.  Constant
+        ``LaurentPoly`` entries, as read from a datum file, are not
+        converted to ``int``: they stay on the ``LaurentPoly`` path below.
         When every tube and disc entry of ``e_g_free`` is a polynomial in q,
         at least one is not constant, and the q-exponents present fill at
         least half of the range from the lowest to the highest, the entries
@@ -257,7 +265,7 @@ class TqftDatum(Record):
         big-integer passes without hashing exponent pairs.  Otherwise the
         ``LaurentPoly`` datum ``e_g_free`` is returned: entries with
         separate u and v exponents need it, all-constant data (every
-        finite group) stays on it, and so does sparse data such as
+        custom datum) stays on it, and so does sparse data such as
         ``q^1000000000 + 1``, whose packed integer would have a digit for
         every exponent up to its own.  Every scalar of a t-factor word is
         a sum of products of one entry per factor, so its exponents lie in
@@ -267,14 +275,20 @@ class TqftDatum(Record):
         division at the end of the word.  Chosen on first use and cached
         with the datum.
         """
+        if all(type(x) is int for x in self._entries()):
+            return self
         free = self.e_g_free
-        entries = [x for m in free.tubes.values() for row in m for x in row]
-        entries += [*free.disc_in, *free.disc_out]
+        entries = free._entries()
         if any(not x.is_constant() for x in entries) and all(x.is_diagonal() for x in entries):
             exponents = {a for x in entries for (a, _), _ in x.items()}
             if max(exponents) - min(exponents) < 2 * len(exponents):
                 return free._map_entries(free.e_g, QPoly.from_laurent, QPoly.from_laurent)
         return free
+
+    def _entries(self) -> list:
+        """Every tube entry, then every disc entry."""
+        entries = [x for m in self.tubes.values() for row in m for x in row]
+        return entries + [*self.disc_in, *self.disc_out]
 
     def _map_entries(self, e_g, tube_entry, disc_entry) -> "TqftDatum":
         """A datum with the given e_G, ``tube_entry`` applied to every tube
@@ -353,14 +367,24 @@ def word_epoly(datum: TqftDatum):
     tuple of tube generators, as from ``assemble_word``) to its
     E-polynomial.  The words fold the cap vector through their tubes over
     ``datum.fold_form``, one ``PrefixFold`` for all of them; the cup's
-    scalar, back as a ``LaurentPoly``, is divided by the form's e_G once
-    per tube, or by nothing when that e_G is 1."""
+    scalar is divided by the form's e_G once per tube, or by nothing when
+    that e_G is 1.  An ``int`` scalar over a constant e_G is divided with
+    ``divmod``; any other scalar, or one that leaves a remainder, is
+    divided as a ``LaurentPoly`` (which raises ``NonExactDivision`` on a
+    remainder).  The E-polynomial is a ``LaurentPoly`` either way."""
     form = datum.fold_form
     walk = PrefixFold(form.disc_in, lambda vec, tube: mat_vec(form.tube_matrix(tube), vec))
+    e_g_int = form.e_g.constant_value() if form.e_g.is_constant() else None
 
     def epoly(word: tuple) -> LaurentPoly:
         raw = dot(form.disc_out, walk(word))
-        if isinstance(raw, QPoly):
+        if type(raw) is int:
+            if e_g_int is not None:
+                quotient, remainder = divmod(raw, e_g_int ** len(word))
+                if not remainder:
+                    return LaurentPoly.const(quotient)
+            raw = LaurentPoly.const(raw)
+        elif isinstance(raw, QPoly):
             raw = raw.to_laurent()
         return raw if form.e_g == ONE else raw.exact_div(form.e_g ** len(word))
 
@@ -378,8 +402,13 @@ def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:
 # ----------------------------------------------------------------------
 
 
+def _entry_to_json(entry) -> str:
+    """An entry's polynomial text; an ``int`` entry as its constant."""
+    return (LaurentPoly.const(entry) if type(entry) is int else entry).to_text()
+
+
 def _matrix_to_json(matrix: tuple) -> list[list[str]]:
-    return [[entry.to_text() for entry in row] for row in matrix]
+    return [list(map(_entry_to_json, row)) for row in matrix]
 
 
 def _matrix_from_json(data, what: str) -> tuple:
@@ -392,6 +421,9 @@ def _matrix_from_json(data, what: str) -> tuple:
 
 
 def datum_to_json_dict(datum: TqftDatum) -> dict:
+    """The datum as a datum-file object, every entry as polynomial text:
+    an ``int`` entry is written as the constant it is, so a finite
+    group's ``class_datum`` saves as its ``LaurentPoly`` twin would."""
     tubes = datum.tubes
     out: dict = {
         "rank": datum.rank,
@@ -401,8 +433,8 @@ def datum_to_json_dict(datum: TqftDatum) -> dict:
             label: _matrix_to_json(m)
             for label, m in sorted((t.label, m) for t, m in tubes.items() if t.kind == "puncture")
         },
-        "disc_in": [entry.to_text() for entry in datum.disc_in],
-        "disc_out": [entry.to_text() for entry in datum.disc_out],
+        "disc_in": list(map(_entry_to_json, datum.disc_in)),
+        "disc_out": list(map(_entry_to_json, datum.disc_out)),
     }
     if IDENTITY_TUBE in tubes:
         out["P"] = _matrix_to_json(tubes[IDENTITY_TUBE])
@@ -445,8 +477,10 @@ def load_datum(path: str | os.PathLike[str]) -> TqftDatum:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise  # malformed JSON or text keeps the decoder's message
+        except json.JSONDecodeError as exc:
+            raise InvalidDatum(f"datum file is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InvalidDatum(f"datum file is not UTF-8 text: {exc}") from None
         except RecursionError:
             raise InvalidDatum("datum file nests JSON arrays or objects too deeply") from None
         except ValueError:  # an integer over CPython's digit limit, which is kept

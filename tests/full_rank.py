@@ -14,16 +14,10 @@ probe of criterion 5.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
-from repvar.finite_group import (
-    FiniteGroup,
-    _check_conjugation_closed,
-    _lift,
-    _unit_vector,
-    conjugacy_classes,
-)
-from repvar.poly import LaurentPoly, ZERO
+from repvar.finite_group import FiniteGroup, _check_conjugation_closed, conjugacy_classes
+from repvar.poly import LaurentPoly, ONE, ZERO
 from repvar.tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
 
 
@@ -98,6 +92,14 @@ def tube_matrix_P(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 # ----------------------------------------------------------------------
 # Datum construction
 # ----------------------------------------------------------------------
+
+
+def _lift(matrix: Sequence[Sequence[int]]) -> tuple[tuple[LaurentPoly, ...], ...]:
+    return tuple(tuple(LaurentPoly.const(x) for x in row) for row in matrix)
+
+
+def _unit_vector(rank: int, index: int) -> tuple[LaurentPoly, ...]:
+    return tuple(ONE if i == index else ZERO for i in range(rank))
 
 
 def to_tqft_datum(

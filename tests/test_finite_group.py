@@ -498,6 +498,15 @@ class TestClassDatum:
         tubes = class_punctures(group)
         assert class_datum(group, tubes) == class_reduce(to_tqft_datum(group, tubes), group)
 
+    @pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
+    def test_entries_are_int_and_e_g_is_the_order(self, name):
+        group = named_group(name)
+        datum = class_datum(group, class_punctures(group))
+        entries = [x for m in datum.tubes.values() for row in m for x in row]
+        assert {type(x) for x in [*entries, *datum.disc_in, *datum.disc_out]} == {int}
+        assert type(datum.e_g) is LaurentPoly
+        assert datum.e_g == LaurentPoly.const(group.order)
+
     @pytest.mark.parametrize("name", sorted(PERMUTATION_GROUPS))
     def test_permutation_groups_equal_reduced_full_rank(self, name):
         group = from_permutation_generators(*PERMUTATION_GROUPS[name])

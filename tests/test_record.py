@@ -1,6 +1,12 @@
 """Value semantics of the five record classes: construction checks, tuple
 storage, equality, hashing, repr and read-only fields."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repvar.affc import affc_datum
@@ -125,3 +131,19 @@ def test_echo_quotes_a_short_value_whole_and_cuts_a_long_one():
     cut = echo("x" * 5000)
     assert cut.startswith("'xxx") and cut.endswith("... (5002 characters)")
     assert len(cut) < 120
+
+
+def test_a_record_pickled_in_another_process_hashes_as_here():
+    # A cached hash would travel with the pickle, but a string's hash
+    # differs between processes, so the tube could not be looked up.
+    code = (
+        "import pickle, sys; from repvar.tqft import puncture_tube; "
+        "tubes = {puncture_tube('t'): 1}; hash(puncture_tube('t')); "
+        "sys.stdout.buffer.write(pickle.dumps(tubes))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"}
+    dumped = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+    assert pickle.loads(dumped)[puncture_tube("t")] == 1

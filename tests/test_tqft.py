@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repvar.affc import affc_datum, affc_inner_genus_matrix
-from repvar.finite_group import class_datum, conjugacy_classes, named_group
+from repvar.finite_group import (
+    NAMED_GROUPS,
+    class_datum,
+    conjugacy_classes,
+    load_group,
+    named_group,
+)
 from repvar.poly import LaurentPoly, NonExactDivision, ONE, Q, QPoly, U, V, ZERO
 from repvar.tqft import (
     GENUS_TUBE,
@@ -32,7 +38,7 @@ from repvar.tqft import (
     word_epoly,
 )
 
-from full_rank import insert_identity_tubes, to_tqft_datum
+from full_rank import _lift, insert_identity_tubes, to_tqft_datum
 
 
 def rank_one_datum(e_g=None, genus_entry=None, tubes={}, **overrides):
@@ -438,8 +444,12 @@ class TestFoldRing:
     def test_finite_and_uv_data_keep_laurent(self):
         group = named_group("s3")
         classes = conjugacy_classes(group)
+        # A finite group's class datum is built over int and folds over it.
+        finite = class_datum(group, {"t": classes.members[1]})
+        assert finite.fold_form is finite
+        assert {type(x) for x in fold_entries(finite)} == {int}
+        # Constant LaurentPoly data are not converted.
         for datum in (
-            class_datum(group, {"t": classes.members[1]}),
             to_tqft_datum(group, {"t": classes.members[1]}),
             rank_one_datum(genus_entry=Q, tubes={puncture_tube("u"): ((U,),)}),
             partly_divisible_datum(),
@@ -544,6 +554,76 @@ WORD_DATA = {
     "wide-q": wide_q_datum(),
 }
 
+
+GROUP_FILES = sorted(DATUM_FILE.parent.parent.joinpath("groups").glob("*.json"))
+
+
+def lifted(datum):
+    """The datum with every ``int`` entry lifted to a ``LaurentPoly``
+    constant, so that it folds over ``LaurentPoly``."""
+    return TqftDatum(
+        datum.e_g,
+        {tube: _lift(m) for tube, m in datum.tubes.items()},
+        *_lift((datum.disc_in, datum.disc_out)),
+    )
+
+
+def value_or_message(epoly, word):
+    try:
+        return epoly(word)
+    except NonExactDivision as exc:
+        return str(exc)
+
+
+class TestIntFold:
+    @pytest.mark.parametrize(
+        "group",
+        [*map(named_group, sorted(NAMED_GROUPS)), *map(load_group, GROUP_FILES)],
+        ids=[*sorted(NAMED_GROUPS), *(path.name for path in GROUP_FILES)],
+    )
+    def test_class_data_agree_with_their_laurent_twin(self, group):
+        classes = conjugacy_classes(group)
+        tubes = [puncture_tube(f"c{i}") for i in range(len(classes))]
+        datum = class_datum(group, {t.label: m for t, m in zip(tubes, classes.members)})
+        twin = lifted(datum)
+        assert {type(x) for x in fold_entries(twin)} == {LaurentPoly}
+        on_int, on_laurent = word_epoly(datum), word_epoly(twin)
+        for genus in range(4):
+            for s in range(3):
+                for combo in itertools.combinations_with_replacement(tubes, s):
+                    word = (GENUS_TUBE,) * genus + combo
+                    value = on_int(word)
+                    assert type(value) is LaurentPoly
+                    assert value == on_laurent(word)
+
+    @pytest.mark.parametrize("e_g", [LaurentPoly.const(4), Q - 1], ids=["4", "q - 1"])
+    def test_a_remainder_raises_the_laurent_message(self, e_g):
+        # The divmod path serves a constant e_G; q - 1 takes the LaurentPoly one.
+        datum = TqftDatum(
+            e_g=e_g,
+            tubes={GENUS_TUBE: ((6, 2), (0, 8)), puncture_tube("a"): ((4, 0), (4, 0))},
+            disc_in=(1, 0),
+            disc_out=(1, 0),
+        )
+        assert datum.fold_form is datum
+        twin = lifted(datum)
+        on_int, on_laurent = word_epoly(datum), word_epoly(twin)
+        for word in all_words(datum, 4):
+            assert value_or_message(on_int, word) == value_or_message(on_laurent, word)
+        message = f"(6) is not divisible by ({e_g})"
+        assert value_or_message(on_int, (GENUS_TUBE,)) == message
+        # The puncture's scalar is 4: 4 divides it, q - 1 does not.
+        expected = ONE if e_g == 4 else "(4) is not divisible by (q - 1)"
+        assert value_or_message(on_int, (puncture_tube("a"),)) == expected
+
+    def test_int_entries_save_as_their_constants(self, tmp_path):
+        group = load_group(DATUM_FILE.parent.parent / "groups" / "s3.json")
+        classes = conjugacy_classes(group)
+        datum = class_datum(group, {f"c{i}": m for i, m in enumerate(classes.members)})
+        assert datum_to_json_dict(datum) == datum_to_json_dict(lifted(datum))
+        save_datum(datum, tmp_path / "s3.json")
+        assert (tmp_path / "s3.json").read_text() == S3_CLASSES_FILE.read_text()
+        assert load_datum(tmp_path / "s3.json") == datum
 
 class TestWordEpoly:
     """``word_epoly``, one ``PrefixFold`` over the fold form for every
