@@ -8,8 +8,6 @@ at the identity and the class of the nontrivial translations.  All
 outputs are polynomials in q.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 from itertools import islice
 

@@ -10,20 +10,21 @@ to stdout, before or after the command.  The form every request uses,
 full option names each with a separate value, is read without importing
 argparse; argparse, built from the same tables, reads every other form.
 
-As the process entry (``main()`` with no argv), the front end freezes
-the collector once its output is written: a request's objects are left
-to the process's exit, which then does not collect them.
+As the process entry (``main()`` with no argv), the front end ends the
+process once the command has run: it runs the ``atexit`` hooks, flushes
+stdout and stderr and calls ``os._exit``, so the interpreter does not tear
+down the objects and modules that the request leaves.  ``json`` is
+imported only by the loaders of group and datum files; ``--format json``
+is written without it.
 
 Exit codes are a stable contract: 0 success, 2 input validation failure
 or usage error, 3 datum inconsistency (non-exact normalization
 division), 4 verification mismatch.
 """
 
-from __future__ import annotations
-
-import gc
+import atexit
 import itertools
-import json
+import os
 import sys
 from collections import Counter
 from collections.abc import Sequence
@@ -228,14 +229,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     ``argv is None`` is the process entry (the console script,
     ``python -m repvar.cli``, ``sys.exit(main())``): once the command has
-    run and written its output, the heap is frozen (``gc.freeze``), so
-    interpreter exit does not run full collections over it.  Exit still
-    flushes stdio, runs ``atexit`` and tears down the modules.  A caller
-    that passes ``argv`` keeps its collector as it was.
+    run, the process ends with its code.  The ``atexit`` hooks run, as
+    registered so far, then stdout and stderr are flushed, the order in
+    which the interpreter's own exit takes them, and ``os._exit`` skips
+    the teardown of modules and objects, which nothing after the output
+    needs.  If a flush raises, ``main`` returns the code instead, and the
+    interpreter's exit reports the error as it would without this step.
+    A caller that passes ``argv`` gets the code back and the process goes
+    on.
     """
     code = _run(sys.argv[1:] if argv is None else argv)
     if argv is None:
-        gc.freeze()
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):  # no stream, a closed pipe or file
+            return code
+        os._exit(code)
     return code
 
 
@@ -337,7 +348,9 @@ def _format_poly(poly: LaurentPoly, fmt: str) -> str:
     if fmt == "uv-text":
         return poly.to_text(force_uv=True)
     if fmt == "json":
-        return json.dumps(poly.to_json_terms())
+        # json.dumps' text, written here so that json is not imported: each
+        # term is two ints and a decimal string, none of which needs escaping.
+        return "[" + ", ".join(f'[{a}, {b}, "{c}"]' for a, b, c in poly.to_json_terms()) + "]"
     return poly.to_text()
 
 

@@ -25,9 +25,6 @@ multiplication table alone.
 hash by value.
 """
 
-from __future__ import annotations
-
-import json
 import os
 import sys
 from collections import Counter
@@ -576,6 +573,9 @@ def group_to_json_dict(group: FiniteGroup) -> dict:
 
 
 def load_group(path: str | os.PathLike[str], max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    # Imported here: a request that reads no file never loads json.
+    import json
+
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)

@@ -42,8 +42,6 @@ repvar.poly.PolyParseError: unexpected character '²' at position 1
 True
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping
@@ -300,7 +298,7 @@ class LaurentPoly:
         shift_b = sb - db
         return LaurentPoly({(a + shift_a, b + shift_b): c for (a, b), c in quo.items()})
 
-    def evaluate(self, u0: int | Fraction, v0: int | Fraction) -> Fraction:
+    def evaluate(self, u0: "int | Fraction", v0: "int | Fraction") -> "Fraction":
         """Exact rational value at (u0, v0)."""
         # Imported here: nothing else needs fractions, and loading it (with
         # decimal) would add milliseconds to every start of the CLI.

@@ -13,8 +13,6 @@ caches cannot go stale.  Pickling leaves out the cached hash, since a
 string's hash differs between processes.
 """
 
-from __future__ import annotations
-
 __all__ = ["Record", "echo"]
 
 #: The most characters of an input value that an error message quotes.

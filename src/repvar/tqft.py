@@ -46,9 +46,6 @@ on construction, stores sequences as tuples, refuses assignment, and
 compares by value.
 """
 
-from __future__ import annotations
-
-import json
 import os
 import sys
 from collections.abc import Mapping, Sequence
@@ -474,6 +471,9 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
 
 
 def load_datum(path: str | os.PathLike[str]) -> TqftDatum:
+    # Imported here: a request that reads no file never loads json.
+    import json
+
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -492,6 +492,8 @@ def load_datum(path: str | os.PathLike[str]) -> TqftDatum:
 
 
 def save_datum(datum: TqftDatum, path: str | os.PathLike[str]) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(datum_to_json_dict(datum), handle, indent=2)
         handle.write("\n")

@@ -1,3 +1,4 @@
+import atexit
 import gc
 import itertools
 import json
@@ -38,7 +39,8 @@ from repvar.tqft import (
 
 from full_rank import insert_identity_tubes
 
-DATUM_FILE = Path(__file__).resolve().parent.parent / "data" / "datums" / "affc.json"
+ROOT = Path(__file__).resolve().parent.parent
+DATUM_FILE = ROOT / "data" / "datums" / "affc.json"
 
 
 def run(capsys, *argv):
@@ -125,10 +127,11 @@ class TestCompute:
             "--genus", "3000", "--format", fmt,
         )
         assert (code, err) == (0, "")
+        expected = 6 * (2 * 6**5998 + 3**5998)
         if fmt == "json":
+            assert out == json.dumps(LaurentPoly({(0, 0): expected}).to_json_terms()) + "\n"
             [[a, b, out]] = json.loads(out)
             assert (a, b) == (0, 0)
-        expected = 6 * (2 * 6**5998 + 3**5998)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -987,14 +990,14 @@ def test_table_over_max_order_exits_two(capsys, tmp_path):
 
 
 def modules_after(statement):
-    """The modules loaded in a fresh interpreter that runs ``statement``."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = f"import sys\n{statement}\nprint(*sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
+    """The modules loaded in a fresh interpreter that runs ``statement``,
+    listed on stderr so that what the statement prints stays apart."""
+    code = f"import sys\n{statement}\nprint(*sys.modules, file=sys.stderr)"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True, timeout=60,
     )
-    return set(done.stdout.split())
+    return set(done.stderr.split())
 
 
 def test_cli_import_loads_no_module_a_request_does_not_need():
@@ -1005,36 +1008,134 @@ def test_cli_import_loads_no_module_a_request_does_not_need():
     assert not added & {
         "argparse", "gettext", "locale",
         "dataclasses", "inspect", "fractions", "decimal", "typing", "pathlib",
+        "json", "__future__",
     }
     # fractions is imported where it is used.
     half = LaurentPoly.monomial(-1, 0).evaluate(2, 1)
     assert type(half) is Fraction and half == Fraction(1, 2)
+    # json is imported by the file loaders only: not for an affc request,
+    # even one that prints json, but for a request that reads a group file.
+    request = "from repvar.cli import main; assert main({}) == 0"
+    affc = ["compute", "--backend", "affc", "--genus", "3", "--format", "json"]
+    assert "json" not in modules_after(request.format(affc))
+    finite = ["compute", "--backend", "finite", "--group", str(ROOT / "data" / "groups" / "s3.json"),
+              "--genus", "2"]
+    assert "json" in modules_after(request.format(finite))
+
+
+@pytest.mark.parametrize("poly", [
+    LaurentPoly(),
+    LaurentPoly({(-2, 3): -7, (1, -1): 5, (0, 0): 12_345_678_901_234_567_890, (0, -4): 1}),
+    Q**3 * ((Q - 1) ** 4 + Q - 1),
+], ids=["zero", "uv-negative-exponents", "affc-genus-2"])
+def test_the_json_format_is_json_dumps_text(poly):
+    assert repvar.cli._format_poly(poly, "json") == json.dumps(poly.to_json_terms())
 
 
 # What the console script and the benchmark run: ``main()`` with no argv.
 ENTRY = "import sys; from repvar.cli import main; sys.exit(main())"
-ROOT = DATUM_FILE.parent.parent.parent
+# The same request through the interpreter's normal exit, which ``main(argv)``
+# leaves to its caller: the exit the process entry had before it ended the
+# process itself.
+NORMAL_EXIT = "import sys; from repvar.cli import main; sys.exit(main(sys.argv[1:]))"
+# Registered before main(): an atexit hook, which must still run, and a
+# module global whose finaliser runs only if the interpreter tears down
+# __main__.
+WITNESSES = (
+    "import atexit, sys\n"
+    "atexit.register(print, 'atexit hook', file=sys.stderr)\n"
+    "class Witness:\n"
+    "    def __del__(self):\n"
+    "        sys.stderr.write('module teardown\\n')\n"
+    "witness = Witness()\n"
+)
+
+
+def tampered_datum(tmp_path):
+    data = json.loads(DATUM_FILE.read_text())
+    data["L"][0][0] = "q^3"  # e_G = q^2 - q no longer divides L
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def run_process(entry, argv, stdout=subprocess.PIPE, **env):
+    """Run ``entry`` with ``argv`` in a fresh interpreter, with repvar from
+    this checkout and ``env`` over the environment (None removes a name)."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
+    env = {name: value for name, value in env.items() if value is not None}
+    return subprocess.run(
+        [sys.executable, "-c", entry, *argv], env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("compute", "--backend", "affc", "--genus", "3"), 0),
+    (("compute", "--backend", "finite", "--group", str(ROOT / "data" / "groups" / "s3.json"),
+      "--genus", "2", "--puncture", "rep=2"), 0),
+    (("compute", "--backend", "nope", "--genus", "1"), 2),
+    (("compute", "--backend", "custom", "--genus", "1", "--datum"), 3),
+], ids=["affc", "finite", "usage-error", "inconsistent-datum"])
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_the_process_entry_ends_at_its_output(capsys, tmp_path, argv, expected, unbuffered):
+    if argv[-1] == "--datum":
+        argv += (tampered_datum(tmp_path),)
+    code, out, err = run(capsys, *argv)
+    assert code == expected and (out or err)
+    done = run_process(WITNESSES + ENTRY, argv, PYTHONUNBUFFERED=unbuffered)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert done.stderr == err + "atexit hook\n"
+    # The witness does speak when the interpreter exits normally.
+    normal = run_process(WITNESSES + NORMAL_EXIT, argv, PYTHONUNBUFFERED=unbuffered)
+    assert (normal.returncode, normal.stdout) == (code, out)
+    assert normal.stderr == err + "atexit hook\nmodule teardown\n"
 
 
 @pytest.mark.parametrize("argv", [
     ("compute", "--backend", "affc", "--genus", "3"),
-    ("compute", "--backend", "finite", "--group", str(ROOT / "data" / "groups" / "s3.json"),
-     "--genus", "2", "--puncture", "rep=2"),
+    ("compute", "--backend", "affc", "--genus", "200", "--format", "json"),  # over a buffer
+    ("verify", "--backend", "affc", "--max-genus", "3"),
 ])
-def test_the_process_entry_freezes_the_heap_after_its_output(capsys, argv):
-    # An atexit hook, which runs after sys.exit, reports the freeze count.
-    hook = (
-        "import atexit, gc; "
-        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", f"import sys; {hook}; {ENTRY}", *argv],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=60,
-    )
-    assert (done.returncode, done.stdout) == run(capsys, *argv)[:2]
-    assert done.returncode == 0 and done.stdout
-    assert int(done.stderr) > 0
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_pipe_is_reported_as_the_normal_exit_reports_it(argv, unbuffered):
+    def exit_to_closed_pipe(entry):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_process(entry, argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        return done.returncode, done.stderr
+
+    result = exit_to_closed_pipe(ENTRY)
+    assert result == exit_to_closed_pipe(NORMAL_EXIT)
+    if unbuffered or "json" in argv:
+        # print itself meets the closed pipe: an input/output error, exit 2.
+        assert result == (2, "error: [Errno 32] Broken pipe\n")
+    else:
+        # The output waits in the buffer, and the flush at exit meets it.
+        code, err = result
+        assert code == 120 and err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["no-stdout", "no-stderr"])
+@pytest.mark.parametrize("argv", [
+    ("compute", "--backend", "affc", "--genus", "1"),
+    ("compute", "--backend", "nope", "--genus", "1"),
+])
+def test_a_stream_closed_at_start_is_left_to_the_normal_exit(argv, fd):
+    # With file descriptor 1 or 2 closed, sys.stdout or sys.stderr is None.
+    def exit_without_stream(entry):
+        shell = f'exec "$0" "$@" {fd}>&-'
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(["sh", "-c", shell, sys.executable, "-c", entry, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    result = exit_without_stream(ENTRY)
+    assert result == exit_without_stream(NORMAL_EXIT)
+    assert result[0] == (2 if "nope" in argv else 0)
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -1045,11 +1146,14 @@ def test_the_process_entry_freezes_the_heap_after_its_output(capsys, argv):
 ], ids=["success", "help", "usage-error", "inconsistent-datum"])
 def test_a_call_with_argv_leaves_the_collector_alone(capsys, tmp_path, argv, expected):
     if argv[-1] == "--datum":
-        data = json.loads(DATUM_FILE.read_text())
-        data["L"][0][0] = "q^3"  # e_G = q^2 - q no longer divides L
-        path = tmp_path / "tampered.json"
-        path.write_text(json.dumps(data))
-        argv += (str(path),)
+        argv += (tampered_datum(tmp_path),)
+    hook_calls = []
+    hook = atexit.register(hook_calls.append, "ran")
     before = gc.get_freeze_count()
-    assert run(capsys, *argv)[0] == expected
+    try:
+        assert run(capsys, *argv)[0] == expected
+    finally:
+        atexit.unregister(hook)
+    # It returns with no atexit hook run and the heap as it was.
+    assert hook_calls == []
     assert gc.get_freeze_count() == before
