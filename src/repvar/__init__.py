@@ -31,6 +31,7 @@ from .tqft import (
     puncture_tube,
     save_datum,
     word_epoly,
+    word_fold,
 )
 from .finite_group import (
     BudgetExceeded,

@@ -47,13 +47,12 @@ from .poly import LaurentPoly, NonExactDivision, ONE
 from .tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
-    PrefixFold,
     SurfaceSpec,
     UnknownPunctureLabel,
     epoly_rep_variety,
     load_datum,
     puncture_tube,
-    word_epoly,
+    word_fold,
 )
 
 __all__ = ["main"]
@@ -421,10 +420,11 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_affc(args, report: _Report) -> None:
-    epoly = word_epoly(affc_datum())
+    vec, step, value = word_fold(affc_datum())
     xk = xk_values()  # e(X_1), e(X_2), ...: two steps per genus
     for genus in range(1, max(args.max_genus, 1) + 1):
-        engine = epoly((GENUS_TUBE,) * genus)
+        vec = step(vec, GENUS_TUBE)
+        engine = value(vec, genus)
         report.compare(
             f"affc closed-form genus={genus}", engine, "closed-form", affc_closed_form(genus)
         )
@@ -435,13 +435,19 @@ def _verify_affc(args, report: _Report) -> None:
 
 def _verify_finite(args, report: _Report) -> None:
     """Check every (genus, puncture multiset) against the brute-force
-    oracle, walking the specs as a prefix tree.
+    oracle, walking each genus level by level: the multisets of s
+    classes after those of s - 1.
 
     Both sides fold the same word, genus^g then one puncture tube per
-    class in the multiset, through a ``PrefixFold`` each: the engine a
-    vector through the tube matrices, the oracle a distribution of
-    partial products through one slot per tube.  A multiset over the
-    budget is marked SKIP before any work for it.
+    class in the multiset: the engine a vector through the tube matrices
+    (``word_fold``), the oracle a distribution of partial products through
+    one slot per tube.  Each row's pair of states is one step from its
+    parent's: the last genus's for the empty multiset, else the multiset
+    without its last class, kept from the level before (the last level
+    keeps nothing).  The commutator slot is built on the first genus
+    step.  A row over the budget is marked SKIP before any work for it;
+    the tuple count grows with every slot, so the rows that extend it
+    are over the budget too and never look up their missing parent.
     """
     group = load_group(_input_file(args))
     classes = conjugacy_classes(group)
@@ -451,16 +457,18 @@ def _verify_finite(args, report: _Report) -> None:
     # Oracle slots keyed by the engine's tubes, each built once: the
     # commutators on the first genus step.
     slots = {tube: puncture_slot(group, m) for tube, m in zip(tubes, classes.members)}
+    start, step, value = word_fold(datum)
 
-    def oracle_step(dist: Counter, tube) -> Counter:
+    def advance(state: tuple, tube) -> tuple:
+        vec, dist = state
         if tube not in slots:
             slots[tube] = commutator_slot(group)
-        return fold_slot(group, dist, slots[tube])
+        return step(vec, tube), fold_slot(group, dist, slots[tube])
 
-    epoly = word_epoly(datum)
-    oracle = PrefixFold(Counter({group.identity: 1}), oracle_step)
+    state = (start, Counter({group.identity: 1}))  # after the genus tubes
     for genus in range(args.max_genus + 1):
         for s in range(args.max_punctures + 1):
+            level = {}
             for combo in itertools.combinations_with_replacement(range(len(classes)), s):
                 desc = (
                     f"finite genus={genus} punctures="
@@ -471,23 +479,31 @@ def _verify_finite(args, report: _Report) -> None:
                 except BudgetExceeded as exc:
                     report.record(desc, "SKIP", str(exc))
                     continue
-                word = (GENUS_TUBE,) * genus + tuple(tubes[i] for i in combo)
+                if combo:
+                    here = advance(kept[combo[:-1]], tubes[combo[-1]])
+                else:  # the genus's first row, so its first within the budget
+                    state = here = advance(state, GENUS_TUBE) if genus else state
+                if s < args.max_punctures:
+                    level[combo] = here
+                vec, dist = here
                 try:
-                    engine = epoly(word)
+                    engine = value(vec, genus + s)
                 except NonExactDivision as exc:
                     report.record(desc, "FAIL", f"counterexample: {exc}")
                     continue
-                report.compare(desc, engine, "brute-force", oracle(word)[group.identity])
+                report.compare(desc, engine, "brute-force", dist[group.identity])
+            kept = level  # this level's states by multiset, for the next
 
 
 def _verify_custom(args, report: _Report) -> None:
     datum = load_datum(_input_file(args))
-    epoly = word_epoly(datum)
+    vec, step, value = word_fold(datum)
     for genus in range(args.max_genus + 1):
-        word = (GENUS_TUBE,) * genus
+        if genus:
+            vec = step(vec, GENUS_TUBE)
         desc = f"custom normalization genus={genus}"
         try:
-            result = epoly(word)
+            result = value(vec, genus)
         except NonExactDivision as exc:
             report.record(desc, "FAIL", f"counterexample: genus={genus}: {exc}")
             continue
@@ -499,7 +515,7 @@ def _verify_custom(args, report: _Report) -> None:
             # The same word with one plain cylinder appended.
             desc = f"custom cylinder-insertion genus={genus}"
             try:
-                padded = epoly(word + (IDENTITY_TUBE,))
+                padded = value(step(vec, IDENTITY_TUBE), genus + 1)
             except NonExactDivision as exc:
                 report.record(desc, "FAIL", f"counterexample: genus={genus}: {exc}")
                 continue

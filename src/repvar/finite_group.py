@@ -436,11 +436,12 @@ def brute_force_count(
     dictionary updates, with d the number of distinct values in a slot.
     Tuples that share their first slots share the distribution after
     them, so a caller that counts many tuple shapes (``verify`` walks
-    genera and puncture multisets as a prefix tree) builds each slot once
-    and folds each distinct prefix once, through the same helpers.  The
-    oracle uses only the multiplication table, never conjugacy classes or
-    the TQFT engine.  ``budget`` still caps the number of tuples,
-    n^(2g) * prod |lam| (``check_budget``), not the fold's work.
+    genera and puncture multisets level by level) builds each slot once
+    and folds each shape one slot on from its parent's, through the same
+    helpers.  The oracle uses only the multiplication table, never
+    conjugacy classes or the TQFT engine.  ``budget`` still caps the
+    number of tuples, n^(2g) * prod |lam| (``check_budget``), not the
+    fold's work.
     """
     if genus < 0:
         raise ValueError("genus must be >= 0")

@@ -11,13 +11,14 @@ of genus g with s ordered punctures is the word
 
 and its E-polynomial is the evaluated scalar divided by ``e_G`` raised to
 the number of tubes in the word.  A word is a tuple of tube generators,
-and one evaluator, ``word_epoly``, applies its tubes to the cap vector
-one at a time.  By functoriality every word that starts with the same
-tubes passes through the same vector, so the evaluator folds its words
-through one ``PrefixFold``, which folds only the tubes after the prefix
-a word shares with the last: a caller that evaluates many words
-(``verify`` walks genera and puncture multisets as a prefix tree) pays
-one matrix-vector product per distinct prefix.
+and ``word_fold`` gives the fold of words over a datum in three parts:
+the cap vector to start from, a step that applies one tube, and the
+value of a folded vector at the cup.  The one evaluator,
+``word_epoly``, folds a word through them.  By functoriality a surface
+with one more tube glued on is its parent's vector moved by one step,
+so a caller that evaluates many words keeps each parent's vector and
+pays one matrix-vector product per word (``verify`` walks the genera,
+and the puncture multisets level by level).
 
 The division is exact for any datum that comes from an actual group; a
 failure means the datum is inconsistent.  When ``e_G`` has more than one term and divides every
@@ -65,7 +66,7 @@ __all__ = [
     "SurfaceSpec",
     "TqftDatum",
     "assemble_word",
-    "PrefixFold",
+    "word_fold",
     "word_epoly",
     "epoly_rep_variety",
     "mat_vec",
@@ -306,86 +307,46 @@ class TqftDatum(Record):
 # ----------------------------------------------------------------------
 
 
-class PrefixFold:
-    """``step(state, generator)`` folded from ``start`` over the tubes of
-    each word the fold is called on (a tuple of tube generators).  A word
-    resumes after the longest prefix it shares with the last word whose
-    state is still kept: each tube past that prefix costs one ``step``.
+def word_fold(datum: TqftDatum) -> tuple:
+    """The fold of words over ``datum.fold_form`` as ``(start, step,
+    value)``: ``start`` is the cap vector, ``step(vec, tube)`` applies one
+    tube generator to a vector, and ``value(vec, t)`` is the E-polynomial
+    of a t-tube word whose folded vector is ``vec``.
 
-    The states along the last word are kept, but of its leading run of
-    genus tubes only the last two, and the start.  A surface word is the
-    genus run then the punctures (``assemble_word``), so at any genus the
-    states kept are at most three more than the punctures.  A word that
-    branches off earlier in the run refolds from the start; ``verify``
-    raises the genus, so it never does.
-    """
-
-    def __init__(self, start, step):
-        self._start = start
-        self._step = step
-        self._word: tuple = ()
-        self._base = 0
-        self._states = [start]  # state after word[:base + i] at index i
-
-    def __call__(self, word: tuple):
-        shared = _shared_prefix(self._word, word)
-        if shared < self._base:
-            shared, self._base, self._states = 0, 0, [self._start]
-        states = self._states
-        del states[shared - self._base + 1:]
-        self._word = word[:shared]  # what ``states`` matches, should a step raise
-        run = _shared_prefix(word, (GENUS_TUBE,) * len(word))
-        for i in range(shared, len(word)):
-            states.append(self._step(states[-1], word[i]))
-            if i < run and self._base < i:  # keep the states after word[:i] and word[:i + 1]
-                del states[0]
-                self._base += 1
-        self._word = word
-        return states[-1]
-
-
-def _shared_prefix(a: tuple, b: tuple) -> int:
-    """Length of the common prefix of two tuples, by bisection on slices
-    compared in C: one probe when one tuple extends the other."""
-    lo, hi = 0, min(len(a), len(b))
-    if a[:hi] == b[:hi]:
-        return hi
-    while hi - lo > 1:  # a[:lo] == b[:lo] and a[:hi] != b[:hi]
-        mid = (lo + hi) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def word_epoly(datum: TqftDatum):
-    """The evaluator of words over ``datum``: a callable from a word (a
-    tuple of tube generators, as from ``assemble_word``) to its
-    E-polynomial.  The words fold the cap vector through their tubes over
-    ``datum.fold_form``, one ``PrefixFold`` for all of them; the cup's
-    scalar is divided by the form's e_G once per tube, or by nothing when
-    that e_G is 1.  An ``int`` scalar over a constant e_G is divided with
-    ``divmod``; any other scalar, or one that leaves a remainder, is
-    divided as a ``LaurentPoly`` (which raises ``NonExactDivision`` on a
-    remainder).  The E-polynomial is a ``LaurentPoly`` either way."""
+    ``value`` takes the cup's scalar and divides it by the form's e_G once
+    per tube, or by nothing when that e_G is 1.  An ``int`` scalar over a
+    constant e_G is divided with ``divmod``; any other scalar, or one that
+    leaves a remainder, is divided as a ``LaurentPoly`` (which raises
+    ``NonExactDivision`` on a remainder).  The E-polynomial is a
+    ``LaurentPoly`` either way."""
     form = datum.fold_form
-    walk = PrefixFold(form.disc_in, lambda vec, tube: mat_vec(form.tube_matrix(tube), vec))
     e_g_int = form.e_g.constant_value() if form.e_g.is_constant() else None
 
-    def epoly(word: tuple) -> LaurentPoly:
-        raw = dot(form.disc_out, walk(word))
+    def step(vec, tube: TubeGenerator) -> tuple:
+        return mat_vec(form.tube_matrix(tube), vec)
+
+    def value(vec, tubes: int) -> LaurentPoly:
+        raw = dot(form.disc_out, vec)
         if type(raw) is int:
             if e_g_int is not None:
-                quotient, remainder = divmod(raw, e_g_int ** len(word))
+                quotient, remainder = divmod(raw, e_g_int ** tubes)
                 if not remainder:
                     return LaurentPoly.const(quotient)
             raw = LaurentPoly.const(raw)
         elif isinstance(raw, QPoly):
             raw = raw.to_laurent()
-        return raw if form.e_g == ONE else raw.exact_div(form.e_g ** len(word))
+        return raw if form.e_g == ONE else raw.exact_div(form.e_g ** tubes)
 
-    return epoly
+    return form.disc_in, step, value
+
+
+def word_epoly(datum: TqftDatum):
+    """The evaluator of words over ``datum``: a callable from a word (a
+    tuple of tube generators, as from ``assemble_word``) to its
+    E-polynomial, the ``word_fold`` value of the cap vector folded through
+    the word's tubes."""
+    start, step, value = word_fold(datum)
+    return lambda word: value(reduce(step, word, start), len(word))
 
 
 def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:

@@ -137,16 +137,22 @@ def test_criterion_6_class_reduction():
     reduced = class_reduce(full, a4)
     spec = SurfaceSpec(8)
 
-    def best_of(datum, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
+    def sample(datum):
+        """Seconds per evaluation, over a loop of at least 20 ms: one
+        evaluation takes well under a millisecond, so a single timed call
+        is at the mercy of every scheduler hiccup."""
+        calls, t0 = 0, time.perf_counter()
+        while (elapsed := time.perf_counter() - t0) < 0.02:
             epoly_rep_variety(datum, spec)
-            best = min(best, time.perf_counter() - t0)
-        return best
+            calls += 1
+        return elapsed / calls
 
-    t_full = best_of(full)
-    t_reduced = best_of(reduced)
+    # Best of 10 each, the samples alternating, so that a slow stretch of
+    # the host falls on both sides and a fast one is caught by both.
+    t_full = t_reduced = float("inf")
+    for _ in range(10):
+        t_full = min(t_full, sample(full))
+        t_reduced = min(t_reduced, sample(reduced))
     speedup = t_full / t_reduced
     ok = ok and speedup >= 5.0
     _report(

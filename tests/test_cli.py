@@ -601,9 +601,8 @@ class TestVerifyRows:
 
 
 class TestVerifyWork:
-    """Each distinct word prefix is folded once: one mat_vec per tube of
-    the prefix tree, one oracle slot per prefix, one commutator table per
-    group."""
+    """Each row is one step from its parent row: one mat_vec and one
+    oracle slot per row, one commutator table per group."""
 
     @staticmethod
     def counted_calls(monkeypatch, original):
@@ -629,18 +628,25 @@ class TestVerifyWork:
     def commutator_slots(self, monkeypatch):
         return self.counted_calls(monkeypatch, repvar.finite_group.commutator_slot)
 
-    def test_finite_s3(self, capsys, group_file_factory, mat_vec_calls, commutator_slots):
+    @pytest.fixture()
+    def oracle_slots(self, monkeypatch):
+        return self.counted_calls(monkeypatch, repvar.finite_group.fold_slot)
+
+    def test_finite_s3(
+        self, capsys, group_file_factory, mat_vec_calls, oracle_slots, commutator_slots
+    ):
         path = group_file_factory("s3")
         code, _, _ = run(capsys, "verify", "--backend", "finite", "--group", str(path))
         assert code == 0
-        # Per genus 0..2: 3 for one puncture, 9 for the six two-puncture
-        # multisets; 2 genus steps; 1 in the datum's validation.  Each spec
-        # on its own took 76.
-        assert len(mat_vec_calls) <= 39
+        # Per genus 0..2: 3 one-puncture rows and 6 two-puncture rows; 2
+        # genus steps; 1 mat_vec in the datum's validation.  Each spec on
+        # its own took 76.
+        assert len(mat_vec_calls) == 3 * 9 + 2 + 1
+        assert len(oracle_slots) == 3 * 9 + 2
         assert len(commutator_slots) == 1
 
     def test_finite_skipped_specs_compute_nothing(
-        self, capsys, group_file_factory, mat_vec_calls, commutator_slots
+        self, capsys, group_file_factory, mat_vec_calls, oracle_slots, commutator_slots
     ):
         path = group_file_factory("s3")
         code, out, _ = run(
@@ -649,18 +655,51 @@ class TestVerifyWork:
         assert code == 0
         assert "SUMMARY: 0 passed, 0 failed, 30 skipped" in out
         assert len(mat_vec_calls) == 1  # the datum's validation
-        assert commutator_slots == []
+        assert oracle_slots == commutator_slots == []
 
-    def test_finite_s3_three_punctures(self, capsys, group_file_factory, mat_vec_calls):
-        # Genus-0 words branch inside their leading puncture run, from
-        # (c0, c0, c0) to (c0, c1, c1): every state of a puncture run is
-        # kept, so each distinct prefix still costs one mat_vec.
+    def test_finite_s3_three_punctures(
+        self, capsys, group_file_factory, mat_vec_calls, oracle_slots
+    ):
+        # (c0, c1, c1) extends (c0, c1), kept from the level before, so a
+        # three-puncture row costs one step on each side like any other.
         path = group_file_factory("s3")
         code, _, _ = run(
             capsys, "verify", "--backend", "finite", "--group", str(path), "--max-punctures", "3"
         )
         assert code == 0
-        assert len(mat_vec_calls) == 96
+        # Per genus: 3 + 6 + 10 rows with punctures.
+        assert len(mat_vec_calls) == 3 * 19 + 2 + 1
+        assert len(oracle_slots) == 3 * 19 + 2
+
+    @pytest.mark.parametrize("name", ["s3", "d4"])
+    def test_each_row_folds_its_own_word(self, capsys, monkeypatch, group_file_factory, name):
+        # Both sides of a row fold the same tubes, so a row moved from the
+        # wrong parent, or by the wrong tube, would still PASS: compare the
+        # values themselves with each spec computed on its own.
+        compared = []
+        compare = repvar.cli._Report.compare
+
+        def recorded(report, description, engine, oracle, expected):
+            compared.append((description, engine, expected))
+            return compare(report, description, engine, oracle, expected)
+
+        monkeypatch.setattr(repvar.cli._Report, "compare", recorded)
+        path = group_file_factory(name)
+        code, _, _ = run(
+            capsys, "verify", "--backend", "finite", "--group", str(path), "--max-punctures", "3"
+        )
+        assert code == 0
+        group = load_group(path)
+        members = conjugacy_classes(group).members
+        datum = class_datum(group, {f"c{i}": m for i, m in enumerate(members)})
+        expected = []
+        for genus in range(3):
+            for s in range(4):
+                for combo in itertools.combinations_with_replacement(range(len(members)), s):
+                    spec = SurfaceSpec(genus, tuple(f"c{i}" for i in combo))
+                    count = brute_force_count(group, genus, [members[i] for i in combo])
+                    expected.append((epoly_rep_variety(datum, spec), count))
+        assert [(engine, count) for _, engine, count in compared] == expected
 
     def test_affc(self, capsys, mat_vec_calls):
         code, _, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "60")

@@ -1,7 +1,5 @@
-import gc
 import json
 import itertools
-import weakref
 from functools import partial
 from pathlib import Path
 
@@ -21,7 +19,6 @@ from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
     InvalidDatum,
-    PrefixFold,
     SurfaceSpec,
     TqftDatum,
     TubeGenerator,
@@ -36,6 +33,7 @@ from repvar.tqft import (
     puncture_tube,
     save_datum,
     word_epoly,
+    word_fold,
 )
 
 from full_rank import _lift, insert_identity_tubes, to_tqft_datum
@@ -96,8 +94,8 @@ def fold(datum, vec, word):
 
 def raw_scalar(datum, word):
     """disc_out . M_t ... M_1 . disc_in, folded tube by tube from the cap
-    with no prefix kept: the oracle the evaluator's prefix fold and its
-    choice of form are checked against."""
+    with no prefix kept: the oracle the evaluator's fold and its choice
+    of form are checked against."""
     return dot(datum.disc_out, fold(datum, datum.disc_in, word))
 
 
@@ -626,8 +624,8 @@ class TestIntFold:
         assert load_datum(tmp_path / "s3.json") == datum
 
 class TestWordEpoly:
-    """``word_epoly``, one ``PrefixFold`` over the fold form for every
-    word, gives the same value as the fold from cap to cup."""
+    """``word_epoly``, and ``word_fold`` driven one tube at a time, give
+    the same value as the fold from cap to cup."""
 
     @pytest.mark.parametrize("name", WORD_DATA)
     def test_every_word_of_up_to_two_tubes(self, name):
@@ -643,7 +641,13 @@ class TestWordEpoly:
         words = st.lists(st.sampled_from(list(datum.tubes)), max_size=7).map(tuple)
         epoly = word_epoly(datum)
         for word in data.draw(st.lists(words, min_size=1, max_size=6)):
-            assert epoly(word) == cap_to_cup(datum, word)
+            vec, step, value = word_fold(datum)
+            for t in range(len(word) + 1):
+                # vec has folded the first t tubes, as verify moves a row
+                # from its parent.
+                assert value(vec, t) == epoly(word[:t]) == cap_to_cup(datum, word[:t])
+                if t < len(word):
+                    vec = step(vec, word[t])
 
 
 class TestDatumFiles:
@@ -719,124 +723,3 @@ class TestDatumFiles:
         assert data == datum_to_json_dict(datum)
         assert "P" in data and sorted(data["punctures"]) == ["c0", "c1", "c2"]
         assert load_datum(S3_CLASSES_FILE) == datum
-
-
-class TestPrefixFold:
-    """Each call folds only the tubes past the prefix its word shares
-    with the last word folded."""
-
-    G, A, B = GENUS_TUBE, puncture_tube("a"), puncture_tube("b")
-
-    @staticmethod
-    def walk(step=lambda state, tube: state + (tube,)):
-        """A fold whose state is the word so far, and the tubes it stepped."""
-        steps = []
-
-        def counted(state, tube):
-            steps.append(tube)
-            return step(state, tube)
-
-        return PrefixFold((), counted), steps
-
-    def test_extension_folds_only_its_new_tubes(self):
-        fold_word, steps = self.walk()
-        G, A, B = self.G, self.A, self.B
-        assert fold_word((G, A)) == (G, A)
-        assert fold_word((G, A, B, G)) == (G, A, B, G)
-        assert steps == [G, A, B, G]
-        long = (G,) * 1000
-        fold_word(long)
-        del steps[:]
-        assert fold_word(long + (A,)) == long + (A,)
-        assert steps == [A]
-
-    def test_prefix_of_the_last_word_folds_nothing(self):
-        fold_word, steps = self.walk()
-        G, A, B = self.G, self.A, self.B
-        fold_word((G, A, B))
-        del steps[:]
-        assert fold_word((G, A)) == (G, A)
-        assert fold_word((G,)) == (G,)
-        assert steps == []
-
-    def test_divergent_word_refolds_from_the_divergence(self):
-        fold_word, steps = self.walk()
-        G, A, B = self.G, self.A, self.B
-        fold_word((G, G, A, A))
-        del steps[:]
-        assert fold_word((G, G, B)) == (G, G, B)
-        assert steps == [B]
-        # An equal generator built anew is shared like the same object.
-        assert fold_word((G, G, puncture_tube("b"), A)) == (G, G, B, A)
-        assert steps == [B, A]
-        assert fold_word((A,)) == (A,)
-        assert steps == [B, A, A]
-
-    def test_empty_word_returns_start(self):
-        start = ()
-        fold_word, steps = self.walk()
-        assert fold_word(()) is start
-        fold_word((self.G, self.A))
-        assert fold_word(()) is start
-        assert steps == [self.G, self.A]
-
-    def test_a_step_that_raises_leaves_the_kept_states_consistent(self):
-        G, A, B = self.G, self.A, self.B
-
-        def step(state, tube):
-            if tube == B and len(state) == 3:
-                raise ValueError("no B at position 3")
-            return state + (tube,)
-
-        fold_word, steps = self.walk(step)
-        fold_word((G, A, B, A))
-        with pytest.raises(ValueError):
-            fold_word((G, G, A, B))
-        assert steps == [G, A, B, A, G, A, B]
-        # (G, A, B) shares only (G,) with the states kept, not with the
-        # last word folded in full.
-        assert fold_word((G, A, B)) == (G, A, B)
-        assert steps == [G, A, B, A, G, A, B, A, B]
-
-    def test_a_long_genus_run_keeps_three_states(self):
-        class State:
-            """A state that a weak reference can watch."""
-
-            __slots__ = ("word", "__weakref__")
-
-            def __init__(self, word):
-                self.word = word
-
-        live = weakref.WeakSet()
-
-        def step(state, tube):
-            state = State(state.word + (tube,))
-            live.add(state)
-            return state
-
-        start = State(())
-        live.add(start)
-        fold_word = PrefixFold(start, step)
-        for word in ((self.G,) * 1000, (self.G,) * 1001):
-            assert fold_word(word).word == word
-            gc.collect()
-            # the start and the run's last two states
-            assert len(live) <= 3
-
-    def test_a_word_that_branches_inside_the_leading_run_refolds_it(self):
-        fold_word, steps = self.walk()
-        G, A = self.G, self.A
-        fold_word((G,) * 5)
-        del steps[:]
-        assert fold_word((G,) * 3) == (G,) * 3
-        assert steps == [G] * 3  # from the start: the states before G^4 are gone
-        assert fold_word((G,) * 3 + (A,)) == (G,) * 3 + (A,)
-        assert steps == [G] * 3 + [A]
-
-    @given(st.lists(st.lists(st.sampled_from([G, A, B]), max_size=8).map(tuple), max_size=12))
-    def test_property_every_call_equals_a_fold_from_the_start(self, words):
-        # The state is the word so far: a fold from the start gives the word.
-        G = self.G
-        fold_word, _ = self.walk()
-        for word in [(G,) * 5, (G,) * 3, *words]:
-            assert fold_word(word) == word
