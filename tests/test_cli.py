@@ -657,6 +657,25 @@ class TestVerifyWork:
         assert len(mat_vec_calls) == 1  # the datum's validation
         assert oracle_slots == commutator_slots == []
 
+    def test_finite_budget_cut_inside_a_level(
+        self, capsys, group_file_factory, mat_vec_calls, oracle_slots, commutator_slots
+    ):
+        # A budget of 36 tuples takes all of genus 0, genus 1 with only
+        # class 0 (size 1), and nothing of genus 2.  Genus 1's rows that
+        # extend a SKIPped multiset are SKIPped before their missing
+        # parent is looked up.
+        path = group_file_factory("s3")
+        code, out, _ = run(
+            capsys, "verify", "--backend", "finite", "--group", str(path),
+            "--max-punctures", "3", "--budget", "36",
+        )
+        assert code == 0
+        assert "SUMMARY: 24 passed, 0 failed, 36 skipped" in out
+        # 19 + 3 rows with punctures; the genus steps once, into genus 1.
+        assert len(mat_vec_calls) == 19 + 3 + 1 + 1
+        assert len(oracle_slots) == 19 + 3 + 1
+        assert len(commutator_slots) == 1
+
     def test_finite_s3_three_punctures(
         self, capsys, group_file_factory, mat_vec_calls, oracle_slots
     ):

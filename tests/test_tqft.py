@@ -1,11 +1,12 @@
 import json
 import itertools
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import repvar.tqft
 from repvar.affc import affc_datum, affc_inner_genus_matrix
 from repvar.finite_group import (
     NAMED_GROUPS,
@@ -648,6 +649,73 @@ class TestWordEpoly:
                 assert value(vec, t) == epoly(word[:t]) == cap_to_cup(datum, word[:t])
                 if t < len(word):
                     vec = step(vec, word[t])
+
+
+class TestWordFold:
+    """``word_fold``'s three parts as a walk uses them: a parent's vector
+    serves every word that extends it, and the fold keeps no state."""
+
+    @pytest.mark.parametrize("name", WORD_DATA)
+    def test_start_is_the_cap_and_values_to_one(self, name):
+        datum = WORD_DATA[name]
+        start, _, value = word_fold(datum)
+        assert start is datum.fold_form.disc_in
+        assert value(start, 0) == ONE  # the sphere
+
+    @pytest.mark.parametrize("name", WORD_DATA)
+    def test_one_parent_vector_serves_every_extension(self, name):
+        datum = WORD_DATA[name]
+        start, step, value = word_fold(datum)
+        for parent in all_words(datum, 1):
+            vec = reduce(step, parent, start)
+            for tube in datum.tubes:
+                word = parent + (tube,)
+                assert value(step(vec, tube), len(word)) == cap_to_cup(datum, word)
+            # Stepping to the children left the parent's vector as it was.
+            assert value(vec, len(parent)) == cap_to_cup(datum, parent)
+
+    @pytest.mark.parametrize("name", ["s3", "d4"])
+    def test_a_plain_cylinder_pads_a_word_without_changing_its_value(self, name):
+        datum = WORD_DATA[name]
+        start, step, value = word_fold(datum)
+        for word in all_words(datum, 2):
+            vec = reduce(step, word, start)
+            assert value(step(vec, IDENTITY_TUBE), len(word) + 1) == value(vec, len(word))
+
+    def test_step_looks_up_mat_vec_when_it_runs(self, monkeypatch):
+        # A rebinding of tqft.mat_vec after the fold is built is seen.
+        datum = WORD_DATA["s3"]
+        start, step, _ = word_fold(datum)
+        matrices = []
+
+        def recorded(matrix, vec):
+            matrices.append(matrix)
+            return mat_vec(matrix, vec)
+
+        monkeypatch.setattr(repvar.tqft, "mat_vec", recorded)
+        tube = puncture_tube("c1")
+        step(step(start, GENUS_TUBE), tube)
+        form = datum.fold_form
+        assert matrices == [form.tube_matrix(GENUS_TUBE), form.tube_matrix(tube)]
+
+    def test_a_step_that_raises_leaves_its_parent_usable(self):
+        datum = WORD_DATA["wide-q"]
+        start, step, value = word_fold(datum)
+        vec = step(start, GENUS_TUBE)
+        with pytest.raises(UnknownPunctureLabel):
+            step(vec, puncture_tube("b"))
+        with pytest.raises(InvalidDatum):
+            step(vec, IDENTITY_TUBE)
+        word = (GENUS_TUBE, puncture_tube("a"))
+        assert value(step(vec, puncture_tube("a")), 2) == cap_to_cup(datum, word)
+
+    def test_a_genus_run_steps_each_genus_from_the_last(self):
+        datum = WORD_DATA["affc"]
+        epoly = word_epoly(datum)
+        vec, step, value = word_fold(datum)
+        for genus in range(21):
+            assert value(vec, genus) == epoly(assemble_word(SurfaceSpec(genus, ())))
+            vec = step(vec, GENUS_TUBE)
 
 
 class TestDatumFiles:
