@@ -26,14 +26,13 @@ hash by value.
 """
 
 import os
-import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import itemgetter
 
 from .poly import LaurentPoly
-from .record import Record, echo
+from .record import Record, decoding, echo
 from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
 
 __all__ = [
@@ -230,11 +229,7 @@ def _check_associative(rows: Sequence[tuple[int, ...]], identity: int) -> None:
                     stack.append(y)
 
 
-def from_permutation_generators(
-    degree: int,
-    generators: Iterable[Sequence[int]],
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> FiniteGroup:
+def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]]) -> FiniteGroup:
     """Close the generators breadth-first, numbering the elements from
     the identity at 0, and return the group they generate.
 
@@ -266,10 +261,8 @@ def from_permutation_generators(
         for g, gen in enumerate(gens):
             product = tuple(map(perm.__getitem__, gen))
             if product not in index:
-                if len(elements) >= max_order:
-                    raise GroupTooLarge(
-                        f"generated group exceeds {max_order} elements"
-                    )
+                if len(elements) >= DEFAULT_MAX_ORDER:
+                    raise GroupTooLarge(f"generated group exceeds {DEFAULT_MAX_ORDER} elements")
                 index[product] = len(elements)
                 elements.append(product)
                 steps.append((parent, g))
@@ -545,7 +538,7 @@ def named_group(name: str) -> FiniteGroup:
 # ----------------------------------------------------------------------
 
 
-def group_from_json_dict(data: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def group_from_json_dict(data: dict) -> FiniteGroup:
     if not isinstance(data, dict):
         raise NotAGroup("group file must contain a JSON object")
     if "table" in data:
@@ -553,9 +546,9 @@ def group_from_json_dict(data: dict, max_order: int = DEFAULT_MAX_ORDER) -> Fini
         if not isinstance(table, list):
             raise NotAGroup("'table' must be a list of rows")
         n = len(table)
-        if n > max_order:
+        if n > DEFAULT_MAX_ORDER:
             raise GroupTooLarge(
-                f"table of order {n} exceeds the bound of {max_order} elements "
+                f"table of order {n} exceeds the bound of {DEFAULT_MAX_ORDER} elements "
                 f"({n * n} entries)"
             )
         return from_cayley_table(table)
@@ -565,7 +558,7 @@ def group_from_json_dict(data: dict, max_order: int = DEFAULT_MAX_ORDER) -> Fini
             raise NotAGroup(f"'degree' must be a nonnegative integer, got {echo(degree)}")
         if not isinstance(generators, list):
             raise NotAGroup(f"'generators' must be a list of permutations, got {echo(generators)}")
-        return from_permutation_generators(degree, generators, max_order=max_order)
+        return from_permutation_generators(degree, generators)
     raise NotAGroup("group file needs either 'table' or 'degree' + 'generators'")
 
 
@@ -573,22 +566,12 @@ def group_to_json_dict(group: FiniteGroup) -> dict:
     return {"table": [list(row) for row in group.mult]}
 
 
-def load_group(path: str | os.PathLike[str], max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def load_group(path: str | os.PathLike[str]) -> FiniteGroup:
+    """The group in a group file, refused with ``NotAGroup`` (or
+    ``GroupTooLarge``) as ``group_from_json_dict`` and ``decoding`` word it."""
     # Imported here: a request that reads no file never loads json.
     import json
 
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise NotAGroup(f"group file is not valid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise NotAGroup(f"group file is not UTF-8 text: {exc}") from None
-        except RecursionError:
-            raise NotAGroup("group file nests JSON arrays or objects too deeply") from None
-        except ValueError:  # an integer over CPython's digit limit, which is kept
-            limit = sys.get_int_max_str_digits()
-            raise NotAGroup(
-                f"group file holds an integer longer than the {limit} digits allowed"
-            ) from None
-    return group_from_json_dict(data, max_order=max_order)
+    with open(path, encoding="utf-8") as handle, decoding("group", NotAGroup):
+        data = json.load(handle)
+    return group_from_json_dict(data)

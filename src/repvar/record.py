@@ -1,5 +1,7 @@
-"""Base class for repvar's immutable value records, and ``echo``, the
-bounded ``repr`` through which error messages quote input values.
+"""Base class for repvar's immutable value records, and the helpers through
+which error messages speak of input: ``echo``, the bounded ``repr`` that
+quotes an input value, and ``decoding``, which words the JSON decoder's
+errors for a group or datum file.
 
 A record subclass names its fields in ``_fields`` and sets them once, in its
 ``__init__``, through ``self.__dict__``.  The base class then compares,
@@ -7,13 +9,13 @@ hashes and prints instances by those fields, in that order, and refuses
 every later assignment.  A record whose fields are not all hashable is
 not hashable either: ``hash`` raises ``TypeError``.  Anything else kept
 in ``__dict__``, such as a ``functools.cached_property`` value, is not
-part of the value.  Among those entries are the field tuple and the
-hash, each cached on first use: the fields cannot be assigned, so the
-caches cannot go stale.  Pickling leaves out the cached hash, since a
-string's hash differs between processes.
+part of the value.
 """
 
-__all__ = ["Record", "echo"]
+import sys
+from contextlib import contextmanager
+
+__all__ = ["Record", "echo", "decoding"]
 
 #: The most characters of an input value that an error message quotes.
 ECHO_LIMIT = 80
@@ -29,35 +31,43 @@ def echo(value) -> str:
     return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
+@contextmanager
+def decoding(kind: str, error: type[Exception]):
+    """Raise ``error`` with a message naming the ``kind`` of file
+    ("group", "datum") for each way ``json.load`` inside the block can
+    refuse a file.  A ``with`` block, not a function that calls
+    ``json.load``: the decoder's recursion limit counts the caller's
+    frames, so the parse must run at the loader's own depth."""
+    import json
+
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise error(f"{kind} file is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{kind} file is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise error(f"{kind} file nests JSON arrays or objects too deeply") from None
+    except ValueError:  # an integer over CPython's digit limit, which is kept
+        limit = sys.get_int_max_str_digits()
+        raise error(
+            f"{kind} file holds an integer longer than the {limit} digits allowed"
+        ) from None
+
+
 class Record:
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        try:
-            return self.__dict__["_record_values"]
-        except KeyError:
-            values = tuple(self.__dict__[name] for name in self._fields)
-            self.__dict__["_record_values"] = values
-            return values
+        return tuple(self.__dict__[name] for name in self._fields)
 
     def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        try:
-            return self.__dict__["_record_hash"]
-        except KeyError:
-            value = self.__dict__["_record_hash"] = hash(self._values())
-            return value
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_record_hash", None)
-        return state
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)

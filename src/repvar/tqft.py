@@ -48,13 +48,12 @@ compares by value.
 """
 
 import os
-import sys
 from collections.abc import Mapping, Sequence
 from functools import cached_property, reduce
 from operator import add, mul
 
 from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, QPoly, parse_poly
-from .record import Record, echo
+from .record import Record, decoding, echo
 
 __all__ = [
     "InvalidDatum",
@@ -432,23 +431,13 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
 
 
 def load_datum(path: str | os.PathLike[str]) -> TqftDatum:
+    """The datum in a datum file, refused with ``InvalidDatum`` as
+    ``datum_from_json_dict`` and ``decoding`` word it."""
     # Imported here: a request that reads no file never loads json.
     import json
 
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidDatum(f"datum file is not valid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise InvalidDatum(f"datum file is not UTF-8 text: {exc}") from None
-        except RecursionError:
-            raise InvalidDatum("datum file nests JSON arrays or objects too deeply") from None
-        except ValueError:  # an integer over CPython's digit limit, which is kept
-            limit = sys.get_int_max_str_digits()
-            raise InvalidDatum(
-                f"datum file holds an integer longer than the {limit} digits allowed"
-            ) from None
+    with open(path, encoding="utf-8") as handle, decoding("datum", InvalidDatum):
+        data = json.load(handle)
     return datum_from_json_dict(data)
 
 

@@ -249,9 +249,11 @@ class TestComputeErrors:
                 "error: bad polynomial in L: integer of 5000 digits at position 2 "
                 f"is longer than the {sys.get_int_max_str_digits()} digits allowed",
             ),
+            ({"L": ["1"]}, "error: L must be a list of rows"),
+            ({"punctures": [["1"]]}, "error: punctures must be an object of label -> matrix"),
         ],
         ids=["bad-polynomial", "superscript-digit", "non-square-tube", "long-integer",
-             "long-exponent"],
+             "long-exponent", "L-not-rows", "punctures-not-object"],
     )
     def test_malformed_datum_exits_two(self, capsys, tmp_path, override, message):
         data = {
@@ -288,6 +290,9 @@ class TestComputeErrors:
                 "puncture spec 'elements=1,3,-1': element index -1 is out of range "
                 "for a group of order 6",
             ),
+            ("elements=", "empty element list in puncture spec 'elements='"),
+            ("x=1", "unknown puncture spec 'x=1'; use rep=, elements= or a label"),
+            ("t", "finite backend punctures must use rep= or elements="),
         ],
     )
     def test_bad_puncture_spec_is_named(self, capsys, group_file_factory, spec, message):
@@ -387,6 +392,16 @@ class TestVerify:
         assert "failed" in out
         assert ", 0 failed" in out
 
+    def test_negative_max_genus_rejected(self, capsys, group_file_factory):
+        path = group_file_factory("z2")
+        code, out, err = run(
+            capsys,
+            "verify", "--backend", "finite", "--group", str(path), "--max-genus", "-1",
+        )
+        assert code == 2
+        assert err == "error: --max-genus must be >= 0\n"
+        assert out == ""
+
     def test_negative_max_punctures_rejected(self, capsys, group_file_factory):
         path = group_file_factory("z2")
         code, out, err = run(
@@ -439,6 +454,31 @@ class TestVerify:
         assert code == 4
         assert "FAIL" in out
         assert "counterexample" in out
+
+    def test_a_cylinder_that_changes_the_value_fails_insertion(self, capsys, tmp_path):
+        # P is no longer e_G times the identity, yet disc_out . P . disc_in
+        # reads only P[0][0] = e_G = 6: the datum loads, and only cylinder
+        # insertion tells it apart.
+        data = json.loads(DATUM_FILE.with_name("s3_classes.json").read_text())
+        data["P"][0][2] = "6"
+        path = tmp_path / "cylinder.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(
+            capsys,
+            "verify", "--backend", "custom", "--datum", str(path), "--max-genus", "2",
+        )
+        assert code == 4
+        assert out == (
+            "CHECK custom normalization genus=0 ... PASS\n"
+            "CHECK custom cylinder-insertion genus=0 ... PASS\n"
+            "CHECK custom normalization genus=1 ... PASS\n"
+            "CHECK custom cylinder-insertion genus=1 ... FAIL\n"
+            "  counterexample: padded=27 unpadded=18\n"
+            "CHECK custom normalization genus=2 ... PASS\n"
+            "CHECK custom cylinder-insertion genus=2 ... FAIL\n"
+            "  counterexample: padded=891 unpadded=486\n"
+            "SUMMARY: 4 passed, 2 failed, 0 skipped\n"
+        )
 
     def test_tampered_group_datum_detected_by_finite_sweep(
         self, capsys, tmp_path, group_file_factory

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repvar import finite_group
 from repvar.finite_group import (
     NAMED_GROUPS,
     BudgetExceeded,
@@ -123,6 +124,10 @@ def class_punctures(group):
 
 
 class TestConstruction:
+    def test_empty_table(self):
+        with pytest.raises(NotAGroup, match="^empty table$"):
+            from_cayley_table([])
+
     def test_z2_table(self):
         group = from_cayley_table([[0, 1], [1, 0]])
         assert group.order == 2
@@ -230,10 +235,13 @@ class TestConstruction:
         with pytest.raises(NotAGroup):
             from_permutation_generators(3, [(0, 0, 2)])
 
-    def test_group_too_large(self):
-        with pytest.raises(GroupTooLarge):
-            from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], max_order=3)
-        assert from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], max_order=6).order == 6
+    def test_group_too_large(self, monkeypatch):
+        # The bound is read when the closure runs, not when it is defined.
+        monkeypatch.setattr(finite_group, "DEFAULT_MAX_ORDER", 3)
+        with pytest.raises(GroupTooLarge, match="exceeds 3 elements"):
+            from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)])
+        monkeypatch.setattr(finite_group, "DEFAULT_MAX_ORDER", 6)
+        assert from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)]).order == 6
 
     def test_named_groups(self, suite_groups):
         expected_orders = {
@@ -704,6 +712,10 @@ class TestBruteForce:
                         group, genus, combo
                     ), (genus, combo)
 
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match="^genus must be >= 0$"):
+            brute_force_count(named_group("s3"), -1)
+
     @pytest.mark.parametrize("genus", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(MEDNYKH_GROUPS))
     def test_mednykh_formula(self, name, genus):
@@ -779,11 +791,13 @@ class TestGroupFiles:
         )
         assert group.order == 6
 
-    def test_table_over_max_order(self):
+    def test_table_over_max_order(self, monkeypatch):
         table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        monkeypatch.setattr(finite_group, "DEFAULT_MAX_ORDER", 4)
         with pytest.raises(GroupTooLarge, match=r"order 5 .* bound of 4 .*25 entries"):
-            group_from_json_dict({"table": table}, max_order=4)
-        assert group_from_json_dict({"table": table}, max_order=5).order == 5
+            group_from_json_dict({"table": table})
+        monkeypatch.setattr(finite_group, "DEFAULT_MAX_ORDER", 5)
+        assert group_from_json_dict({"table": table}).order == 5
 
     def test_rejects_other_shapes(self):
         with pytest.raises(NotAGroup):

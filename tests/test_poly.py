@@ -359,6 +359,16 @@ class TestQPoly:
         assert dense == Q - 1 and Q - 1 == dense
         assert dense != Q and ONE != QPoly.from_laurent(ZERO)
 
+    def test_equals_another_qpoly_at_any_spacing(self):
+        dense = QPoly.from_laurent(3 * Q**2 - 1)
+        assert dense == QPoly.from_laurent(3 * Q**2 - 1)
+        wide = dense._respaced(dense.bits + 16)
+        assert wide.bits != dense.bits
+        assert dense == wide and wide == dense
+        # Same lowest exponent, so the digits decide, at either spacing.
+        other = QPoly.from_laurent(3 * Q**2 + 1)
+        assert dense != other and wide != other and other != wide
+
     def test_cancellation_to_zero(self):
         inverse_square = LaurentPoly.monomial(-2, -2)
         p = QPoly.from_laurent(inverse_square + 3 * Q)
