@@ -2,9 +2,12 @@
 
 A ``LaurentPoly`` is stored sparsely as a map from exponent pairs (a, b)
 to nonzero integer coefficients; coefficients are plain Python ints and
-never overflow.  The distinguished element q = u*v (the class of the
-affine line) gets special treatment in parsing and printing because every
-result of interest downstream is a polynomial in q.
+never overflow.  It is the ring of parsing and printing, of the e_G
+division, and of data that are neither ``int`` (a finite group's class
+datum) nor dense in q (``QPoly`` below), such as a constant datum file.
+The distinguished element q = u*v (the class of the affine line) gets
+special treatment in parsing and printing because every result of
+interest downstream is a polynomial in q.
 
 ``QPoly`` is the subring Z[q^+-1] of diagonal polynomials, each packed
 into one integer: a lowest exponent and the polynomial's value at
@@ -62,7 +65,8 @@ __all__ = [
 
 
 class NonExactDivision(ArithmeticError):
-    """The requested quotient does not exist in Z[u^+-1, v^+-1]."""
+    """The requested quotient does not exist in Z[u^+-1, v^+-1], or is
+    longer than the caller allowed."""
 
 
 class ZeroBase(ZeroDivisionError):
@@ -70,7 +74,7 @@ class ZeroBase(ZeroDivisionError):
 
 
 class PolyParseError(ValueError):
-    """Malformed polynomial text or JSON term list."""
+    """Malformed polynomial text."""
 
 
 def _order_key(exponents: tuple[int, int]) -> tuple[int, int]:
@@ -83,38 +87,25 @@ def _order_key(exponents: tuple[int, int]) -> tuple[int, int]:
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in u and v over the integers.
 
-    Instances are canonical (no zero coefficients are stored), so equality
-    is plain structural equality and hashing is safe.  All operations
-    return new instances; nothing mutates.
+    Every instance is built by ``__init__``, which makes exponents and
+    coefficients ``int`` and drops zero coefficients, so equality is plain
+    structural equality and hashing is safe.  All operations return new
+    instances; nothing mutates.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if c:
-                    clean[(int(a), int(b))] = int(c)
+        clean = {(int(a), int(b)): int(c) for (a, b), c in (terms or {}).items() if c}
         object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def _canonical(cls, terms: dict[tuple[int, int], int]) -> "LaurentPoly":
-        """Wrap a dict that is already canonical (int exponents, no zero
-        coefficients) without copying or re-checking it.  The ring
-        operations build their results this way; ``__init__`` would
-        re-run ``int()`` on every exponent and coefficient."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms", terms)
-        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
 
     def __reduce__(self):
-        # Pickling and copying rebuild through _canonical, not by
+        # Pickling and copying rebuild through the constructor, not by
         # restoring the slot through the refusing __setattr__.
-        return (LaurentPoly._canonical, (dict(self._terms),))
+        return (LaurentPoly, (self._terms,))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -184,17 +175,13 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for key, c in rhs._terms.items():
-            c += out.get(key, 0)
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-        return LaurentPoly._canonical(out)
+            out[key] = out.get(key, 0) + c
+        return LaurentPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._canonical({key: -c for key, c in self._terms.items()})
+        return LaurentPoly({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         rhs = self._coerce(other)
@@ -217,7 +204,7 @@ class LaurentPoly:
             for (a2, b2), c2 in rhs._terms.items():
                 key = (a1 + a2, b1 + b2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly._canonical({key: c for key, c in out.items() if c})
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
@@ -236,34 +223,23 @@ class LaurentPoly:
                 base = base * base
         return result
 
-    def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
+    def exact_div(self, divisor: "LaurentPoly", max_terms: int | None = None) -> "LaurentPoly":
         """Return the unique quotient when ``divisor`` divides exactly.
 
-        Division proceeds by leading-term elimination under the (a+b, a)
-        order.  Both operands are first shifted by unit monomials so all
-        exponents are nonnegative; this keeps the elimination inside
-        Z[u, v], where the order is a well-order and termination is
-        guaranteed.  Any step that cannot be eliminated exactly raises
-        NonExactDivision.
-
-        A single-term divisor (a unit monomial, an integer, ``ONE``)
-        divides term by term in one pass: exponents shift, coefficients
-        divide, and any remainder raises NonExactDivision.
+        Every divisor goes through one loop: leading-term elimination
+        under the (a+b, a) order.  Both operands are first shifted by unit
+        monomials so all exponents are nonnegative; this keeps the
+        elimination inside Z[u, v], where the order is a well-order and
+        termination is guaranteed.  A single-term divisor (a unit
+        monomial, an integer) becomes one term at (0, 0), so each step
+        only divides a coefficient.  Any step that cannot be eliminated
+        exactly raises NonExactDivision, and so does a quotient that grows
+        past ``max_terms`` terms, when that is given.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return ZERO
-
-        if len(divisor._terms) == 1:
-            ((da, db), dc), = divisor._terms.items()
-            shifted: dict[tuple[int, int], int] = {}
-            for (a, b), c in self._terms.items():
-                c, residue = divmod(c, dc)
-                if residue:
-                    raise NonExactDivision(f"({self}) is not divisible by ({divisor})")
-                shifted[(a - da, b - db)] = c
-            return LaurentPoly._canonical(shifted)
 
         sa = min(a for a, _ in self._terms)
         sb = min(b for _, b in self._terms)
@@ -286,6 +262,8 @@ class LaurentPoly:
             if residue:
                 raise NonExactDivision(f"({self}) is not divisible by ({divisor})")
             quo[(ea, eb)] = c
+            if max_terms is not None and len(quo) > max_terms:
+                raise NonExactDivision(f"({self}) / ({divisor}) has more than {max_terms} terms")
             for (na, nb), nc in den.items():
                 key = (na + ea, nb + eb)
                 value = rem.get(key, 0) - c * nc
@@ -380,17 +358,6 @@ class LaurentPoly:
     def to_json_terms(self) -> list[list]:
         """JSON form: list of [a, b, coefficient-as-decimal-string]."""
         return [[a, b, _decimal(c)] for (a, b), c in self.items()]
-
-    @classmethod
-    def from_json_terms(cls, data: Iterable) -> "LaurentPoly":
-        triples = []
-        for item in data:
-            try:
-                a, b, c = item
-                triples.append((int(a), int(b), int(c)))
-            except (TypeError, ValueError) as exc:
-                raise PolyParseError(f"bad JSON term {item!r}: expected [a, b, coeff]") from exc
-        return cls.from_terms(triples)
 
 
 def _decimal(n: int) -> str:
@@ -538,7 +505,7 @@ class QPoly:
     def to_laurent(self) -> LaurentPoly:
         """Decode straight into the terms of a ``LaurentPoly``."""
         digits = _unpack(self._bytes(), self.bits >> 3)
-        return LaurentPoly._canonical({(i, i): c for i, c in enumerate(digits, self.low) if c})
+        return LaurentPoly({(i, i): c for i, c in enumerate(digits, self.low)})
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not other.packed:

@@ -235,13 +235,18 @@ class TqftDatum(Record):
         those quotients and e_G = 1.  A single-term e_G (|G| for every
         finite group) changes no term count, so dividing it out buys the
         fold nothing and the datum is kept; so is a datum with a tube e_G
-        does not divide, which keeps its end-of-word division.  Computed
-        on first use and cached with the datum.
+        does not divide, which keeps its end-of-word division.  Each
+        division stops once its quotient has more terms than all of the
+        datum's entries together, and the datum is then kept too: e_G =
+        q - 1 divides q^N - 1 into N terms, which a few-byte file could
+        otherwise make as long as it likes.  Computed on first use and
+        cached with the datum.
         """
         if len(self.e_g) < 2:
             return self
+        limit = sum(map(len, self._entries()))
         try:
-            return self._map_entries(ONE, lambda entry: entry.exact_div(self.e_g), lambda x: x)
+            return self._map_entries(ONE, lambda x: x.exact_div(self.e_g, limit), lambda x: x)
         except NonExactDivision:
             return self
 

@@ -106,7 +106,7 @@ class TestCompute:
             capsys, "compute", "--backend", "affc", "--genus", "2", "--format", "json"
         )
         assert code == 0
-        parsed = LaurentPoly.from_json_terms(json.loads(out))
+        parsed = LaurentPoly.from_terms((a, b, int(c)) for a, b, c in json.loads(out))
         assert parsed == Q**3 * ((Q - 1) ** 4 + Q - 1)
 
     def test_uv_format(self, capsys):

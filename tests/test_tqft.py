@@ -331,6 +331,21 @@ class TestEgFreeForm:
         datum = datum_from_json_dict(tampered)
         assert datum.e_g_free is datum
 
+    @pytest.mark.parametrize("n, divides", [(4, True), (5, False), (2_000, False)])
+    def test_a_quotient_longer_than_the_datum_keeps_the_datum(self, n, divides):
+        # q - 1 divides q^n - 1 into n terms; the datum's entries have 4.
+        datum = rank_one_datum(e_g=Q - 1, genus_entry=Q**n - 1)
+        free = datum.e_g_free
+        assert (free is not datum) == divides
+        quotient = sum((Q**i for i in range(n)), ZERO)
+        assert epoly_rep_variety(datum, SurfaceSpec(1)) == quotient
+
+    def test_a_huge_quotient_is_not_divided_out(self):
+        # Dividing out e_G would build a quotient of 10^9 terms.
+        datum = rank_one_datum(e_g=Q - 1, genus_entry=Q**1_000_000_000 - 1)
+        assert datum.e_g_free is datum
+        assert epoly_rep_variety(datum, SurfaceSpec(0)) == ONE
+
     @pytest.mark.parametrize(
         "make",
         [affc_datum, lambda: load_datum(DATUM_FILE), partly_divisible_datum],
