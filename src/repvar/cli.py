@@ -422,7 +422,7 @@ def _cmd_verify(args) -> int:
 def _verify_affc(args, report: _Report) -> None:
     vec, step, value = word_fold(affc_datum())
     xk = xk_values()  # e(X_1), e(X_2), ...: two steps per genus
-    for genus in range(1, max(args.max_genus, 1) + 1):
+    for genus in range(1, args.max_genus + 1):
         vec = step(vec, GENUS_TUBE)
         engine = value(vec, genus)
         report.compare(

@@ -18,7 +18,8 @@ shorter factor, and a sum one shift and one addition, each a single
 pass in C rather than one Python operation per coefficient.  The
 spacing belongs to each value and widens when a result would outgrow
 it.  ``QPoly`` has only ``+``, ``*`` and the conversions to and from
-``LaurentPoly``.  The engine folds a datum whose entries are all
+``LaurentPoly``: a value comes from ``QPoly.from_laurent`` or from a sum
+or product.  The engine folds a datum whose entries are all
 polynomials in q over it, and converts back to ``LaurentPoly`` for
 division and output; parsing and printing stay with ``LaurentPoly``.
 
@@ -150,9 +151,6 @@ class LaurentPoly:
     def is_diagonal(self) -> bool:
         """True when every monomial is a power of q = uv (exponents a == b)."""
         return all(a == b for a, b in self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -389,13 +387,6 @@ def _offsets(n: int, k: int, top: int) -> int:
     return int.from_bytes((bytes(k - top) + b"\x80" + bytes(top - 1)) * n, "big")
 
 
-def _unpack(buf: bytes, k: int) -> Iterator[int]:
-    """Balanced digits, lowest first, from big-endian digits of ``k``
-    bytes offset by half the base."""
-    half, from_bytes = 1 << (8 * k - 1), int.from_bytes
-    return (from_bytes(buf[j - k:j], "big") - half for j in range(len(buf), 0, -k))
-
-
 def _spacing(bound: int) -> int:
     """Digit width in bits for digits of magnitude up to ``bound``: a
     multiple of 8 with bound < 2^(bits - 1), plus headroom, so that a
@@ -415,42 +406,25 @@ class QPoly:
     The lowest digit is nonzero (zero is packed 0 with low 0), so equal
     polynomials have equal ``low``.  The spacing belongs to the value: a
     product or sum whose bound would outgrow it re-spaces its operand
-    first.  ``coeffs`` decodes the coefficient list, trimmed at both
-    ends.  No operation mutates an instance.  A ``QPoly`` equals the
-    ``LaurentPoly`` it converts to.
+    first.  Values from data come in through ``from_laurent``, the rest
+    from ``+`` and ``*``; the constructor stores a packed form as given.
+    ``coeffs`` decodes the coefficient list, which starts and ends
+    nonzero.  No operation mutates an instance.  Two ``QPoly`` are equal
+    when their ``low`` and their digits are, at any spacing, and a
+    ``QPoly`` equals the ``LaurentPoly`` it converts to.
     """
 
     __slots__ = ("low", "packed", "bits", "bound", "_digits")
 
-    def __init__(self, low: int, coeffs: list[int]):
-        """Trim ``coeffs`` (a list of ints) at both ends, shift ``low``
-        past any zeros dropped from the front, and pack the rest."""
-        end = len(coeffs)
-        while end and not coeffs[end - 1]:
-            end -= 1
-        start = 0
-        while start < end and not coeffs[start]:
-            start += 1
-        digits = tuple(coeffs[start:end])
-        bound = max(map(abs, digits), default=0)
-        bits = _spacing(bound)
-        k, half = bits >> 3, 1 << (bits - 1)
-        offset = b"".join([(c + half).to_bytes(k, "big") for c in reversed(digits)])
-        packed = int.from_bytes(offset, "big") - _offsets(len(digits), k, k)
-        self._set(low + start if digits else 0, packed, bits, bound, digits)
-
-    def _set(self, low: int, packed: int, bits: int, bound: int, digits: tuple | None) -> None:
+    def __init__(self, low: int, packed: int, bits: int, bound: int, digits: tuple | None = None):
+        """Store the packed form as given; values from data come in through
+        ``from_laurent``.  ``digits``, when known, is the decoded
+        coefficient tuple, kept so that it is not decoded again."""
         self.low = low
         self.packed = packed
         self.bits = bits
         self.bound = bound
         self._digits = digits  # decoded coefficients, once asked for
-
-    @classmethod
-    def _make(cls, low: int, packed: int, bits: int, bound: int, digits: tuple | None = None) -> "QPoly":
-        poly = object.__new__(cls)
-        poly._set(low, packed, bits, bound, digits)
-        return poly
 
     def _count(self) -> int:
         """Number of digits.  The top one is nonzero and under half the
@@ -464,8 +438,12 @@ class QPoly:
         return (self.packed + _offsets(n, k, k)).to_bytes(n * k, "big")
 
     def _decode(self) -> tuple:
+        """The balanced digits, lowest first: each chunk of ``_bytes`` less
+        half the base."""
         if self._digits is None:
-            self._digits = tuple(_unpack(self._bytes(), self.bits >> 3))
+            buf, k = self._bytes(), self.bits >> 3
+            half, from_bytes = 1 << (self.bits - 1), int.from_bytes
+            self._digits = tuple(from_bytes(buf[j - k:j], "big") - half for j in range(len(buf), 0, -k))
         return self._digits
 
     @property
@@ -487,25 +465,32 @@ class QPoly:
         packed = int.from_bytes(pad + pad.join(chunks), "big") - _offsets(len(chunks), wide_k, k)
         half = 1 << (self.bits - 1)
         bound = max(int.from_bytes(max(chunks), "big") - half, half - int.from_bytes(min(chunks), "big"))
-        return QPoly._make(self.low, packed, bits, bound, self._digits)
+        return QPoly(self.low, packed, bits, bound, self._digits)
 
     @classmethod
     def from_laurent(cls, poly: LaurentPoly) -> "QPoly":
+        """Pack the coefficients of ``poly`` from its lowest exponent to its
+        highest.  A ``LaurentPoly`` holds no zero terms, so both ends of
+        that list are nonzero."""
         if not poly.is_diagonal():
             raise ValueError(f"not a polynomial in q: {poly}")
         if poly.is_zero():
-            return cls(0, [])
+            return cls(0, 0, _spacing(0), 0, ())
         exponents = [a for a, _ in poly._terms]
         low = min(exponents)
         coeffs = [0] * (max(exponents) - low + 1)
         for (a, _), c in poly._terms.items():
             coeffs[a - low] = c
-        return cls(low, coeffs)
+        bound = max(map(abs, coeffs))
+        bits = _spacing(bound)
+        k, half = bits >> 3, 1 << (bits - 1)
+        offset = b"".join([(c + half).to_bytes(k, "big") for c in reversed(coeffs)])
+        packed = int.from_bytes(offset, "big") - _offsets(len(coeffs), k, k)
+        return cls(low, packed, bits, bound, tuple(coeffs))
 
     def to_laurent(self) -> LaurentPoly:
-        """Decode straight into the terms of a ``LaurentPoly``."""
-        digits = _unpack(self._bytes(), self.bits >> 3)
-        return LaurentPoly({(i, i): c for i, c in enumerate(digits, self.low)})
+        """The decoded digits as the terms of a ``LaurentPoly``."""
+        return LaurentPoly({(i, i): c for i, c in enumerate(self._decode(), self.low)})
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not other.packed:
@@ -529,12 +514,12 @@ class QPoly:
             # negative int would convert all of it to two's complement.
             packed = first.packed + second.packed
             if not packed:
-                return QPoly._make(0, 0, bits, 0)
+                return QPoly(0, 0, bits, 0)
             if not abs(packed) & ((1 << bits) - 1):
                 zeros = ((packed & -packed).bit_length() - 1) // bits
                 packed >>= zeros * bits
                 low += zeros
-        return QPoly._make(low, packed, bits, self.bound + other.bound)
+        return QPoly(low, packed, bits, self.bound + other.bound)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         if not self.packed:
@@ -559,12 +544,10 @@ class QPoly:
                 acc -= x
             elif c:
                 acc += c * x
-        return QPoly._make(short.low + long.low, acc, bits, l1 * long.bound)
+        return QPoly(short.low + long.low, acc, bits, l1 * long.bound)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPoly):
-            if self.bits == other.bits:
-                return self.low == other.low and self.packed == other.packed
             return self.low == other.low and self._decode() == other._decode()
         if isinstance(other, LaurentPoly):
             return self.to_laurent() == other

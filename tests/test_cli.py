@@ -27,8 +27,10 @@ from repvar.finite_group import (
 )
 from repvar.poly import ONE, LaurentPoly, NonExactDivision, Q, parse_poly
 from repvar.tqft import (
+    GENUS_TUBE,
     IDENTITY_TUBE,
     SurfaceSpec,
+    TqftDatum,
     assemble_word,
     datum_to_json_dict,
     epoly_rep_variety,
@@ -374,6 +376,49 @@ class TestVerify:
             "  counterexample: engine=18 brute-force=36",
             "SUMMARY: 1 passed, 1 failed, 0 skipped",
         ]
+
+    def test_finite_word_that_does_not_divide_is_a_fail_row(self, capsys, monkeypatch):
+        # One more in the genus tube's (0, 0) entry leaves the genus-1
+        # words short of a multiple of e_G^t; the rows after them still run.
+        def tampered(group, punctures):
+            datum = class_datum(group, punctures)
+            tubes = dict(datum.tubes)
+            genus = [list(row) for row in tubes[GENUS_TUBE]]
+            genus[0][0] += 1
+            tubes[GENUS_TUBE] = genus
+            return TqftDatum(datum.e_g, tubes, datum.disc_in, datum.disc_out)
+
+        monkeypatch.setattr(repvar.cli, "class_datum", tampered)
+        code, out, err = run(
+            capsys,
+            "verify", "--backend", "finite", "--group", str(ROOT / "data" / "groups" / "s3.json"),
+            "--max-genus", "1", "--max-punctures", "1",
+        )
+        assert code == 4 and err == ""
+        assert out.splitlines() == [
+            "CHECK finite genus=0 punctures=[] ... PASS",
+            "CHECK finite genus=0 punctures=[class 0] ... PASS",
+            "CHECK finite genus=0 punctures=[class 1] ... PASS",
+            "CHECK finite genus=0 punctures=[class 2] ... PASS",
+            "CHECK finite genus=1 punctures=[] ... FAIL",
+            "  counterexample: (109) is not divisible by (6)",
+            "CHECK finite genus=1 punctures=[class 0] ... FAIL",
+            "  counterexample: (654) is not divisible by (36)",
+            "CHECK finite genus=1 punctures=[class 1] ... PASS",
+            "CHECK finite genus=1 punctures=[class 2] ... PASS",
+            "SUMMARY: 6 passed, 2 failed, 0 skipped",
+        ]
+
+    @pytest.mark.parametrize("max_genus", [0, 1])
+    def test_affc_checks_no_genus_past_max_genus(self, capsys, max_genus):
+        code, out, err = run(capsys, "verify", "--backend", "affc", "--max-genus", str(max_genus))
+        assert code == 0 and err == ""
+        rows = [
+            f"CHECK affc {name} genus={genus} ... PASS"
+            for genus in range(1, max_genus + 1)
+            for name in ("closed-form", "recursion")
+        ]
+        assert out.splitlines() == rows + [f"SUMMARY: {len(rows)} passed, 0 failed, 0 skipped"]
 
     def test_affc_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "6")
@@ -1101,7 +1146,8 @@ def modules_after(statement):
 def test_cli_import_loads_no_module_a_request_does_not_need():
     # Each of these costs milliseconds on every start of the command.  The
     # bare run is subtracted because site may preload some of them.
-    added = modules_after("import repvar.cli") - modules_after("pass")
+    imported = modules_after("import repvar.cli")
+    added = imported - modules_after("pass")
     assert "repvar.cli" in added
     assert not added & {
         "argparse", "gettext", "locale",
@@ -1111,11 +1157,15 @@ def test_cli_import_loads_no_module_a_request_does_not_need():
     # fractions is imported where it is used.
     half = LaurentPoly.monomial(-1, 0).evaluate(2, 1)
     assert type(half) is Fraction and half == Fraction(1, 2)
-    # json is imported by the file loaders only: not for an affc request,
-    # even one that prints json, but for a request that reads a group file.
+    # An affc request, compute or verify, loads nothing past the import:
+    # json is imported by the file loaders only, so not even for a request
+    # that prints json, but for a request that reads a group file.
     request = "from repvar.cli import main; assert main({}) == 0"
     affc = ["compute", "--backend", "affc", "--genus", "3", "--format", "json"]
-    assert "json" not in modules_after(request.format(affc))
+    verify = ["verify", "--backend", "affc", "--max-genus", "3"]
+    for argv in (affc, verify):
+        loaded = modules_after(request.format(argv))
+        assert "json" not in loaded and loaded <= imported
     finite = ["compute", "--backend", "finite", "--group", str(ROOT / "data" / "groups" / "s3.json"),
               "--genus", "2"]
     assert "json" in modules_after(request.format(finite))

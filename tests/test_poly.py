@@ -87,6 +87,13 @@ class TestArithmetic:
         assert LaurentPoly.const(c) == c
         assert hash(LaurentPoly.const(c)) == hash(c)
 
+    def test_constant_value(self):
+        assert LaurentPoly.const(-3).constant_value() == -3
+        assert ZERO.constant_value() == 0
+        for p in (Q, U + 1, LaurentPoly.monomial(0, -1)):
+            with pytest.raises(ValueError, match="not a constant polynomial"):
+                p.constant_value()
+
     def test_int_found_in_a_set_of_polys(self):
         assert 1 in {ONE}
         assert 0 in {ZERO}
@@ -175,9 +182,13 @@ class TestEvaluate:
 
     def test_zero_base_with_negative_exponent(self):
         p = LaurentPoly.monomial(-1, 0)
-        with pytest.raises(ZeroBase):
+        with pytest.raises(ZeroBase, match="u = 0"):
             p.evaluate(0, 1)
         assert p.evaluate(2, 0) == Fraction(1, 2)
+        p = LaurentPoly.monomial(0, -1)
+        with pytest.raises(ZeroBase, match="v = 0"):
+            p.evaluate(1, 0)
+        assert p.evaluate(0, 2) == Fraction(1, 2)
 
     def test_zero_base_allowed_without_negative_exponent(self):
         assert (Q + 1).evaluate(0, 0) == 1
@@ -340,15 +351,12 @@ def canonical(dense):
 
 
 class TestQPoly:
-    def test_constructor_trims_both_ends(self):
-        assert canonical(QPoly(-2, [0, 0, 3, 0, -1, 0])) == (0, [3, 0, -1])
-        assert canonical(QPoly(5, [0, 0])) == (0, [])
-        assert canonical(QPoly(-3, [])) == (0, [])
+    def test_zero_has_low_zero_and_no_digits(self):
+        assert canonical(QPoly.from_laurent(ZERO)) == (0, [])
 
     def test_from_laurent_reads_q_exponents(self):
         dense = QPoly.from_laurent(LaurentPoly.monomial(-1, -1) - 2 * Q**2)
         assert canonical(dense) == (-1, [1, 0, 0, -2])
-        assert canonical(QPoly.from_laurent(ZERO)) == (0, [])
 
     def test_from_laurent_rejects_separate_u_and_v(self):
         for poly in (U, Q + V, U * V**2):
