@@ -47,9 +47,7 @@ from .finite_group import (
     from_cayley_table,
     from_permutation_generators,
     group_from_json_dict,
-    group_to_json_dict,
     load_group,
-    named_group,
 )
 from .affc import affc_closed_form, affc_datum, xk_epoly
 

@@ -5,13 +5,14 @@ A multiplication table is validated exactly (``from_cayley_table``), and
 its elements are its own indices 0..n-1, wherever it keeps its identity;
 there is no second labelling and nothing to map back.  Permutation
 generators are closed breadth-first into rows, a group by construction
-that is not checked again (``from_permutation_generators``).  The named
-groups are built-in group files, read by the same code as a file on disk.
+that is not checked again (``from_permutation_generators``).
 
-Every conjugation scan (the classes, the closure of some elements, the
-check that a puncture subset is a union of classes) conjugates one
-element of each class it meets by every element, O(n) per class and
-never per member, through the one helper ``_classes_met``.
+Every conjugation scan of the engine (the classes, the closure of some
+elements, the check that a puncture subset is a union of classes)
+conjugates one element of each class it meets by every element, O(n)
+per class and never per member, through the one helper ``_classes_met``.
+The oracle's genus slot scans the same orbits with its own loop
+(``commutator_slot``), so it shares no code with the engine.
 
 ``class_datum`` builds the datum the CLI evaluates: rank = class number,
 straight from closed forms on class representatives, in plain integers
@@ -52,10 +53,7 @@ __all__ = [
     "puncture_slot",
     "check_budget",
     "fold_slot",
-    "named_group",
-    "NAMED_GROUPS",
     "group_from_json_dict",
-    "group_to_json_dict",
     "load_group",
 ]
 
@@ -432,7 +430,7 @@ def brute_force_count(
     genera and puncture multisets level by level) builds each slot once
     and folds each shape one slot on from its parent's, through the same
     helpers.  The oracle uses only the multiplication table, never
-    conjugacy classes or the TQFT engine.  ``budget`` still caps the
+    ``conjugacy_classes`` or the TQFT engine.  ``budget`` still caps the
     number of tuples, n^(2g) * prod |lam| (``check_budget``), not the
     fold's work.
     """
@@ -450,15 +448,33 @@ def brute_force_count(
 
 def commutator_slot(group: FiniteGroup) -> Counter:
     """The commutators [a, b] over all n^2 pairs (a, b), with
-    multiplicity: the values of one genus slot of the oracle.  Each a
-    reads its row of the table and its inverse once, and each b then
-    costs three lookups: ab, then (ab) a^-1, then that times b^-1."""
+    multiplicity: the values of one genus slot of the oracle.
+
+    By orbit-stabiliser: [a, b] = a (b a b^-1)^-1, and as b runs over the
+    group, b a b^-1 runs over the class C of a, each member n / |C|
+    times.  So each a in C gives [a, b] = a y for y in
+    C^-1 = {x^-1 : x in C}, each n / |C| times.  The classes are found
+    here, as the orbits {h a h^-1 : h in G} of the table, not through the
+    engine's ``conjugacy_classes``: sum |C|^2 + n k table reads for k
+    classes, not n^2.
+    """
+    n = group.order
     mult, inverse = group.mult, group.inverse
-    return Counter(
-        mult[mult[ab][inv_a]][inv_b]
-        for row_a, inv_a in zip(mult, inverse)
-        for ab, inv_b in zip(row_a, inverse)
-    )
+    slot: Counter = Counter()
+    met = bytearray(n)
+    for a in range(n):
+        if met[a]:
+            continue
+        orbit = {mult[mult[h][a]][inv_h] for h, inv_h in enumerate(inverse)}
+        inverses = [inverse[x] for x in orbit]
+        products: Counter = Counter()
+        for x in orbit:
+            met[x] = 1
+            products.update(map(mult[x].__getitem__, inverses))
+        weight = n // len(orbit)
+        for value, count in products.items():
+            slot[value] += weight * count
+    return slot
 
 
 def puncture_slot(group: FiniteGroup, subset: Iterable[int]) -> Counter:
@@ -494,46 +510,6 @@ def fold_slot(group: FiniteGroup, dist: Counter, slot: Counter) -> Counter:
 
 
 # ----------------------------------------------------------------------
-# Named groups: built-in group files
-# ----------------------------------------------------------------------
-
-
-NAMED_GROUPS = {
-    "z1": {"degree": 1, "generators": []},
-    "z2": {"degree": 2, "generators": [[1, 0]]},
-    "z3": {"degree": 3, "generators": [[1, 2, 0]]},
-    "z4": {"degree": 4, "generators": [[1, 2, 3, 0]]},
-    "z2xz2": {"degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]},
-    "s3": {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
-    # Symmetries of the square 0-1-2-3: a rotation and a reflection.
-    "d4": {"degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 3, 2]]},
-    # Elements 2*axis + sign with axes 1, i, j, k; sign bit 1 means negated.
-    "q8": {
-        "table": [
-            [0, 1, 2, 3, 4, 5, 6, 7],
-            [1, 0, 3, 2, 5, 4, 7, 6],
-            [2, 3, 1, 0, 6, 7, 5, 4],
-            [3, 2, 0, 1, 7, 6, 4, 5],
-            [4, 5, 7, 6, 1, 0, 2, 3],
-            [5, 4, 6, 7, 0, 1, 3, 2],
-            [6, 7, 4, 5, 3, 2, 1, 0],
-            [7, 6, 5, 4, 2, 3, 0, 1],
-        ]
-    },
-    "a4": {"degree": 4, "generators": [[1, 2, 0, 3], [1, 0, 3, 2]]},
-}
-
-
-def named_group(name: str) -> FiniteGroup:
-    try:
-        data = NAMED_GROUPS[name.lower()]
-    except KeyError:
-        known = ", ".join(sorted(NAMED_GROUPS))
-        raise ValueError(f"unknown group name {name!r}; known: {known}") from None
-    return group_from_json_dict(data)
-
-
-# ----------------------------------------------------------------------
 # Group files
 # ----------------------------------------------------------------------
 
@@ -560,10 +536,6 @@ def group_from_json_dict(data: dict) -> FiniteGroup:
             raise NotAGroup(f"'generators' must be a list of permutations, got {echo(generators)}")
         return from_permutation_generators(degree, generators)
     raise NotAGroup("group file needs either 'table' or 'degree' + 'generators'")
-
-
-def group_to_json_dict(group: FiniteGroup) -> dict:
-    return {"table": [list(row) for row in group.mult]}
 
 
 def load_group(path: str | os.PathLike[str]) -> FiniteGroup:

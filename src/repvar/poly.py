@@ -48,6 +48,7 @@ True
 
 import re
 import sys
+from bisect import insort
 from collections.abc import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -230,9 +231,14 @@ class LaurentPoly:
         elimination inside Z[u, v], where the order is a well-order and
         termination is guaranteed.  A single-term divisor (a unit
         monomial, an integer) becomes one term at (0, 0), so each step
-        only divides a coefficient.  Any step that cannot be eliminated
-        exactly raises NonExactDivision, and so does a quotient that grows
-        past ``max_terms`` terms, when that is given.
+        only divides a coefficient.  The remainder's exponents are kept in
+        one list sorted by the order: each step pops the leading one
+        (skipping any that has cancelled) and inserts by bisection each
+        one it adds, all below the one removed, so a step costs
+        O(|divisor| log |remainder|), not a scan of the remainder.  Any
+        step that cannot be eliminated exactly raises NonExactDivision,
+        and so does a quotient that grows past ``max_terms`` terms, when
+        that is given.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -249,9 +255,13 @@ class LaurentPoly:
         lead_d = max(den, key=_order_key)
         lead_dc = den[lead_d]
 
+        # The keys of rem, and keys cancelled since, in ascending order.
+        order = sorted(rem, key=_order_key)
         quo: dict[tuple[int, int], int] = {}
-        while rem:
-            lead_r = max(rem, key=_order_key)
+        while order:
+            lead_r = order.pop()
+            if lead_r not in rem:
+                continue
             ea = lead_r[0] - lead_d[0]
             eb = lead_r[1] - lead_d[1]
             if ea < 0 or eb < 0:
@@ -266,6 +276,8 @@ class LaurentPoly:
                 key = (na + ea, nb + eb)
                 value = rem.get(key, 0) - c * nc
                 if value:
+                    if key not in rem:
+                        insort(order, key, key=_order_key)
                     rem[key] = value
                 else:
                     rem.pop(key, None)

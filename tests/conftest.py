@@ -1,10 +1,20 @@
-import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repvar.finite_group import group_to_json_dict, named_group
+from repvar.finite_group import load_group
 
+DATA_GROUPS = Path(__file__).resolve().parent.parent / "data" / "groups"
+GROUP_FILES = sorted(DATA_GROUPS.glob("*.json"))
 SUITE_GROUP_NAMES = ("z2", "z3", "z4", "z2xz2", "s3", "d4", "q8", "a4")
+# The shipped files named after their group: the suite's groups and z1.
+GROUP_NAMES = ("z1", *SUITE_GROUP_NAMES)
+
+
+def named_group(name):
+    """The group in the shipped file ``data/groups/<name>.json``."""
+    return load_group(DATA_GROUPS / f"{name}.json")
 
 
 @pytest.fixture(scope="session")
@@ -15,11 +25,11 @@ def suite_groups():
 
 @pytest.fixture()
 def group_file_factory(tmp_path):
-    """Write a named group to a JSON table file and return the path."""
+    """Copy a shipped group file into a fresh directory and return the path."""
 
     def factory(name):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(group_to_json_dict(named_group(name))))
+        shutil.copyfile(DATA_GROUPS / f"{name}.json", path)
         return path
 
     return factory

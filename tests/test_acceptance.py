@@ -6,11 +6,7 @@ import random
 import time
 
 from repvar.affc import affc_datum, xk_epoly
-from repvar.finite_group import (
-    brute_force_count,
-    conjugacy_classes,
-    named_group,
-)
+from repvar.finite_group import brute_force_count, conjugacy_classes
 from repvar.poly import LaurentPoly, ONE, Q
 from repvar.tqft import (
     SurfaceSpec,
@@ -19,6 +15,7 @@ from repvar.tqft import (
     word_epoly,
 )
 
+from conftest import named_group
 from full_rank import (
     class_reduce,
     genus_matrix,

@@ -21,9 +21,7 @@ from repvar.finite_group import (
     brute_force_count,
     class_datum,
     conjugacy_classes,
-    group_to_json_dict,
     load_group,
-    named_group,
 )
 from repvar.poly import ONE, LaurentPoly, NonExactDivision, Q, parse_poly
 from repvar.tqft import (
@@ -39,6 +37,7 @@ from repvar.tqft import (
     word_epoly,
 )
 
+from conftest import named_group
 from full_rank import insert_identity_tubes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -632,12 +631,12 @@ class TestVerifyRows:
 
     @pytest.mark.parametrize("budget", [0, 100, 2000, 10**9])
     @pytest.mark.parametrize("name", ["s3", "q8", "a4", "d4", "s3-relabelled"])
-    def test_finite(self, capsys, tmp_path, name, budget):
-        data = s3_identity_not_first() if name == "s3-relabelled" else group_to_json_dict(
-            named_group(name)
-        )
-        path = tmp_path / "group.json"
-        path.write_text(json.dumps(data))
+    def test_finite(self, capsys, tmp_path, group_file_factory, name, budget):
+        if name == "s3-relabelled":
+            path = tmp_path / "group.json"
+            path.write_text(json.dumps(s3_identity_not_first()))
+        else:
+            path = group_file_factory(name)
         group = load_group(path)
         assert name != "s3-relabelled" or group.identity == 2
         cache: dict = {}

@@ -1,14 +1,12 @@
 import itertools
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repvar import finite_group
 from repvar.finite_group import (
-    NAMED_GROUPS,
     BudgetExceeded,
     FiniteGroup,
     GroupTooLarge,
@@ -16,19 +14,19 @@ from repvar.finite_group import (
     NotConjugationClosed,
     brute_force_count,
     class_datum,
+    commutator_slot,
     conjugacy_classes,
     conjugacy_closure,
     from_cayley_table,
     from_permutation_generators,
     group_from_json_dict,
-    group_to_json_dict,
     load_group,
-    named_group,
     puncture_slot,
 )
 from repvar.poly import LaurentPoly, ZERO
 from repvar.tqft import SurfaceSpec, epoly_rep_variety
 
+from conftest import DATA_GROUPS, GROUP_FILES, GROUP_NAMES, SUITE_GROUP_NAMES, named_group
 from full_rank import class_reduce, genus_matrix, puncture_matrix, to_tqft_datum, tube_matrix_P
 
 S3_TABLE = [
@@ -62,8 +60,6 @@ GENUS_COUNTS = {
     "q8": {1: 40, 2: 2176},
     "a4": {1: 48, 2: 5376},
 }
-
-DATA_GROUPS = Path(__file__).resolve().parent.parent / "data" / "groups"
 
 # Groups beyond the named ones, with more classes and larger centralizers.
 PERMUTATION_GROUPS = {
@@ -162,7 +158,7 @@ class TestConstruction:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        name=st.sampled_from(sorted(set(NAMED_GROUPS) - {"z1"})),
+        name=st.sampled_from(sorted(SUITE_GROUP_NAMES)),
         data=st.data(),
     )
     def test_any_single_corrupted_entry_rejected(self, name, data):
@@ -250,10 +246,6 @@ class TestConstruction:
         }
         for name, group in suite_groups.items():
             assert group.order == expected_orders[name]
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            named_group("monster")
 
     def test_q8_is_not_d4(self):
         # Same order and class sizes, different squaring behavior: Q8 has
@@ -500,13 +492,13 @@ class TestClassReduce:
 
 
 class TestClassDatum:
-    @pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
+    @pytest.mark.parametrize("name", sorted(GROUP_NAMES))
     def test_named_groups_equal_reduced_full_rank(self, name):
         group = named_group(name)
         tubes = class_punctures(group)
         assert class_datum(group, tubes) == class_reduce(to_tqft_datum(group, tubes), group)
 
-    @pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
+    @pytest.mark.parametrize("name", sorted(GROUP_NAMES))
     def test_entries_are_int_and_e_g_is_the_order(self, name):
         group = named_group(name)
         datum = class_datum(group, class_punctures(group))
@@ -540,7 +532,7 @@ class TestClassDatum:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        name=st.sampled_from(sorted(set(NAMED_GROUPS) - {"z1"})),
+        name=st.sampled_from(sorted(SUITE_GROUP_NAMES)),
         perm=st.permutations(range(12)),
     )
     def test_invariants_survive_any_labelling(self, name, perm):
@@ -617,7 +609,7 @@ class TestClassDatum:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        name=st.sampled_from(sorted(NAMED_GROUPS)),
+        name=st.sampled_from(sorted(GROUP_NAMES)),
         perm=st.permutations(range(12)),
         data=st.data(),
     )
@@ -685,6 +677,17 @@ def literal_count(group, genus, subsets):
     return count
 
 
+def pairwise_commutators(group):
+    """The commutators [a, b] over all n^2 pairs, each pair read from the
+    table: the reference ``commutator_slot`` must equal."""
+    mult, inverse = group.mult, group.inverse
+    return Counter(
+        mult[mult[ab][inv_a]][inv_b]
+        for row_a, inv_a in zip(mult, inverse)
+        for ab, inv_b in zip(row_a, inverse)
+    )
+
+
 # Generators, irreducible character degrees and the genus-2 count by
 # hand, for Mednykh's formula.
 MEDNYKH_GROUPS = {
@@ -700,7 +703,7 @@ MEDNYKH_GROUPS = {
 
 class TestBruteForce:
     @pytest.mark.parametrize(
-        "name", sorted(n for n in NAMED_GROUPS if named_group(n).order <= 8)
+        "name", sorted(n for n in GROUP_NAMES if named_group(n).order <= 8)
     )
     def test_matches_literal_enumeration(self, name):
         group = named_group(name)
@@ -711,6 +714,22 @@ class TestBruteForce:
                     assert brute_force_count(group, genus, combo) == literal_count(
                         group, genus, combo
                     ), (genus, combo)
+
+    @pytest.mark.parametrize("path", GROUP_FILES, ids=lambda path: path.name)
+    def test_commutator_slot_counts_every_pair(self, path):
+        group = load_group(path)
+        assert commutator_slot(group) == pairwise_commutators(group)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(["s3", "d4", "q8", "a4"]),
+        perm=st.permutations(range(12)),
+    )
+    def test_commutator_slot_on_relabelled_tables(self, name, perm):
+        group = named_group(name)
+        perm = [x for x in perm if x < group.order]
+        relabelled = from_cayley_table(relabel(group, perm))
+        assert commutator_slot(relabelled) == pairwise_commutators(relabelled)
 
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError, match="^genus must be >= 0$"):
@@ -780,11 +799,6 @@ class TestBruteForce:
 
 
 class TestGroupFiles:
-    def test_table_round_trip(self):
-        group = named_group("s3")
-        again = group_from_json_dict(group_to_json_dict(group))
-        assert again == group
-
     def test_generators_form(self):
         group = group_from_json_dict(
             {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
@@ -817,12 +831,6 @@ class TestGroupFiles:
 
     def test_trivial_group(self):
         assert named_group("z1").order == 1
-
-    @pytest.mark.parametrize("name", sorted(set(NAMED_GROUPS) - {"z1"}))
-    def test_named_group_equals_shipped_file(self, name):
-        # Same labels, not just the same group up to isomorphism: the
-        # frozen per-class counts depend on them.
-        assert named_group(name) == load_group(DATA_GROUPS / f"{name}.json")
 
 
 def closure_table(degree, generators):

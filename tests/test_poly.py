@@ -165,6 +165,24 @@ class TestExactDiv:
         with pytest.raises(NonExactDivision, match=r"has more than 4 terms"):
             (Q**5 - 1).exact_div(Q - 1, 4)
 
+    def test_each_step_orders_only_the_terms_it_adds(self, monkeypatch):
+        # The leading term comes from the sorted remainder, not from a scan
+        # of it: about 1 order-key call per term here, n^2 / 2 by scanning.
+        calls = []
+        order_key = repvar.poly._order_key
+
+        def counted(exponents):
+            calls.append(1)
+            return order_key(exponents)
+
+        monkeypatch.setattr(repvar.poly, "_order_key", counted)
+        quotient = LaurentPoly({(i, i % 7): i + 1 for i in range(2000)})
+        dividend = quotient * (3 * Q)
+        calls.clear()
+        assert dividend.exact_div(3 * Q) == quotient
+        assert len(dividend) == 2000
+        assert len(calls) <= 20 * len(dividend)
+
     def test_division_by_nonmonomial_of_nondivisible_terminates(self):
         # 1 / (q - 1) has no quotient; the division must detect it, not loop.
         with pytest.raises(NonExactDivision):

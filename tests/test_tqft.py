@@ -8,13 +8,7 @@ from hypothesis import given, strategies as st
 
 import repvar.tqft
 from repvar.affc import affc_datum, affc_inner_genus_matrix
-from repvar.finite_group import (
-    NAMED_GROUPS,
-    class_datum,
-    conjugacy_classes,
-    load_group,
-    named_group,
-)
+from repvar.finite_group import class_datum, conjugacy_classes, load_group
 from repvar.poly import LaurentPoly, NonExactDivision, ONE, Q, QPoly, U, V, ZERO
 from repvar.tqft import (
     GENUS_TUBE,
@@ -37,6 +31,7 @@ from repvar.tqft import (
     word_fold,
 )
 
+from conftest import GROUP_FILES, named_group
 from full_rank import _lift, insert_identity_tubes, to_tqft_datum
 
 
@@ -569,9 +564,6 @@ WORD_DATA = {
 }
 
 
-GROUP_FILES = sorted(DATUM_FILE.parent.parent.joinpath("groups").glob("*.json"))
-
-
 def lifted(datum):
     """The datum with every ``int`` entry lifted to a ``LaurentPoly``
     constant, so that it folds over ``LaurentPoly``."""
@@ -592,8 +584,8 @@ def value_or_message(epoly, word):
 class TestIntFold:
     @pytest.mark.parametrize(
         "group",
-        [*map(named_group, sorted(NAMED_GROUPS)), *map(load_group, GROUP_FILES)],
-        ids=[*sorted(NAMED_GROUPS), *(path.name for path in GROUP_FILES)],
+        list(map(load_group, GROUP_FILES)),
+        ids=[path.name for path in GROUP_FILES],
     )
     def test_class_data_agree_with_their_laurent_twin(self, group):
         classes = conjugacy_classes(group)
