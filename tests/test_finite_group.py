@@ -799,6 +799,14 @@ class TestBruteForce:
 
 
 class TestGroupFiles:
+    def test_table_round_trip(self):
+        # Any group, shipped as a table or as generators, written back as
+        # its own table reads as the same group, labels included.
+        for path in GROUP_FILES:
+            group = load_group(path)
+            again = group_from_json_dict({"table": [list(row) for row in group.mult]})
+            assert again == group, path.name
+
     def test_generators_form(self):
         group = group_from_json_dict(
             {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}

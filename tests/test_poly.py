@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repvar.poly
 from repvar.affc import affc_datum
@@ -31,9 +31,58 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero())
 monomials = st.builds(
     LaurentPoly.monomial, exponents, exponents, coefficients.filter(bool)
 )
+# Wider operands, for divisions long enough that the order of the
+# elimination steps matters.
+wide_polys = st.dictionaries(
+    st.tuples(exponents, exponents), coefficients.filter(bool), min_size=4, max_size=10
+).map(LaurentPoly)
 q_polys = st.dictionaries(exponents, coefficients, max_size=6).map(
     lambda terms: LaurentPoly({(a, a): c for a, c in terms.items()})
 )
+
+
+
+def max_scan_exact_div(dividend, divisor, max_terms=None):
+    """``exact_div`` as it was before the sorted remainder: the leading
+    term is found by scanning the whole remainder at every step.  The
+    reference the sorted loop must equal, quotient and message alike."""
+    order_key = repvar.poly._order_key
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if dividend.is_zero():
+        return ZERO
+    sa = min(a for (a, _), _ in dividend.items())
+    sb = min(b for (_, b), _ in dividend.items())
+    da = min(a for (a, _), _ in divisor.items())
+    db = min(b for (_, b), _ in divisor.items())
+    rem = {(a - sa, b - sb): c for (a, b), c in dividend.items()}
+    den = {(a - da, b - db): c for (a, b), c in divisor.items()}
+    lead_d = max(den, key=order_key)
+    quo = {}
+    while rem:
+        lead_r = max(rem, key=order_key)
+        ea, eb = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
+        c, residue = divmod(rem[lead_r], den[lead_d])
+        if ea < 0 or eb < 0 or residue:
+            raise NonExactDivision(f"({dividend}) is not divisible by ({divisor})")
+        quo[(ea, eb)] = c
+        if max_terms is not None and len(quo) > max_terms:
+            raise NonExactDivision(f"({dividend}) / ({divisor}) has more than {max_terms} terms")
+        for (na, nb), nc in den.items():
+            key = (na + ea, nb + eb)
+            value = rem.get(key, 0) - c * nc
+            if value:
+                rem[key] = value
+            else:
+                rem.pop(key, None)
+    return LaurentPoly({(a + sa - da, b + sb - db): c for (a, b), c in quo.items()})
+
+
+def division_outcome(divide, dividend, divisor, max_terms):
+    try:
+        return divide(dividend, divisor, max_terms)
+    except NonExactDivision as exc:
+        return str(exc)
 
 
 def test_doctests():
@@ -182,6 +231,48 @@ class TestExactDiv:
         assert dividend.exact_div(3 * Q) == quotient
         assert len(dividend) == 2000
         assert len(calls) <= 20 * len(dividend)
+
+    def test_a_multi_term_divisor_orders_only_the_terms_it_adds(self, monkeypatch):
+        # (q - 1)^400 e^3 / e^3 with e = q^2 - q: about 1 order-key call
+        # per term, 200 per term by scanning.
+        calls = []
+        order_key = repvar.poly._order_key
+
+        def counted(exponents):
+            calls.append(1)
+            return order_key(exponents)
+
+        monkeypatch.setattr(repvar.poly, "_order_key", counted)
+        divisor = (Q**2 - Q) ** 3
+        dividend = (Q - 1) ** 400 * divisor
+        calls.clear()
+        assert dividend.exact_div(divisor) == (Q - 1) ** 400
+        assert len(calls) <= 20 * len(dividend)
+
+    @given(
+        p=polys,
+        d=nonzero_polys,
+        max_terms=st.none() | st.integers(min_value=0, max_value=6),
+    )
+    def test_matches_the_max_scan_reference(self, p, d, max_terms):
+        assert division_outcome(LaurentPoly.exact_div, p, d, max_terms) == division_outcome(
+            max_scan_exact_div, p, d, max_terms
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=wide_polys,
+        d=wide_polys,
+        r=st.just(ZERO) | polys,
+        max_terms=st.none() | st.integers(min_value=0, max_value=100),
+    )
+    def test_matches_the_max_scan_reference_near_a_product(self, p, d, r, max_terms):
+        # p * d + r: exact when r is zero or a multiple of d, and otherwise
+        # refused at a step deep inside the elimination.
+        dividend = p * d + r
+        assert division_outcome(
+            LaurentPoly.exact_div, dividend, d, max_terms
+        ) == division_outcome(max_scan_exact_div, dividend, d, max_terms)
 
     def test_division_by_nonmonomial_of_nondivisible_terminates(self):
         # 1 / (q - 1) has no quotient; the division must detect it, not loop.
