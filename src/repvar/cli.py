@@ -8,7 +8,8 @@ repeated option keeps its last value (``--puncture`` appends), a
 negative number is a value, and ``-h``/``--help`` prints the help text
 to stdout, before or after the command.  The form every request uses,
 full option names each with a separate value, is read without importing
-argparse; argparse, built from the same tables, reads every other form.
+argparse; argparse, built from the same tables, reads every other form
+and formats every help and usage text from them.
 
 As the process entry (``main()`` with no argv), the front end ends the
 process once the command has run: it runs the ``atexit`` hooks, flushes
@@ -88,11 +89,6 @@ class _Option:
     def dest(self) -> str:
         return self.name[2:].replace("-", "_")
 
-    def invocation(self) -> str:
-        if self.choices:
-            return f"{self.name} {{{','.join(self.choices)}}}"
-        return f"{self.name} {self.metavar or self.dest.upper()}"
-
 
 _BACKEND_OPTIONS = (
     _Option("--backend", "the backend that builds the datum",
@@ -101,10 +97,9 @@ _BACKEND_OPTIONS = (
     _Option("--datum", "datum JSON file (custom backend)"),
 )
 
-_DESCRIPTION = (
-    "E-polynomials of surface-group representation varieties "
-    "by exact transfer-matrix evaluation."
-)
+# The width of every help and usage text: wider than any of their lines, so
+# none wraps and the text is the same at every terminal width.
+_HELP_WIDTH = 10_000
 
 # command -> (help, option table)
 _COMMANDS = {
@@ -165,61 +160,25 @@ def _parse_args(argv: Sequence[str]):
 
 
 def _argparse_parser():
-    """The argparse parser of the option tables, printing the same help
-    and usage texts as ``_help`` and ``_usage``."""
+    """The argparse parser of the option tables, which formats every help
+    and usage text at the fixed width ``_HELP_WIDTH``."""
     import argparse
+    from functools import partial
 
-    class Parser(argparse.ArgumentParser):
-        def __init__(self, command=None, **kwargs):
-            super().__init__(**kwargs)
-            self.command = command
-
-        def format_usage(self):
-            return _usage(self.command) + "\n"
-
-        def format_help(self):
-            return _help(self.command)
-
-    parser = Parser(prog="repvar")
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options) in _COMMANDS.items():
-        command = commands.add_parser(name, command=name)
+    formatter = partial(argparse.HelpFormatter, width=_HELP_WIDTH)
+    parser = argparse.ArgumentParser(prog="repvar", formatter_class=formatter, description=(
+        "E-polynomials of surface-group representation varieties "
+        "by exact transfer-matrix evaluation."))
+    commands = parser.add_subparsers(dest="command", required=True, title="commands")
+    for name, (text, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=text, description=text, formatter_class=formatter)
         for o in options:
             command.add_argument(
                 o.name, action="append" if o.repeats else "store", type=o.convert,
-                choices=o.choices, default=[] if o.repeats else o.default, required=o.required,
+                choices=o.choices, default=[] if o.repeats else o.default,
+                required=o.required, help=o.help, metavar=o.metavar,
             )
     return parser
-
-
-def _help(command: str | None) -> str:
-    """The help text of ``command`` (the top level when None)."""
-    lines = [_usage(command), ""]
-    if command is None:
-        lines += [_DESCRIPTION, "", "commands:"]
-        lines += [_help_row(name, text) for name, (text, _) in _COMMANDS.items()]
-        options = ()
-    else:
-        text, options = _COMMANDS[command]
-        lines.append(text)
-    lines += ["", "options:", _help_row("-h, --help", "show this help message and exit")]
-    lines += [_help_row(o.invocation(), o.help) for o in options]
-    return "\n".join(lines) + "\n"
-
-
-def _help_row(left: str, text: str) -> str:
-    if len(left) > 20:
-        return f"  {left}\n{'':24}{text}"
-    return f"  {left:22}{text}"
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: repvar [-h] {{{','.join(_COMMANDS)}}} ..."
-    words = [
-        o.invocation() if o.required else f"[{o.invocation()}]" for o in _COMMANDS[command][1]
-    ]
-    return f"usage: repvar {command} [-h] {' '.join(words)}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

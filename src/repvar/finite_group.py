@@ -33,7 +33,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .poly import LaurentPoly
-from .record import Record, decoding, echo
+from .record import Record, echo, read_json
 from .tqft import GENUS_TUBE, IDENTITY_TUBE, TqftDatum, puncture_tube
 
 __all__ = [
@@ -540,10 +540,5 @@ def group_from_json_dict(data: dict) -> FiniteGroup:
 
 def load_group(path: str | os.PathLike[str]) -> FiniteGroup:
     """The group in a group file, refused with ``NotAGroup`` (or
-    ``GroupTooLarge``) as ``group_from_json_dict`` and ``decoding`` word it."""
-    # Imported here: a request that reads no file never loads json.
-    import json
-
-    with open(path, encoding="utf-8") as handle, decoding("group", NotAGroup):
-        data = json.load(handle)
-    return group_from_json_dict(data)
+    ``GroupTooLarge``) as ``group_from_json_dict`` and ``read_json`` word it."""
+    return group_from_json_dict(read_json(path, "group", NotAGroup))

@@ -1,7 +1,7 @@
 """Base class for repvar's immutable value records, and the helpers through
 which error messages speak of input: ``echo``, the bounded ``repr`` that
-quotes an input value, and ``decoding``, which words the JSON decoder's
-errors for a group or datum file.
+quotes an input value, and ``read_json``, which reads a group or datum
+file and words the JSON decoder's errors.
 
 A record subclass names its fields in ``_fields`` and sets them once, in its
 ``__init__``, through ``self.__dict__``.  The base class then compares,
@@ -12,13 +12,22 @@ in ``__dict__``, such as a ``functools.cached_property`` value, is not
 part of the value.
 """
 
+import re
 import sys
-from contextlib import contextmanager
+from itertools import accumulate
 
-__all__ = ["Record", "echo", "decoding"]
+__all__ = ["Record", "echo", "read_json"]
 
 #: The most characters of an input value that an error message quotes.
 ECHO_LIMIT = 80
+
+#: The deepest nesting of JSON arrays and objects a group or datum file
+#: may have; the file formats need four levels.
+MAX_JSON_DEPTH = 64
+
+# A string literal, or a run of characters that are not brackets; compiled
+# on first use, by a request that reads a file.
+_NOT_A_BRACKET = r'"(?:[^"\\]|\\.)*"|[^\[\]{}]+'
 
 
 def echo(value) -> str:
@@ -31,28 +40,39 @@ def echo(value) -> str:
     return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
-@contextmanager
-def decoding(kind: str, error: type[Exception]):
-    """Raise ``error`` with a message naming the ``kind`` of file
-    ("group", "datum") for each way ``json.load`` inside the block can
-    refuse a file.  A ``with`` block, not a function that calls
-    ``json.load``: the decoder's recursion limit counts the caller's
-    frames, so the parse must run at the loader's own depth."""
+def read_json(path, kind: str, error: type[Exception]):
+    """The JSON value in the file at ``path``.  ``error`` is raised with a
+    message naming the ``kind`` of file ("group", "datum") when the file
+    is not UTF-8 text, nests arrays or objects more than
+    ``MAX_JSON_DEPTH`` deep, is not valid JSON or holds an integer over
+    CPython's digit limit.  The depth is checked on the text before it is
+    parsed, so the answer depends on the file alone, not on the stack of
+    the caller, whose frames the decoder's recursion limit counts."""
     import json
 
     try:
-        yield
-    except json.JSONDecodeError as exc:
-        raise error(f"{kind} file is not valid JSON: {exc}") from None
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise error(f"{kind} file is not UTF-8 text: {exc}") from None
-    except RecursionError:
-        raise error(f"{kind} file nests JSON arrays or objects too deeply") from None
+    if _json_depth(text) > MAX_JSON_DEPTH:
+        raise error(f"{kind} file nests JSON arrays or objects too deeply")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{kind} file is not valid JSON: {exc}") from None
     except ValueError:  # an integer over CPython's digit limit, which is kept
         limit = sys.get_int_max_str_digits()
         raise error(
             f"{kind} file holds an integer longer than the {limit} digits allowed"
         ) from None
+
+
+def _json_depth(text: str) -> int:
+    """How deep the arrays and objects of JSON ``text`` nest: the most
+    brackets open at once, outside string literals."""
+    brackets = re.sub(_NOT_A_BRACKET, "", text)
+    return max(accumulate(1 if c in "[{" else -1 for c in brackets), default=0)
 
 
 class Record:

@@ -53,7 +53,7 @@ from functools import cached_property, reduce
 from operator import add, mul
 
 from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, QPoly, parse_poly
-from .record import Record, decoding, echo
+from .record import Record, echo, read_json
 
 __all__ = [
     "InvalidDatum",
@@ -437,13 +437,8 @@ def datum_from_json_dict(data: dict) -> TqftDatum:
 
 def load_datum(path: str | os.PathLike[str]) -> TqftDatum:
     """The datum in a datum file, refused with ``InvalidDatum`` as
-    ``datum_from_json_dict`` and ``decoding`` word it."""
-    # Imported here: a request that reads no file never loads json.
-    import json
-
-    with open(path, encoding="utf-8") as handle, decoding("datum", InvalidDatum):
-        data = json.load(handle)
-    return datum_from_json_dict(data)
+    ``datum_from_json_dict`` and ``read_json`` word it."""
+    return datum_from_json_dict(read_json(path, "datum", InvalidDatum))
 
 
 def save_datum(datum: TqftDatum, path: str | os.PathLike[str]) -> None:

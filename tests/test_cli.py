@@ -24,6 +24,7 @@ from repvar.finite_group import (
     load_group,
 )
 from repvar.poly import ONE, LaurentPoly, NonExactDivision, Q, parse_poly
+from repvar.record import MAX_JSON_DEPTH
 from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
@@ -1046,6 +1047,36 @@ AFFC_FILE_DATA = json.loads(DATUM_FILE.read_text())
 LONG_INTEGER = "1" * 5000  # over CPython's default limit of 4 300 digits
 
 
+def at_stack_depth(depth, call):
+    """``call()`` run with ``depth`` frames on the stack."""
+    frame, here = sys._getframe(), 0
+    while frame:
+        frame, here = frame.f_back, here + 1
+    return call() if here >= depth else at_stack_depth(depth, call)
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_group, '{"table": ' + "[" * 63 + "]" * 63 + "}", "not a square table"),
+    (load_group, '{"table": ' + "[" * 64 + "]" * 64 + "}", "nests JSON arrays or objects too deeply"),
+    (load_group, '{"table": ' + "[" * 499 + "]" * 499 + "}", "nests JSON arrays or objects too deeply"),
+    (load_datum, json.dumps({**AFFC_FILE_DATA, "L": [[[]]]}).replace("[[[]]]", "[" * 63 + "]" * 63),
+     "bad polynomial in L"),
+], ids=["group-64-deep", "group-65-deep", "group-500-deep", "datum-64-deep"])
+def test_a_file_reads_the_same_at_any_stack_depth(tmp_path, load, text, message):
+    # json.load's recursion limit counts the caller's frames, so a 500-deep
+    # group file was refused for its shape here and for its nesting at
+    # stack depth 900.  MAX_JSON_DEPTH (64) is the file's own bound.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+
+    def outcome():
+        with pytest.raises(ValueError, match=message) as refused:
+            load(path)
+        return type(refused.value), str(refused.value)
+
+    assert at_stack_depth(900, outcome) == outcome()
+
+
 @pytest.mark.parametrize(
     "what, argv, text",
     [
@@ -1097,16 +1128,17 @@ def test_unreadable_json_keeps_the_decoder_message(capsys, tmp_path, argv, data,
 @pytest.mark.parametrize(
     "command, text",
     [
-        ("classes", '{"table": ' + "[" * 950 + "]" * 950 + "}"),
+        ("classes", '{"table": ' + "[" * (MAX_JSON_DEPTH - 1) + "]" * (MAX_JSON_DEPTH - 1) + "}"),
         ("classes", json.dumps({"table": [list(range(5000))]})),
         ("compute", json.dumps({**AFFC_FILE_DATA, "disc_in": "x" * 5000})),
         ("compute", json.dumps({**AFFC_FILE_DATA, "punctures": {"x" * 5000: [["1"]]}})),
     ],
-    ids=["950-deep-entry", "5000-entry-row", "5000-character-disc_in", "5000-character-label"],
+    ids=["deepest-allowed-entry", "5000-entry-row", "5000-character-disc_in", "5000-character-label"],
 )
 def test_a_long_bad_value_makes_a_short_error_line(capsys, tmp_path, command, text):
-    # Each message once quoted the whole value: 1 949, 28 943, 5 052 and
-    # 5 044 characters.
+    # Each message once quoted the whole value: a 950-deep entry made
+    # 1 949 characters, and the others 28 943, 5 052 and 5 044.  The entry
+    # is now the deepest the depth bound lets through.
     path = tmp_path / "bad.json"
     path.write_text(text)
     if command == "classes":

@@ -47,14 +47,29 @@ def documented_argvs():
             argv = (arg.value if isinstance(arg, ast.Constant) else "1" for arg in node.args[1:])
             argvs[tuple(argv)] = None
     for name in ("README.md", ".github/workflows/tests.yml"):
-        for line in (ROOT / name).read_text().splitlines():
-            found = re.search(r"(?:^\s*repvar|python -m repvar\.cli)( .*)", line)
-            if found:
-                argvs[tuple(shlex.split(re.split(r"[)|>]", found.group(1))[0]))] = None
+        for argv in shell_argvs((ROOT / name).read_text()):
+            argvs[tuple(argv)] = None
     return [list(argv) for argv in argvs]
 
 
+def shell_argvs(text):
+    """The argv of each command in the shell lines of ``text`` that runs
+    ``repvar`` or ``python -m repvar.cli``, a line ending in ``\\``
+    continued on the next."""
+    for line in text.replace("\\\n", " ").splitlines():
+        found = re.search(r"(?:^\s*repvar|python -m repvar\.cli)( .*)", line)
+        if found:
+            yield shlex.split(re.split(r"[)|>]", found.group(1))[0])
+
+
 DOCUMENTED = documented_argvs()
+
+
+def test_a_command_continued_on_the_next_line_is_one_argv():
+    text = 'run: |\n  repvar compute --backend affc \\\n    --genus 1 > "$out"\n  repvar -h\n'
+    assert list(shell_argvs(text)) == [
+        ["compute", "--backend", "affc", "--genus", "1"], ["-h"],
+    ]
 
 
 def test_documented_argvs_are_found():
@@ -160,7 +175,7 @@ def test_benchmark_forms_do_not_import_argparse(argv):
     assert "argparse" not in loaded
 
 
-@pytest.mark.parametrize("argv, named", [
+USAGE_ERRORS = [
     ((), "command"),
     (("bogus",), "bogus"),
     (("compute", "--backend", "affc", "--genus", "1", "--bogus"), "--bogus"),
@@ -170,8 +185,13 @@ def test_benchmark_forms_do_not_import_argparse(argv):
     (("compute", "--backend", "affc", "--genus"), "--genus"),
     (("verify", "--backend", "affc", "--max", "3"), "--max"),
     (("classes", "--group", "--group"), "--group"),
-], ids=["no command", "unknown command", "unknown option", "missing required",
-        "bad int", "bad choice", "missing value", "ambiguous prefix", "option as value"])
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS, ids=[
+    "no command", "unknown command", "unknown option", "missing required", "bad int",
+    "bad choice", "missing value", "ambiguous prefix", "option as value",
+])
 def test_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -193,12 +213,27 @@ def test_help_lists_every_option(capsys, argv, command):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.startswith(f"usage: repvar {command or ''}".rstrip())
-    assert "-h, --help            show this help message and exit" in out
+    assert re.search(r"^  -h, --help +show this help message and exit$", out, re.M)
     if command is None:
         for name, (text, _) in _COMMANDS.items():
-            assert re.search(rf"^  {name} +{re.escape(text)}$", out, re.M)
+            assert re.search(rf"^    {name} +{re.escape(text)}$", out, re.M)
     else:
         text, options = _COMMANDS[command]
         assert text in out
         for option in options:
             assert re.search(rf"^  {option.name}[^\n]*\s+{re.escape(option.help)}$", out, re.M)
+
+
+@pytest.mark.parametrize("columns", ["20", "300"])
+def test_help_and_usage_do_not_depend_on_the_terminal_width(capsys, monkeypatch, columns):
+    monkeypatch.delenv("COLUMNS", raising=False)
+    helps = [("compute", "-h"), ("verify", "-h")]
+    unset = [run(capsys, *argv) for argv in helps]
+    monkeypatch.setenv("COLUMNS", columns)
+    assert [run(capsys, *argv) for argv in helps] == unset
+    for argv, _ in USAGE_ERRORS:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: repvar")
+        assert re.match(r"repvar( \w+)?: error: ", error)
