@@ -25,9 +25,10 @@ ECHO_LIMIT = 80
 #: may have; the file formats need four levels.
 MAX_JSON_DEPTH = 64
 
-# A string literal, or a run of characters that are not brackets; compiled
-# on first use, by a request that reads a file.
-_NOT_A_BRACKET = r'"(?:[^"\\]|\\.)*"|[^\[\]{}]+'
+# A string literal, read as the decoder reads it: from a quote to the next
+# unescaped quote or to the end of the text; or a run of characters that
+# are neither brackets nor quotes.
+_NOT_A_BRACKET = r'(?s)"(?:[^"\\]|\\.)*"?|[^\[\]{}"]+'
 
 
 def echo(value) -> str:

@@ -34,6 +34,7 @@ from repvar.tqft import (
     datum_to_json_dict,
     epoly_rep_variety,
     load_datum,
+    puncture_tube,
     save_datum,
     word_epoly,
 )
@@ -1059,13 +1060,18 @@ def at_stack_depth(depth, call):
     (load_group, '{"table": ' + "[" * 63 + "]" * 63 + "}", "not a square table"),
     (load_group, '{"table": ' + "[" * 64 + "]" * 64 + "}", "nests JSON arrays or objects too deeply"),
     (load_group, '{"table": ' + "[" * 499 + "]" * 499 + "}", "nests JSON arrays or objects too deeply"),
+    (load_group, '{"x": "' + "]" * 499 + '", "table": ' + "[" * 499 + "]" * 499 + "}",
+     "nests JSON arrays or objects too deeply"),
     (load_datum, json.dumps({**AFFC_FILE_DATA, "L": [[[]]]}).replace("[[[]]]", "[" * 63 + "]" * 63),
      "bad polynomial in L"),
-], ids=["group-64-deep", "group-65-deep", "group-500-deep", "datum-64-deep"])
+], ids=["group-64-deep", "group-65-deep", "group-500-deep", "group-500-deep-after-quoted-brackets",
+        "datum-64-deep"])
 def test_a_file_reads_the_same_at_any_stack_depth(tmp_path, load, text, message):
     # json.load's recursion limit counts the caller's frames, so a 500-deep
     # group file was refused for its shape here and for its nesting at
-    # stack depth 900.  MAX_JSON_DEPTH (64) is the file's own bound.
+    # stack depth 900.  MAX_JSON_DEPTH (64) is the file's own bound.  The
+    # deep call leaves room under the recursion limit for a parse and a
+    # repr as deep as that bound, and for the loader's own frames.
     path = tmp_path / "deep.json"
     path.write_text(text)
 
@@ -1074,7 +1080,18 @@ def test_a_file_reads_the_same_at_any_stack_depth(tmp_path, load, text, message)
             load(path)
         return type(refused.value), str(refused.value)
 
-    assert at_stack_depth(900, outcome) == outcome()
+    depth = sys.getrecursionlimit() - 4 * MAX_JSON_DEPTH
+    assert at_stack_depth(depth, outcome) == outcome()
+
+
+def test_brackets_in_strings_do_not_count_as_nesting(tmp_path):
+    # Brackets in a later key counted once a run of other characters had
+    # swallowed the quote that opened it, so this datum was refused.
+    identity = [["1", "0"], ["0", "1"]]
+    label = "[" * (MAX_JSON_DEPTH + 1)
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({**AFFC_FILE_DATA, "punctures": {"a": identity, label: identity}}))
+    assert puncture_tube(label) in load_datum(path).tubes
 
 
 @pytest.mark.parametrize(
