@@ -23,9 +23,9 @@ AFFC_E_GROUP = Q * (Q - 1)
 def affc_datum() -> TqftDatum:
     """Rank-2 datum with the genus-tube matrix stored including its
     overall q(q-1) factor, as the paper states it.  q(q-1) divides every
-    tube, so the engine divides it out of the datum once
-    (``TqftDatum.e_g_free``) and folds ``affc_inner_genus_matrix``
-    instead, with no division at the end of the word."""
+    tube, so each fold divides it out once (``tqft.fold_form``) and folds
+    ``affc_inner_genus_matrix`` instead, with no division at the end of
+    the word."""
     f = AFFC_E_GROUP
     genus = tuple(tuple(f * entry for entry in row) for row in affc_inner_genus_matrix())
     return TqftDatum(
@@ -39,7 +39,7 @@ def affc_datum() -> TqftDatum:
 def affc_inner_genus_matrix() -> tuple:
     """The genus-tube matrix with the q(q-1) factor already cancelled:
     the matrix the engine folds, as the genus tube of
-    ``affc_datum().e_g_free``."""
+    ``tqft.fold_form(affc_datum())``."""
     q = Q
     return (
         (q**3 - q**2, q**4 - 3 * q**3 + 2 * q**2),

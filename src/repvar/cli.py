@@ -49,7 +49,6 @@ from .tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
     SurfaceSpec,
-    UnknownPunctureLabel,
     epoly_rep_variety,
     load_datum,
     puncture_tube,
@@ -62,10 +61,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DIVISION = 3
 EXIT_VERIFY = 4
-
-# UnknownPunctureLabel is a KeyError; every other input error is a ValueError.
-_INPUT_ERRORS = (ValueError, UnknownPunctureLabel, OSError)
-
 
 class _Option:
     """One row of a command's option table: ``--name VALUE``, with the value
@@ -223,7 +218,7 @@ def _run(argv: Sequence[str]) -> int:
     except NonExactDivision as exc:
         print(f"error: datum is inconsistent: {exc}", file=sys.stderr)
         return EXIT_DIVISION
-    except _INPUT_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -359,7 +359,7 @@ def class_datum(
     - plain cylinder: |G| times the identity.
 
     The tube and disc entries are plain ``int``, so words fold over the
-    integers (``TqftDatum.fold_form``); e_G is ``LaurentPoly.const(|G|)``.
+    integers (``tqft.fold_form``); e_G is ``LaurentPoly.const(|G|)``.
     The cost is O(k n) for the genus tube (k classes, n = |G|) plus
     O(k |lam|) per puncture, and O(n) per class it meets to check that lam
     is conjugation-closed.

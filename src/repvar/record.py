@@ -7,9 +7,7 @@ A record subclass names its fields in ``_fields`` and sets them once, in its
 ``__init__``, through ``self.__dict__``.  The base class then compares,
 hashes and prints instances by those fields, in that order, and refuses
 every later assignment.  A record whose fields are not all hashable is
-not hashable either: ``hash`` raises ``TypeError``.  Anything else kept
-in ``__dict__``, such as a ``functools.cached_property`` value, is not
-part of the value.
+not hashable either: ``hash`` raises ``TypeError``.
 """
 
 import re

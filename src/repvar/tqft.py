@@ -21,22 +21,22 @@ pays one matrix-vector product per word (``verify`` walks the genera,
 and the puncture multisets level by level).
 
 The division is exact for any datum that comes from an actual group; a
-failure means the datum is inconsistent.  When ``e_G`` has more than one term and divides every
-entry of every tube, it is divided out of the tubes once per datum
-(``TqftDatum.e_g_free``) and the word is folded over the quotients, so
-the folded vector never carries the factor ``e_G^i`` and nothing is left
-to divide at the end.
-
-The ring of the fold is also chosen once per datum
-(``TqftDatum.fold_form``): plain ``int`` when every tube and disc entry
-is an ``int`` (a finite group's ``class_datum``), Z[q] packed into one
-integer per value (``QPoly``) when every entry is a polynomial in q, at
-least one is not constant and the q-exponents present fill at least half
-of their range, ``LaurentPoly`` otherwise.  The matrix algebra only adds
-and multiplies, so the one evaluator serves all three.  An ``int``
-scalar is divided by a constant e_G^t with ``divmod``; any other scalar
-is converted back to a ``LaurentPoly`` before the division, and the
-result is a ``LaurentPoly`` either way.
+failure means the datum is inconsistent.  The datum's tube and disc
+entries are all ``int`` or all ``LaurentPoly``.  How a word is folded
+over them is a choice of the evaluation, made once per fold by
+``fold_form``.  When ``e_G`` has more than one term and divides every
+entry of every tube, it is divided out of the tubes and the word is
+folded over the quotients, so the folded vector never carries the factor
+``e_G^i`` and nothing is left to divide at the end.  The ring of the
+fold is plain ``int`` when every entry is an ``int`` (a finite group's
+``class_datum``), Z[q] packed into one integer per value (``QPoly``)
+when every entry is a polynomial in q, at least one is not constant and
+the q-exponents present fill at least half of their range,
+``LaurentPoly`` otherwise.  The matrix algebra only adds and multiplies,
+so the one evaluator serves all three.  An ``int`` scalar is divided by
+a constant e_G^t with ``divmod``; any other scalar is converted back to
+a ``LaurentPoly`` before the division, and the result is a
+``LaurentPoly`` either way.
 
 Matrices follow the column convention: column j holds the image of
 generator j, so words act by left multiplication on column vectors.
@@ -49,7 +49,7 @@ compares by value.
 
 import os
 from collections.abc import Mapping, Sequence
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add, mul
 
 from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, QPoly, parse_poly
@@ -65,6 +65,7 @@ __all__ = [
     "SurfaceSpec",
     "TqftDatum",
     "assemble_word",
+    "fold_form",
     "word_fold",
     "word_epoly",
     "epoly_rep_variety",
@@ -81,17 +82,14 @@ class InvalidDatum(ValueError):
     """A structural invariant of the datum fails."""
 
 
-class UnknownPunctureLabel(KeyError):
+class UnknownPunctureLabel(ValueError):
     """A word references a puncture label the datum does not provide."""
 
     def __init__(self, label: str, available=()):
-        super().__init__(label)
         self.label = label
         self.available = tuple(sorted(available))
-
-    def __str__(self) -> str:
         provided = ", ".join(repr(name) for name in self.available) or "(none)"
-        return f"unknown puncture label {self.label!r}; the datum provides: {provided}"
+        super().__init__(f"unknown puncture label {label!r}; the datum provides: {provided}")
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +164,8 @@ class TqftDatum(Record):
     """Tube matrices, keyed by ``TubeGenerator``, and disc vectors for one
     coefficient module; its rank is the length of the cap vector ``disc_in``.
 
+    The tube and disc entries are all ``int`` (a finite group's
+    ``class_datum``) or all ``LaurentPoly``; e_G is a ``LaurentPoly``.
     Structural invariants are checked on construction; nothing verifies
     that the datum actually arises from a group, so an inconsistent
     custom datum surfaces later as a NonExactDivision.  A datum compares
@@ -178,8 +178,8 @@ class TqftDatum(Record):
         self,
         e_g: LaurentPoly,
         tubes: Mapping[TubeGenerator, Sequence[Sequence]],
-        disc_in: Sequence = (),
-        disc_out: Sequence = (),
+        disc_in: Sequence,
+        disc_out: Sequence,
     ):
         self.__dict__.update(
             e_g=e_g,
@@ -205,8 +205,26 @@ class TqftDatum(Record):
             raise InvalidDatum("tubes must include the genus tube")
         if len(self.disc_out) != self.rank:
             raise InvalidDatum(f"disc_out must have length {self.rank}")
+        if type(self.e_g) is not LaurentPoly:
+            raise InvalidDatum(f"e_G must be a LaurentPoly, got {echo(self.e_g)}")
         if self.e_g.is_zero():
             raise InvalidDatum("e_G must be nonzero")
+        # The first cap entry sets the ring, and the discs are checked
+        # before the tubes, so the entry named is the first that differs.
+        ring = int if type(self.disc_in[0]) is int else LaurentPoly
+        rows = [("disc_in entry ", self.disc_in), ("disc_out entry ", self.disc_out)]
+        rows += [
+            (f"{generator} row {i} column ", row)
+            for generator, matrix in self.tubes.items()
+            for i, row in enumerate(matrix)
+        ]
+        for place, row in rows:
+            for j, x in enumerate(row):
+                if type(x) is not ring:
+                    raise InvalidDatum(
+                        "tube and disc entries must be all int or all LaurentPoly: "
+                        f"{place}{j} is {echo(x)}"
+                    )
         if dot(self.disc_out, self.disc_in) != ONE:
             raise InvalidDatum("sphere normalization fails: disc_out . disc_in != 1")
         if IDENTITY_TUBE in self.tubes:
@@ -225,97 +243,77 @@ class TqftDatum(Record):
             raise UnknownPunctureLabel(generator.label, labels)
         raise InvalidDatum("word uses the plain cylinder but the datum has no identity tube")
 
-    @cached_property
-    def e_g_free(self) -> "TqftDatum":
-        """This datum with e_G divided out of every tube, or the datum itself.
-
-        If e_G divides every entry of every tube, each tube is e_G times
-        its quotient, so the raw scalar of a t-tube word is e_G^t times
-        the same word's scalar over the quotients: the form returned has
-        those quotients and e_G = 1.  A single-term e_G (|G| for every
-        finite group) changes no term count, so dividing it out buys the
-        fold nothing and the datum is kept; so is a datum with a tube e_G
-        does not divide, which keeps its end-of-word division.  Each
-        division stops once its quotient has more terms than all of the
-        datum's entries together, and the datum is then kept too: e_G =
-        q - 1 divides q^N - 1 into N terms, which a few-byte file could
-        otherwise make as long as it likes.  Computed on first use and
-        cached with the datum.
-        """
-        if len(self.e_g) < 2:
-            return self
-        limit = sum(map(len, self._entries()))
-        try:
-            return self._map_entries(ONE, lambda x: x.exact_div(self.e_g, limit), lambda x: x)
-        except NonExactDivision:
-            return self
-
-    @cached_property
-    def fold_form(self) -> "TqftDatum":
-        """``e_g_free`` with its entries in the ring the fold runs over.
-
-        A datum whose tube and disc entries are all ``int`` (a finite
-        group's ``class_datum``) is its own fold form: it folds over the
-        integers, and each word is divided by e_G at its end.  Constant
-        ``LaurentPoly`` entries, as read from a datum file, are not
-        converted to ``int``: they stay on the ``LaurentPoly`` path below.
-        When every tube and disc entry of ``e_g_free`` is a polynomial in q,
-        at least one is not constant, and the q-exponents present fill at
-        least half of the range from the lowest to the highest, the entries
-        become ``QPoly`` values, each packed into one integer with a digit
-        per exponent in its range, which multiply and add in a few
-        big-integer passes without hashing exponent pairs.  Otherwise the
-        ``LaurentPoly`` datum ``e_g_free`` is returned: entries with
-        separate u and v exponents need it, all-constant data (every
-        custom datum) stays on it, and so does sparse data such as
-        ``q^1000000000 + 1``, whose packed integer would have a digit for
-        every exponent up to its own.  Every scalar of a t-factor word is
-        a sum of products of one entry per factor, so its exponents lie in
-        t times the data's range; under the rule above its packed integer
-        has at most 2t times as many digits as the data has distinct
-        exponents.  e_G stays a ``LaurentPoly`` either way, for the
-        division at the end of the word.  Chosen on first use and cached
-        with the datum.
-        """
-        if all(type(x) is int for x in self._entries()):
-            return self
-        free = self.e_g_free
-        entries = free._entries()
-        if any(not x.is_constant() for x in entries) and all(x.is_diagonal() for x in entries):
-            exponents = {a for x in entries for (a, _), _ in x.items()}
-            if max(exponents) - min(exponents) < 2 * len(exponents):
-                return free._map_entries(free.e_g, QPoly.from_laurent, QPoly.from_laurent)
-        return free
-
-    def _entries(self) -> list:
-        """Every tube entry, then every disc entry."""
-        entries = [x for m in self.tubes.values() for row in m for x in row]
-        return entries + [*self.disc_in, *self.disc_out]
-
-    def _map_entries(self, e_g, tube_entry, disc_entry) -> "TqftDatum":
-        """A datum with the given e_G, ``tube_entry`` applied to every tube
-        entry and ``disc_entry`` to every disc entry."""
-        return TqftDatum(
-            e_g=e_g,
-            tubes={
-                generator: tuple(tuple(map(tube_entry, row)) for row in m)
-                for generator, m in self.tubes.items()
-            },
-            disc_in=tuple(map(disc_entry, self.disc_in)),
-            disc_out=tuple(map(disc_entry, self.disc_out)),
-        )
-
 
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
 
 
+def _entries(tubes: dict, cap: tuple, cup: tuple) -> list:
+    """Every tube entry, then every cap and cup entry."""
+    return [x for matrix in tubes.values() for row in matrix for x in row] + [*cap, *cup]
+
+
+def _map_tubes(entry, tubes: dict) -> dict:
+    """``tubes`` with ``entry`` applied to every entry."""
+    return {
+        generator: tuple(tuple(map(entry, row)) for row in matrix)
+        for generator, matrix in tubes.items()
+    }
+
+
+def fold_form(datum: TqftDatum) -> tuple:
+    """The datum as its words are folded, ``(e_g, tubes, cap, cup)``: the
+    e_G each word is divided by at its end, the tube matrices by
+    generator, and the disc vectors, in the ring the fold runs over.
+
+    ``int`` entries (a finite group's ``class_datum``) are folded as they
+    are.  Otherwise, when e_G has more than one term and divides every
+    tube entry, each tube is e_G times its quotient, so the raw scalar of
+    a t-tube word is e_G^t times its scalar over the quotients: the form
+    has those quotients and e_G = 1.  The tubes are kept, with the
+    end-of-word division, when e_G has one term (|G| for every finite
+    group: dividing it out changes no term count), when it does not
+    divide some tube, or when a quotient grows past as many terms as all
+    of the datum's entries together: e_G = q - 1 divides q^N - 1 into N
+    terms, which a few-byte file could otherwise make as long as it
+    likes.
+
+    When every entry left is a polynomial in q, at least one is not
+    constant, and the q-exponents present fill at least half of the range
+    from the lowest to the highest, the entries become ``QPoly`` values,
+    each packed into one integer with a digit per exponent in its range,
+    which multiply and add in a few big-integer passes.  A t-tube word's
+    exponents lie in t times the data's range, so its packed scalar has
+    at most 2t times as many digits as the data has distinct exponents.
+    Otherwise the entries stay ``LaurentPoly``: separate u and v
+    exponents need it, constant data (the shipped S3 class datum) stays
+    on it, and so does sparse data such as ``q^1000000000 + 1``, whose
+    packed integer would need a digit for every exponent up to its own.
+    """
+    e_g, tubes, cap, cup = datum.e_g, datum.tubes, datum.disc_in, datum.disc_out
+    if type(cap[0]) is int:  # so is every entry: see TqftDatum
+        return e_g, tubes, cap, cup
+    if len(e_g) > 1:
+        limit = sum(map(len, _entries(tubes, cap, cup)))
+        try:
+            tubes, e_g = _map_tubes(lambda x: x.exact_div(datum.e_g, limit), tubes), ONE
+        except NonExactDivision:
+            pass
+    entries = _entries(tubes, cap, cup)
+    if any(not x.is_constant() for x in entries) and all(x.is_diagonal() for x in entries):
+        exponents = {a for x in entries for (a, _), _ in x.items()}
+        if max(exponents) - min(exponents) < 2 * len(exponents):
+            pack = QPoly.from_laurent
+            return e_g, _map_tubes(pack, tubes), tuple(map(pack, cap)), tuple(map(pack, cup))
+    return e_g, tubes, cap, cup
+
+
 def word_fold(datum: TqftDatum) -> tuple:
-    """The fold of words over ``datum.fold_form`` as ``(start, step,
-    value)``: ``start`` is the cap vector, ``step(vec, tube)`` applies one
-    tube generator to a vector, and ``value(vec, t)`` is the E-polynomial
-    of a t-tube word whose folded vector is ``vec``.
+    """The fold of words over ``fold_form(datum)``, built once, as
+    ``(start, step, value)``: ``start`` is the cap vector, ``step(vec,
+    tube)`` applies one tube generator to a vector, and ``value(vec, t)``
+    is the E-polynomial of a t-tube word whose folded vector is ``vec``.
 
     ``value`` takes the cup's scalar and divides it by the form's e_G once
     per tube, or by nothing when that e_G is 1.  An ``int`` scalar over a
@@ -323,25 +321,26 @@ def word_fold(datum: TqftDatum) -> tuple:
     leaves a remainder, is divided as a ``LaurentPoly`` (which raises
     ``NonExactDivision`` on a remainder).  The E-polynomial is a
     ``LaurentPoly`` either way."""
-    form = datum.fold_form
-    e_g_int = form.e_g.constant_value() if form.e_g.is_constant() else None
+    e_g, tubes, cap, cup = fold_form(datum)
+    e_g_int = e_g.constant_value() if e_g.is_constant() else None
 
     def step(vec, tube: TubeGenerator) -> tuple:
-        return mat_vec(form.tube_matrix(tube), vec)
+        # A matrix is never empty; a tube the datum lacks raises there.
+        return mat_vec(tubes.get(tube) or datum.tube_matrix(tube), vec)
 
-    def value(vec, tubes: int) -> LaurentPoly:
-        raw = dot(form.disc_out, vec)
+    def value(vec, t: int) -> LaurentPoly:
+        raw = dot(cup, vec)
         if type(raw) is int:
             if e_g_int is not None:
-                quotient, remainder = divmod(raw, e_g_int ** tubes)
+                quotient, remainder = divmod(raw, e_g_int ** t)
                 if not remainder:
                     return LaurentPoly.const(quotient)
             raw = LaurentPoly.const(raw)
         elif isinstance(raw, QPoly):
             raw = raw.to_laurent()
-        return raw if form.e_g == ONE else raw.exact_div(form.e_g ** tubes)
+        return raw if e_g == ONE else raw.exact_div(e_g ** t)
 
-    return form.disc_in, step, value
+    return cap, step, value
 
 
 def word_epoly(datum: TqftDatum):

@@ -688,7 +688,8 @@ class TestVerifyRows:
 
 class TestVerifyWork:
     """Each row is one step from its parent row: one mat_vec and one
-    oracle slot per row, one commutator table per group."""
+    oracle slot per row, one commutator table per group, one fold form
+    per command."""
 
     @staticmethod
     def counted_calls(monkeypatch, original):
@@ -717,6 +718,27 @@ class TestVerifyWork:
     @pytest.fixture()
     def oracle_slots(self, monkeypatch):
         return self.counted_calls(monkeypatch, repvar.finite_group.fold_slot)
+
+    @pytest.fixture()
+    def fold_forms(self, monkeypatch):
+        return self.counted_calls(monkeypatch, repvar.tqft.fold_form)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--backend", "affc", "--max-genus", "40"),
+            ("verify", "--backend", "custom", "--datum", str(DATUM_FILE), "--max-genus", "40"),
+            ("verify", "--backend", "finite", "--group", str(ROOT / "data/groups/s3.json")),
+            ("compute", "--backend", "affc", "--genus", "7"),
+        ],
+        ids=["affc-verify", "custom-verify", "finite-verify", "affc-compute"],
+    )
+    def test_each_command_builds_its_fold_form_once(self, capsys, fold_forms, argv):
+        # Nothing is cached on the datum, so a walk that built the form per
+        # row would redo the e_G division and the packing on every row.
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(fold_forms) == 1
 
     def test_finite_s3(
         self, capsys, group_file_factory, mat_vec_calls, oracle_slots, commutator_slots

@@ -9,11 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from repvar.affc import affc_datum
+from repvar.affc import affc_closed_form, affc_datum
 from repvar.finite_group import ConjugacyClasses, FiniteGroup
 from repvar.poly import ONE, Q
 from repvar.record import echo
-from repvar.tqft import GENUS_TUBE, SurfaceSpec, TqftDatum, TubeGenerator, puncture_tube
+from repvar.tqft import (
+    GENUS_TUBE,
+    SurfaceSpec,
+    TqftDatum,
+    TubeGenerator,
+    epoly_rep_variety,
+    puncture_tube,
+)
 
 # name -> (builder from list arguments, the value each field must hold)
 RECORDS = {
@@ -116,14 +123,13 @@ def test_validation_messages():
         SurfaceSpec(-1)
 
 
-def test_cached_forms_are_kept_but_not_part_of_the_value():
+def test_evaluating_a_datum_leaves_its_value_and_repr_unchanged():
     datum = affc_datum()
     before = repr(datum)
-    free, form = datum.e_g_free, datum.fold_form
-    assert datum.e_g_free is free
-    assert datum.fold_form is form
+    assert epoly_rep_variety(datum, SurfaceSpec(2)) == affc_closed_form(2)
     assert datum == affc_datum()
     assert repr(datum) == before
+    assert sorted(vars(datum)) == sorted(TqftDatum._fields)  # nothing is cached on it
 
 
 def test_echo_quotes_a_short_value_whole_and_cuts_a_long_one():

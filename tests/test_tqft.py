@@ -23,6 +23,7 @@ from repvar.tqft import (
     datum_to_json_dict,
     dot,
     epoly_rep_variety,
+    fold_form,
     load_datum,
     mat_vec,
     puncture_tube,
@@ -80,19 +81,37 @@ class TestWords:
             TubeGenerator("puncture")
 
 
-def fold(datum, vec, word):
+def fold(tubes, vec, word):
     """``vec`` after the word's tubes, one matrix-vector product each, over
-    the datum's own tubes and ring."""
+    the given tubes and their ring."""
     for tube in word:
-        vec = mat_vec(datum.tube_matrix(tube), vec)
+        vec = mat_vec(tubes[tube], vec)
     return vec
 
 
-def raw_scalar(datum, word):
-    """disc_out . M_t ... M_1 . disc_in, folded tube by tube from the cap
-    with no prefix kept: the oracle the evaluator's fold and its choice
-    of form are checked against."""
-    return dot(datum.disc_out, fold(datum, datum.disc_in, word))
+def stored_form(datum):
+    """The datum's own e_G, tubes, cap and cup, in ``fold_form``'s order:
+    the form with nothing divided out and no change of ring."""
+    return datum.e_g, datum.tubes, datum.disc_in, datum.disc_out
+
+
+def divided_form(datum):
+    """The form with e_G divided out of every tube entry, over
+    ``LaurentPoly`` and with no term cap: the sparse reference for a datum
+    whose e_G ``fold_form`` divides out."""
+    tubes = {
+        tube: tuple(tuple(x.exact_div(datum.e_g) for x in row) for row in m)
+        for tube, m in datum.tubes.items()
+    }
+    return ONE, tubes, datum.disc_in, datum.disc_out
+
+
+def raw_scalar(form, word):
+    """cup . M_t ... M_1 . cap over a form ``(e_g, tubes, cap, cup)``,
+    folded tube by tube from the cap with no prefix kept: the oracle the
+    evaluator's fold and its choice of form are checked against."""
+    _, tubes, cap, cup = form
+    return dot(cup, fold(tubes, cap, word))
 
 
 def covector_fold(datum, k):
@@ -157,6 +176,48 @@ class TestDatumValidation:
             rank_one_datum(disc_in=(Q,))
         assert "sphere" in str(err.value)
 
+    @pytest.mark.parametrize("e_g", [Q * (Q - 1), LaurentPoly.const(2)], ids=["q(q-1)", "2"])
+    def test_int_tube_with_polynomial_discs_rejected(self, e_g):
+        # Both were once accepted, then crashed in evaluation.
+        with pytest.raises(InvalidDatum) as err:
+            TqftDatum(e_g=e_g, tubes={GENUS_TUBE: ((2,),)}, disc_in=(ONE,), disc_out=(ONE,))
+        assert str(err.value) == (
+            "tube and disc entries must be all int or all LaurentPoly: "
+            "genus tube row 0 column 0 is 2"
+        )
+
+    @pytest.mark.parametrize(
+        "tubes, disc_in, place",
+        [
+            (
+                {puncture_tube("a"): ((Q,),)},
+                (1,),
+                "puncture tube 'a' row 0 column 0 is LaurentPoly('q')",
+            ),
+            ({}, (1.0,), "disc_in entry 0 is 1.0"),
+            ({}, (ONE, 0), "disc_in entry 1 is 0"),
+        ],
+    )
+    def test_first_entry_of_another_type_is_named(self, tubes, disc_in, place):
+        # The first cap entry sets the ring; the genus tube and the cup
+        # are filled with its one.
+        rank = len(disc_in)
+        unit = 1 if type(disc_in[0]) is int else ONE
+        with pytest.raises(InvalidDatum) as err:
+            TqftDatum(
+                e_g=ONE,
+                tubes={GENUS_TUBE: ((unit,) * rank,) * rank, **tubes},
+                disc_in=disc_in,
+                disc_out=(unit,) * rank,
+            )
+        assert str(err.value) == (
+            f"tube and disc entries must be all int or all LaurentPoly: {place}"
+        )
+
+    def test_e_g_must_be_a_laurent_poly(self):
+        with pytest.raises(InvalidDatum, match=r"^e_G must be a LaurentPoly, got 2$"):
+            TqftDatum(e_g=2, tubes={GENUS_TUBE: ((2,),)}, disc_in=(1,), disc_out=(1,))
+
     def test_identity_tube_consistency(self):
         # cup . P . cap must equal e_G
         with pytest.raises(InvalidDatum) as err:
@@ -192,6 +253,8 @@ class TestEvaluation:
         assert str(err.value) == (
             "unknown puncture label 'nope'; the datum provides: 'a', 'b'"
         )
+        assert isinstance(err.value, ValueError) and not isinstance(err.value, KeyError)
+        assert (err.value.label, err.value.available) == ("nope", ("a", "b"))
 
     def test_missing_identity_tube(self):
         datum = affc_datum()
@@ -266,7 +329,7 @@ S3_CLASSES_FILE = DATUM_FILE.with_name("s3_classes.json")
 def stored_division(datum, word):
     """The normalization as the stored matrices define it: the raw scalar
     over the datum's own tubes, divided by e_G^t at the end."""
-    return raw_scalar(datum, word).exact_div(datum.e_g ** len(word))
+    return raw_scalar(stored_form(datum), word).exact_div(datum.e_g ** len(word))
 
 
 def outcome(evaluate, word):
@@ -302,43 +365,43 @@ def partly_divisible_datum():
 class TestEgFreeForm:
     def test_affc_folds_the_inner_matrix(self):
         datum = affc_datum()
-        free = datum.e_g_free
-        assert free.e_g == ONE
-        assert free.tubes[GENUS_TUBE] == affc_inner_genus_matrix()
-        assert (free.disc_in, free.disc_out) == (datum.disc_in, datum.disc_out)
-        assert datum.e_g_free is free  # cached with the datum
-        assert free.e_g_free is free
-        assert datum.e_g == Q * (Q - 1)  # the stored datum is unchanged
+        e_g, tubes, cap, cup = fold_form(datum)
+        assert e_g == ONE
+        assert tubes[GENUS_TUBE] == affc_inner_genus_matrix()
+        assert (cap, cup) == (datum.disc_in, datum.disc_out)
+        assert datum == affc_datum()  # the stored datum is unchanged
 
-    def test_single_term_e_g_keeps_the_datum(self):
+    def test_single_term_e_g_keeps_the_end_division(self):
         for datum in (
             to_tqft_datum(named_group("s3")),
             rank_one_datum(e_g=Q, genus_entry=Q),
             rank_one_datum(e_g=LaurentPoly.const(2), genus_entry=LaurentPoly.const(4)),
         ):
-            assert datum.e_g_free is datum
+            assert fold_form(datum)[:2] == (datum.e_g, datum.tubes)
 
-    def test_a_tube_e_g_does_not_divide_keeps_the_datum(self):
+    def test_a_tube_e_g_does_not_divide_keeps_the_end_division(self):
         datum = partly_divisible_datum()
-        assert datum.e_g_free is datum
+        assert fold_form(datum)[:2] == (datum.e_g, datum.tubes)
         tampered = datum_to_json_dict(affc_datum())
         tampered["L"][0][0] = "q^5"
         datum = datum_from_json_dict(tampered)
-        assert datum.e_g_free is datum
+        assert fold_form(datum)[:2] == (datum.e_g, datum.tubes)
 
     @pytest.mark.parametrize("n, divides", [(4, True), (5, False), (2_000, False)])
-    def test_a_quotient_longer_than_the_datum_keeps_the_datum(self, n, divides):
+    def test_a_quotient_longer_than_the_datum_keeps_the_end_division(self, n, divides):
         # q - 1 divides q^n - 1 into n terms; the datum's entries have 4.
         datum = rank_one_datum(e_g=Q - 1, genus_entry=Q**n - 1)
-        free = datum.e_g_free
-        assert (free is not datum) == divides
+        e_g, tubes, _, _ = fold_form(datum)
         quotient = sum((Q**i for i in range(n)), ZERO)
+        assert (e_g, tubes[GENUS_TUBE]) == (
+            (ONE, ((quotient,),)) if divides else (datum.e_g, datum.tubes[GENUS_TUBE])
+        )
         assert epoly_rep_variety(datum, SurfaceSpec(1)) == quotient
 
     def test_a_huge_quotient_is_not_divided_out(self):
         # Dividing out e_G would build a quotient of 10^9 terms.
         datum = rank_one_datum(e_g=Q - 1, genus_entry=Q**1_000_000_000 - 1)
-        assert datum.e_g_free is datum
+        assert fold_form(datum)[:2] == (datum.e_g, datum.tubes)
         assert epoly_rep_variety(datum, SurfaceSpec(0)) == ONE
 
     @pytest.mark.parametrize(
@@ -403,15 +466,14 @@ class TestEgFreeForm:
                 label="word",
             )
         )
-        assert datum.e_g_free.e_g == ONE
+        assert fold_form(datum)[0] == ONE
         assert word_epoly(datum)(word) == stored_division(datum, word)
 
 
 def fold_entries(datum):
-    """Every tube and disc entry of the datum the engine folds."""
-    form = datum.fold_form
-    entries = [x for m in form.tubes.values() for row in m for x in row]
-    return entries + [*form.disc_in, *form.disc_out]
+    """Every tube and disc entry of the form the engine folds."""
+    _, tubes, cap, cup = fold_form(datum)
+    return [x for m in tubes.values() for row in m for x in row] + [*cap, *cup]
 
 
 def inverse_q_datum(scale):
@@ -444,18 +506,17 @@ class TestFoldRing:
     )
     def test_q_data_folds_dense(self, make):
         datum = make()
-        form = datum.fold_form
+        e_g, tubes, _, _ = fold_form(datum)
         assert {type(x) for x in fold_entries(datum)} == {QPoly}
-        assert form.tubes[GENUS_TUBE] == affc_inner_genus_matrix()
-        assert type(form.e_g) is LaurentPoly and form.e_g == ONE
-        assert datum.fold_form is form  # cached with the datum
+        assert tubes[GENUS_TUBE] == affc_inner_genus_matrix()
+        assert type(e_g) is LaurentPoly and e_g == ONE
 
     def test_finite_and_uv_data_keep_laurent(self):
         group = named_group("s3")
         classes = conjugacy_classes(group)
         # A finite group's class datum is built over int and folds over it.
         finite = class_datum(group, {"t": classes.members[1]})
-        assert finite.fold_form is finite
+        assert fold_form(finite) == stored_form(finite)
         assert {type(x) for x in fold_entries(finite)} == {int}
         # Constant LaurentPoly data are not converted.
         for datum in (
@@ -463,7 +524,7 @@ class TestFoldRing:
             rank_one_datum(genus_entry=Q, tubes={puncture_tube("u"): ((U,),)}),
             partly_divisible_datum(),
         ):
-            assert datum.fold_form is datum.e_g_free
+            assert fold_form(datum) == stored_form(datum)
             assert {type(x) for x in fold_entries(datum)} == {LaurentPoly}
 
     @pytest.mark.parametrize(
@@ -479,7 +540,7 @@ class TestFoldRing:
         datum = datum_from_json_dict(
             {"rank": 1, "e_G": "1", "L": [[entry]], "disc_in": ["1"], "disc_out": ["1"]}
         )
-        assert datum.fold_form is datum.e_g_free
+        assert fold_form(datum) == stored_form(datum)
         assert {type(x) for x in fold_entries(datum)} == {LaurentPoly}
         assert epoly_rep_variety(datum, SurfaceSpec(3)).to_text() == genus_3
 
@@ -487,11 +548,13 @@ class TestFoldRing:
     def test_inverse_q_entries_agree_on_both_rings(self, scale):
         datum = inverse_q_datum(scale)
         assert {type(x) for x in fold_entries(datum)} == {QPoly}
+        dense_form = fold_form(datum)
+        sparse_form = divided_form(datum) if scale else stored_form(datum)
+        assert dense_form[0] == sparse_form[0]
         epoly = word_epoly(datum)
         outcomes = set()
         for word in all_words(datum, 4):
-            dense = raw_scalar(datum.fold_form, word)
-            assert dense == raw_scalar(datum.e_g_free, word)
+            assert raw_scalar(dense_form, word) == raw_scalar(sparse_form, word)
             expected = outcome(partial(stored_division, datum), word)
             assert outcome(epoly, word) == expected
             outcomes.add(expected is NonExactDivision)
@@ -502,23 +565,26 @@ class TestFoldRing:
         # Coefficients near 10^40 and q^-1 entries: over 60 tubes the
         # packed values outgrow their spacing again and again.
         datum = wide_q_datum()
-        form, free = datum.fold_form, datum.e_g_free
+        # e_G = 1, so the sparse reference is the datum as stored.
+        dense_form, sparse_form = fold_form(datum), stored_form(datum)
         assert {type(x) for x in fold_entries(datum)} == {QPoly}
+        _, dense_tubes, dense, dense_cup = dense_form
+        _, sparse_tubes, sparse, sparse_cup = sparse_form
         genus, puncture = (GENUS_TUBE,), (puncture_tube("a"),)
-        dense, sparse = form.disc_in, free.disc_in
         checked = 0
         for g in range(61):
             # the words genus^g . a^s for s = 0 .. 60 - g, sharing prefixes
             dense_s, sparse_s = dense, sparse
             for s in range(61 - g):
-                assert dot(form.disc_out, dense_s) == dot(free.disc_out, sparse_s)
+                assert dot(dense_cup, dense_s) == dot(sparse_cup, sparse_s)
                 checked += 1
-                dense_s, sparse_s = fold(form, dense_s, puncture), fold(free, sparse_s, puncture)
-            dense, sparse = fold(form, dense, genus), fold(free, sparse, genus)
+                dense_s = fold(dense_tubes, dense_s, puncture)
+                sparse_s = fold(sparse_tubes, sparse_s, puncture)
+            dense, sparse = fold(dense_tubes, dense, genus), fold(sparse_tubes, sparse, genus)
         assert checked == 61 * 62 // 2
         for g in (0, 30, 60):
             word = assemble_word(SurfaceSpec(g, ("a",) * (60 - g)))
-            assert raw_scalar(form, word) == raw_scalar(free, word)
+            assert raw_scalar(dense_form, word) == raw_scalar(sparse_form, word)
 
 
 def wide_q_datum():
@@ -611,7 +677,7 @@ class TestIntFold:
             disc_in=(1, 0),
             disc_out=(1, 0),
         )
-        assert datum.fold_form is datum
+        assert fold_form(datum) == stored_form(datum)
         twin = lifted(datum)
         on_int, on_laurent = word_epoly(datum), word_epoly(twin)
         for word in all_words(datum, 4):
@@ -666,7 +732,7 @@ class TestWordFold:
     def test_start_is_the_cap_and_values_to_one(self, name):
         datum = WORD_DATA[name]
         start, _, value = word_fold(datum)
-        assert start is datum.fold_form.disc_in
+        assert start == datum.disc_in
         assert value(start, 0) == ONE  # the sphere
 
     @pytest.mark.parametrize("name", WORD_DATA)
@@ -702,8 +768,8 @@ class TestWordFold:
         monkeypatch.setattr(repvar.tqft, "mat_vec", recorded)
         tube = puncture_tube("c1")
         step(step(start, GENUS_TUBE), tube)
-        form = datum.fold_form
-        assert matrices == [form.tube_matrix(GENUS_TUBE), form.tube_matrix(tube)]
+        tubes = fold_form(datum)[1]
+        assert matrices == [tubes[GENUS_TUBE], tubes[tube]]
 
     def test_a_step_that_raises_leaves_its_parent_usable(self):
         datum = WORD_DATA["wide-q"]
