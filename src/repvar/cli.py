@@ -14,8 +14,8 @@ and formats every help and usage text from them.
 As the process entry (``main()`` with no argv), the front end ends the
 process once the command has run: it runs the ``atexit`` hooks, flushes
 stdout and stderr and calls ``os._exit``, so the interpreter does not tear
-down the objects and modules that the request leaves.  ``json`` is
-imported only by the loaders of group and datum files; ``--format json``
+down the objects and modules that the request leaves.  A request imports
+``json`` only to word an error in a group or datum file; ``--format json``
 is written without it.
 
 Exit codes are a stable contract: 0 success, 2 input validation failure

@@ -1,7 +1,9 @@
 """Base class for repvar's immutable value records, and the helpers through
 which error messages speak of input: ``echo``, the bounded ``repr`` that
 quotes an input value, and ``read_json``, which reads a group or datum
-file and words the JSON decoder's errors.
+file and words the JSON decoder's errors.  ``read_json`` decodes the text
+with json's C scanner, the one ``json.loads`` uses; the ``json`` package
+is imported only to word an error.
 
 A record subclass names its fields in ``_fields`` and sets them once, in its
 ``__init__``, through ``self.__dict__``.  The base class then compares,
@@ -13,6 +15,7 @@ not hashable either: ``hash`` raises ``TypeError``.
 import re
 import sys
 from itertools import accumulate
+from types import SimpleNamespace
 
 __all__ = ["Record", "echo", "read_json"]
 
@@ -27,6 +30,14 @@ MAX_JSON_DEPTH = 64
 # unescaped quote or to the end of the text; or a run of characters that
 # are neither brackets nor quotes.
 _NOT_A_BRACKET = r'(?s)"(?:[^"\\]|\\.)*"?|[^\[\]{}"]+'
+
+# The options json.loads gives its scanner, and the whitespace it skips
+# before and after the value.
+_LOADS_OPTIONS = SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    parse_constant={"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}.__getitem__,
+)
+_JSON_SPACE = " \t\n\r"
 
 
 def echo(value) -> str:
@@ -46,9 +57,12 @@ def read_json(path, kind: str, error: type[Exception]):
     ``MAX_JSON_DEPTH`` deep, is not valid JSON or holds an integer over
     CPython's digit limit.  The depth is checked on the text before it is
     parsed, so the answer depends on the file alone, not on the stack of
-    the caller, whose frames the decoder's recursion limit counts."""
-    import json
+    the caller, whose frames the decoder's recursion limit counts.
 
+    The text is decoded by json's C scanner with ``json.loads``' options,
+    so a file that decodes gives what ``json.loads`` gives without the
+    ``json`` package being imported; that is imported only to word an
+    error, which ``json.loads`` then raises in its own words."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -56,6 +70,20 @@ def read_json(path, kind: str, error: type[Exception]):
         raise error(f"{kind} file is not UTF-8 text: {exc}") from None
     if _json_depth(text) > MAX_JSON_DEPTH:
         raise error(f"{kind} file nests JSON arrays or objects too deeply")
+    try:
+        from _json import make_scanner
+
+        value, end = make_scanner(_LOADS_OPTIONS)(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+        if not text[end:].strip(_JSON_SPACE):
+            return value
+    except Exception:
+        # Trailing data, a missing _json and any error of the scanner fall
+        # through to json.loads, which raises the error in its own words.
+        # The catch is broad because, while json.decoder is not loaded, the
+        # scanner cannot build its JSONDecodeError and raises SystemError.
+        pass
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1213,7 +1213,7 @@ def modules_after(statement):
     return set(done.stderr.split())
 
 
-def test_cli_import_loads_no_module_a_request_does_not_need():
+def test_cli_import_loads_no_module_a_request_does_not_need(tmp_path):
     # Each of these costs milliseconds on every start of the command.  The
     # bare run is subtracted because site may preload some of them.
     imported = modules_after("import repvar.cli")
@@ -1227,18 +1227,28 @@ def test_cli_import_loads_no_module_a_request_does_not_need():
     # fractions is imported where it is used.
     half = LaurentPoly.monomial(-1, 0).evaluate(2, 1)
     assert type(half) is Fraction and half == Fraction(1, 2)
-    # An affc request, compute or verify, loads nothing past the import:
-    # json is imported by the file loaders only, so not even for a request
-    # that prints json, but for a request that reads a group file.
-    request = "from repvar.cli import main; assert main({}) == 0"
+    # An affc request, compute or verify, loads nothing past the import, not
+    # even json for a request that prints json.  A request that reads a
+    # group or datum file loads json's C scanner alone, and the json
+    # package only to word an error in the file.
+    request = "from repvar.cli import main; assert main({}) == {}"
     affc = ["compute", "--backend", "affc", "--genus", "3", "--format", "json"]
     verify = ["verify", "--backend", "affc", "--max-genus", "3"]
     for argv in (affc, verify):
-        loaded = modules_after(request.format(argv))
-        assert "json" not in loaded and loaded <= imported
-    finite = ["compute", "--backend", "finite", "--group", str(ROOT / "data" / "groups" / "s3.json"),
-              "--genus", "2"]
-    assert "json" in modules_after(request.format(finite))
+        assert modules_after(request.format(argv, 0)) <= imported
+    groups, datums = ROOT / "data" / "groups", DATUM_FILE.parent
+    reads_a_file = [
+        ["compute", "--backend", "finite", "--group", str(groups / "s3.json"), "--genus", "2"],
+        ["verify", "--backend", "finite", "--group", str(groups / "s3_generators.json")],
+        ["classes", "--group", str(groups / "q8.json")],
+        ["compute", "--backend", "custom", "--datum", str(datums / "s3_classes.json"), "--genus", "2"],
+    ]
+    for argv in reads_a_file:
+        assert modules_after(request.format(argv, 0)) <= imported | {"_json"}
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("[1")
+    finite = ["compute", "--backend", "finite", "--group", str(malformed), "--genus", "2"]
+    assert "json" in modules_after(request.format(finite, 2))
 
 
 @pytest.mark.parametrize("poly", [
@@ -1308,6 +1318,36 @@ def test_the_process_entry_ends_at_its_output(capsys, tmp_path, argv, expected, 
     normal = run_process(WITNESSES + NORMAL_EXIT, argv, PYTHONUNBUFFERED=unbuffered)
     assert (normal.returncode, normal.stdout) == (code, out)
     assert normal.stderr == err + "atexit hook\nmodule teardown\n"
+
+
+MALFORMED_FILES = {
+    "bom": '\ufeff{"table": [[0]]}',
+    "trailing-data": '{"table": [[0]]} x',
+    "open-array": "[1",
+    "tab-in-string": '{"table": "a\tb"}',
+    "empty": "",
+    "whitespace": " \t\n ",
+    "not-json": "{not json",
+    "long-integer": '{"table": [[' + LONG_INTEGER + "]]}",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_a_malformed_file_is_worded_by_json_loads_in_a_fresh_interpreter(tmp_path, text):
+    # Only a fresh interpreter starts without json.decoder loaded, and
+    # there json's C scanner cannot build its JSONDecodeError: it raises
+    # SystemError, which must not escape as a traceback and exit 1.
+    path = tmp_path / "group.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        expected = f"error: group file is not valid JSON: {exc}\n"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        expected = f"error: group file holds an integer longer than the {limit} digits allowed\n"
+    done = run_process(ENTRY, ["compute", "--backend", "finite", "--group", str(path), "--genus", "1"])
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 """Value semantics of the five record classes: construction checks, tuple
-storage, equality, hashing, repr and read-only fields."""
+storage, equality, hashing, repr and read-only fields; and ``read_json``,
+which must read a file as ``json.loads`` reads its text."""
 
+import json
 import os
 import pickle
 import subprocess
@@ -8,11 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repvar.affc import affc_closed_form, affc_datum
 from repvar.finite_group import ConjugacyClasses, FiniteGroup
 from repvar.poly import ONE, Q
-from repvar.record import echo
+from repvar.record import MAX_JSON_DEPTH, echo, read_json
 from repvar.tqft import (
     GENUS_TUBE,
     SurfaceSpec,
@@ -153,3 +156,86 @@ def test_a_record_pickled_in_another_process_hashes_as_here():
         [sys.executable, "-c", code], env=env, capture_output=True, check=True
     ).stdout
     assert pickle.loads(dumped)[puncture_tube("t")] == 1
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Refused(Exception):
+    pass
+
+
+def read_json_outcome(path):
+    """What ``read_json`` gives for the file: the ``repr`` of the value or
+    the message it refuses the file with."""
+    try:
+        return repr(read_json(path, "group", Refused))
+    except Refused as exc:
+        return f"refused: {exc}"
+
+
+def loads_outcome(text):
+    """The same for ``json.loads`` on ``text``."""
+    try:
+        return repr(json.loads(text))
+    except json.JSONDecodeError as exc:
+        return f"refused: group file is not valid JSON: {exc}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "data").glob("*/*.json")), ids=lambda path: f"{path.parent.name}/{path.name}"
+)
+def test_read_json_gives_what_json_loads_gives_on_every_shipped_file(path):
+    assert read_json_outcome(path) == loads_outcome(path.read_text(encoding="utf-8"))
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.text()
+    | st.text(st.characters(categories=["Cs", "Cc", "Co"]) | st.sampled_from('"\\/\t\n'))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=MAX_JSON_DEPTH // 4,
+)
+JSON_SPACE = st.text(" \t\n\r", max_size=3) | st.text(" \t\n\r\x0c\u00a0\ufeffx]", max_size=3)
+
+
+@pytest.fixture(scope="module")
+def json_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "file.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=JSON_VALUES, ensure_ascii=st.booleans(), raw=st.booleans(), before=JSON_SPACE, after=JSON_SPACE,
+    edit=st.none() | st.tuples(
+        st.floats(0, 1), st.booleans(), st.text(st.sampled_from('\t\x00"\\,]}') | st.characters(), max_size=2)
+    ),
+)
+def test_read_json_gives_what_json_loads_gives(json_file, value, ensure_ascii, raw, before, after, edit):
+    # The same value, or the same refusal in json.loads' words, for texts
+    # json.dumps writes, with tabs and newlines in strings left raw as
+    # strict JSON forbids, padded with whitespace or other characters, and
+    # edited: a few characters inserted at a point, the rest of the text
+    # kept or cut off.
+    text = json.dumps(value, ensure_ascii=ensure_ascii)
+    if raw:
+        text = text.replace("\\t", "\t").replace("\\n", "\n")
+    text = before + text + after
+    if edit is not None:
+        where, cut, inserted = edit
+        at = round(where * len(text))
+        text = text[:at] + inserted + ("" if cut else text[at:])
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, written unescaped
+        assume(False)
+    json_file.write_bytes(data)
+    assert read_json_outcome(json_file) == loads_outcome(json_file.read_text(encoding="utf-8"))
