@@ -17,11 +17,11 @@ costs a few shifts and additions of big integers per coefficient of the
 shorter factor, and a sum one shift and one addition, each a single
 pass in C rather than one Python operation per coefficient.  The
 spacing belongs to each value and widens when a result would outgrow
-it.  ``QPoly`` has only ``+``, ``*`` and the conversions to and from
-``LaurentPoly``: a value comes from ``QPoly.from_laurent`` or from a sum
-or product.  The engine folds a datum whose entries are all
-polynomials in q over it, and converts back to ``LaurentPoly`` for
-division and output; parsing and printing stay with ``LaurentPoly``.
+it.  ``QPoly`` has only ``+``, ``*``, unary ``-`` and the conversions to
+and from ``LaurentPoly``: a value comes from ``QPoly.from_laurent`` or
+from a sum, product or negation.  The engine folds a datum whose entries
+are all polynomials in q over it, and converts back to ``LaurentPoly``
+for division and output; parsing and printing stay with ``LaurentPoly``.
 
 Polynomial text is signed terms, each an optional leading integer and
 any number of ``u``, ``v`` or ``q`` factors with an optional exponent
@@ -137,6 +137,11 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Terms in decreasing (a+b, a) order."""
         return iter(sorted(self._terms.items(), key=lambda t: _order_key(t[0]), reverse=True))
+
+    def exponents(self):
+        """The exponent pairs (a, b) of the terms, in no particular order:
+        a view of them, without the sort that ``items`` makes."""
+        return self._terms.keys()
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -419,7 +424,8 @@ class QPoly:
     polynomials have equal ``low``.  The spacing belongs to the value: a
     product or sum whose bound would outgrow it re-spaces its operand
     first.  Values from data come in through ``from_laurent``, the rest
-    from ``+`` and ``*``; the constructor stores a packed form as given.
+    from ``+``, ``*`` and unary ``-``; the constructor stores a packed
+    form as given.
     ``coeffs`` decodes the coefficient list, which starts and ends
     nonzero.  No operation mutates an instance.  Two ``QPoly`` are equal
     when their ``low`` and their digits are, at any spacing, and a
@@ -532,6 +538,12 @@ class QPoly:
                 packed >>= zeros * bits
                 low += zeros
         return QPoly(low, packed, bits, self.bound + other.bound)
+
+    def __neg__(self) -> "QPoly":
+        """The digits negated: the same spacing and bound, the packed
+        integer negated."""
+        digits = self._digits and tuple(-c for c in self._digits)
+        return QPoly(self.low, -self.packed, self.bits, self.bound, digits)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         if not self.packed:

@@ -20,6 +20,16 @@ so a caller that evaluates many words keeps each parent's vector and
 pays one matrix-vector product per word (``verify`` walks the genera,
 and the puncture multisets level by level).
 
+A long genus run is jumped instead of stepped.  When a word starts with
+g genus tubes and g > (r + 4)^2 / 4 for the datum's rank r (the measured
+crossover), ``word_epoly`` moves the cap vector through them by the
+companion recurrence of the genus tube's characteristic polynomial
+(``char_poly``, Berkowitz's division-free algorithm): r products per
+genus in place of the r^2 of a matrix-vector product.  By Cayley and
+Hamilton it reaches the vector the steps reach, in the same ring, so the
+value and any division failure are the same.  The rest of the word is
+stepped.  ``verify`` steps every genus, since each genus is a row.
+
 The division is exact for any datum that comes from an actual group; a
 failure means the datum is inconsistent.  The datum's tube and disc
 entries are all ``int`` or all ``LaurentPoly``.  How a word is folded
@@ -71,6 +81,7 @@ __all__ = [
     "epoly_rep_variety",
     "mat_vec",
     "dot",
+    "char_poly",
     "datum_to_json_dict",
     "datum_from_json_dict",
     "load_datum",
@@ -106,6 +117,31 @@ def dot(row: Sequence, col: Sequence):
 
 def mat_vec(matrix: Sequence[Sequence], vec: Sequence) -> tuple:
     return tuple(dot(row, vec) for row in matrix)
+
+
+def char_poly(matrix: Sequence[Sequence]) -> tuple:
+    """The coefficients ``(c_0, ..., c_{r-1})`` of det(x*I - M) = x^r +
+    sum of c_i x^i for an r x r matrix M over a commutative ring, lowest
+    first, by Berkowitz's division-free algorithm (1984): only ``+``,
+    ``*`` and unary ``-``, about r^4/4 products.
+
+    The characteristic polynomial of the leading (k+1) x (k+1) block is
+    that of the leading k x k block A times a Toeplitz matrix whose
+    column is 1, -a_kk and -R A^m C for m < k, where R and C are row k
+    and column k cut to the block."""
+    coeffs: list = []  # det(x*I - A) below its leading 1, highest first
+    for k, row in enumerate(matrix):
+        block = [r[:k] for r in matrix[:k]]
+        vec, t = [r[k] for r in matrix[:k]], [-row[k]]
+        for m in range(k):
+            if m:
+                vec = mat_vec(block, vec)
+            t.append(-dot(row[:k], vec))
+        coeffs = [
+            reduce(add, [t[i], *(t[i - 1 - j] * coeffs[j] for j in range(i)), *coeffs[i:i + 1]])
+            for i in range(k + 1)
+        ]
+    return tuple(reversed(coeffs))
 
 
 # ----------------------------------------------------------------------
@@ -300,9 +336,10 @@ def fold_form(datum: TqftDatum) -> tuple:
             tubes, e_g = _map_tubes(lambda x: x.exact_div(datum.e_g, limit), tubes), ONE
         except NonExactDivision:
             pass
-    entries = _entries(tubes, cap, cup)
-    if any(not x.is_constant() for x in entries) and all(x.is_diagonal() for x in entries):
-        exponents = {a for x in entries for (a, _), _ in x.items()}
+    # One pass over the entries' terms, unsorted, decides the ring.
+    keys = set().union(*(x.exponents() for x in _entries(tubes, cap, cup)))
+    if keys - {(0, 0)} and all(a == b for a, b in keys):
+        exponents = {a for a, _ in keys}
         if max(exponents) - min(exponents) < 2 * len(exponents):
             pack = QPoly.from_laurent
             return e_g, _map_tubes(pack, tubes), tuple(map(pack, cap)), tuple(map(pack, cup))
@@ -320,8 +357,16 @@ def word_fold(datum: TqftDatum) -> tuple:
     constant e_G is divided with ``divmod``; any other scalar, or one that
     leaves a remainder, is divided as a ``LaurentPoly`` (which raises
     ``NonExactDivision`` on a remainder).  The E-polynomial is a
-    ``LaurentPoly`` either way."""
-    e_g, tubes, cap, cup = fold_form(datum)
+    ``LaurentPoly`` either way.  The parts step one tube at a time, so a
+    walk that needs every genus's vector (``verify``) pays one
+    matrix-vector product per genus; only ``word_epoly`` jumps a long
+    genus run."""
+    return _fold_parts(datum, fold_form(datum))
+
+
+def _fold_parts(datum: TqftDatum, form: tuple) -> tuple:
+    """``word_fold``'s three parts over the given fold form."""
+    e_g, tubes, cap, cup = form
     e_g_int = e_g.constant_value() if e_g.is_constant() else None
 
     def step(vec, tube: TubeGenerator) -> tuple:
@@ -343,13 +388,79 @@ def word_fold(datum: TqftDatum) -> tuple:
     return cap, step, value
 
 
+def _jump_threshold(rank: int) -> int:
+    """The longest genus run ``word_epoly`` steps through at this rank,
+    (r + 4)^2 / 4 rounded down; a longer one is jumped.  It sits at the
+    measured crossover, where the jump, its characteristic polynomial
+    included, starts to beat the walk: about 4r genera up to rank 12 over
+    ``int``, ``QPoly`` and constant ``LaurentPoly`` data, growing as the
+    polynomial's r^4/4 products take over (about 115 at rank 21)."""
+    return (rank + 4) ** 2 // 4
+
+
+def _genus_jump(genus_tube: tuple, start: tuple, step):
+    """The cap vector moved through g genus tubes, L^g . cap, as a
+    function of g >= r for the fold's r x r genus tube L, computed
+    without a matrix-vector product per genus.
+
+    With K_i = L^i . cap for i < r (the first r - 1 steps of the walk)
+    and det(x*I - L) = x^r + sum of c_i x^i (``char_poly``), Cayley and
+    Hamilton give L^r = sum of -c_i L^i over any commutative ring.  So
+    L^g . cap = sum of y_i K_i, where y = -c at g = r and one more genus
+    shifts y up by one place and adds its top coordinate times -c: r
+    products per genus, not r^2.  The vector is then the same vector the
+    walk reaches, in the same ring."""
+    krylov = [start]
+    for _ in range(1, len(start)):
+        krylov.append(step(krylov[-1], GENUS_TUBE))
+    columns = tuple(zip(*krylov))
+    minus_c = [-c for c in char_poly(genus_tube)]
+
+    def jump(genus: int) -> tuple:
+        y = minus_c
+        for _ in range(genus - len(minus_c)):
+            top = y[-1]
+            y = [top * minus_c[0], *(a + top * b for a, b in zip(y, minus_c[1:]))]
+        return tuple(dot(y, column) for column in columns)
+
+    return jump
+
+
 def word_epoly(datum: TqftDatum):
     """The evaluator of words over ``datum``: a callable from a word (a
     tuple of tube generators, as from ``assemble_word``) to its
     E-polynomial, the ``word_fold`` value of the cap vector folded through
-    the word's tubes."""
-    start, step, value = word_fold(datum)
-    return lambda word: value(reduce(step, word, start), len(word))
+    the word's tubes.
+
+    A word's leading run of g genus tubes is stepped through one tube at
+    a time while g <= (r + 4)^2 / 4 for the datum's rank r, and jumped
+    when it is longer (``_genus_jump``, whose characteristic polynomial is
+    computed on the first such word): the jump's r products per genus
+    beat the step's r^2 once they have paid for the polynomial.  Both
+    reach the same vector, so the value, and any ``NonExactDivision``
+    message, is the same either way."""
+    form = fold_form(datum)
+    start, step, value = _fold_parts(datum, form)
+    longest = _jump_threshold(len(start))
+    jump = None
+
+    def epoly(word: tuple) -> LaurentPoly:
+        nonlocal jump
+        vec, rest = start, word
+        if len(word) > longest:
+            # assemble_word repeats the one GENUS_TUBE, so identity settles
+            # the run without a Record comparison per tube.
+            genus = next(
+                (i for i, t in enumerate(word) if t is not GENUS_TUBE and t != GENUS_TUBE),
+                len(word),
+            )
+            if genus > longest:
+                if jump is None:
+                    jump = _genus_jump(form[1][GENUS_TUBE], start, step)
+                vec, rest = jump(genus), word[genus:]
+        return value(reduce(step, rest, vec), len(word))
+
+    return epoly
 
 
 def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:

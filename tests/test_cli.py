@@ -44,6 +44,7 @@ from full_rank import insert_identity_tubes
 
 ROOT = Path(__file__).resolve().parent.parent
 DATUM_FILE = ROOT / "data" / "datums" / "affc.json"
+S3_CLASSES = DATUM_FILE.with_name("s3_classes.json")
 
 
 def run(capsys, *argv):
@@ -723,22 +724,42 @@ class TestVerifyWork:
     def fold_forms(self, monkeypatch):
         return self.counted_calls(monkeypatch, repvar.tqft.fold_form)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("verify", "--backend", "affc", "--max-genus", "40"),
-            ("verify", "--backend", "custom", "--datum", str(DATUM_FILE), "--max-genus", "40"),
-            ("verify", "--backend", "finite", "--group", str(ROOT / "data/groups/s3.json")),
-            ("compute", "--backend", "affc", "--genus", "7"),
-        ],
-        ids=["affc-verify", "custom-verify", "finite-verify", "affc-compute"],
-    )
-    def test_each_command_builds_its_fold_form_once(self, capsys, fold_forms, argv):
+    @pytest.fixture()
+    def char_polys(self, monkeypatch):
+        return self.counted_calls(monkeypatch, repvar.tqft.char_poly)
+
+    # Each command, and the number of characteristic polynomials it computes.
+    COMMANDS = [
+        (("verify", "--backend", "affc", "--max-genus", "40"), 0),
+        (("verify", "--backend", "custom", "--datum", str(DATUM_FILE), "--max-genus", "40"), 0),
+        (("verify", "--backend", "finite", "--group", str(ROOT / "data/groups/s3.json")), 0),
+        (("compute", "--backend", "affc", "--genus", "7"), 0),
+        (("compute", "--backend", "affc", "--genus", "40"), 1),
+        (("compute", "--backend", "custom", "--datum", str(S3_CLASSES), "--genus", "40",
+          "--puncture", "c1"), 1),
+    ]
+    COMMAND_IDS = [
+        "affc-verify", "custom-verify", "finite-verify", "affc-compute", "affc-compute-jump",
+        "custom-compute-jump",
+    ]
+
+    @pytest.mark.parametrize("argv, polys", COMMANDS, ids=COMMAND_IDS)
+    def test_each_command_builds_its_fold_form_once(self, capsys, fold_forms, argv, polys):
         # Nothing is cached on the datum, so a walk that built the form per
         # row would redo the e_G division and the packing on every row.
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(fold_forms) == 1
+
+    @pytest.mark.parametrize("argv, polys", COMMANDS, ids=COMMAND_IDS)
+    def test_only_a_long_genus_run_computes_a_characteristic_polynomial(
+        self, capsys, char_polys, argv, polys
+    ):
+        # verify steps every genus, since every genus is a row; only
+        # word_epoly jumps a long run.
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(char_polys) == polys
 
     def test_finite_s3(
         self, capsys, group_file_factory, mat_vec_calls, oracle_slots, commutator_slots

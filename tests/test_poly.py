@@ -587,6 +587,17 @@ class TestPackedQPoly:
         assert_canonical(dn + dn, negative + negative)
         assert_canonical(dn * QPoly.from_laurent(Q + 2), negative * (Q + 2))
 
+    @given(p=wide_q_polys, r=q_polys)
+    def test_negation(self, p, r):
+        # A value from data has its digits decoded, a sum's are not yet.
+        dp, dr = QPoly.from_laurent(p), QPoly.from_laurent(r)
+        for dense, sparse in ((dp, p), (dp + dr, p + r)):
+            negated = -dense
+            assert_canonical(negated, -sparse)
+            assert (negated.bits, negated.bound) == (dense.bits, dense.bound)
+            assert canonical(dense + negated) == (0, []) and canonical(negated + dense) == (0, [])
+            assert canonical(-negated) == canonical(dense)
+
     @given(p=wide_q_polys, r=wide_q_polys)
     def test_zero_results(self, p, r):
         dp, dr = QPoly.from_laurent(p), QPoly.from_laurent(r)

@@ -1,13 +1,15 @@
 import json
 import itertools
+import random
 from functools import partial, reduce
+from operator import add
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repvar.tqft
-from repvar.affc import affc_datum, affc_inner_genus_matrix
+from repvar.affc import affc_closed_form, affc_datum, affc_inner_genus_matrix
 from repvar.finite_group import class_datum, conjugacy_classes, load_group
 from repvar.poly import LaurentPoly, NonExactDivision, ONE, Q, QPoly, U, V, ZERO
 from repvar.tqft import (
@@ -18,7 +20,9 @@ from repvar.tqft import (
     TqftDatum,
     TubeGenerator,
     UnknownPunctureLabel,
+    _jump_threshold,
     assemble_word,
+    char_poly,
     datum_from_json_dict,
     datum_to_json_dict,
     dot,
@@ -789,6 +793,234 @@ class TestWordFold:
         for genus in range(21):
             assert value(vec, genus) == epoly(assemble_word(SurfaceSpec(genus, ())))
             vec = step(vec, GENUS_TUBE)
+
+
+def walked(datum, word):
+    """The value of ``word``, or its ``NonExactDivision`` message, with
+    every tube stepped one at a time: the walk ``verify`` makes, and the
+    reference the genus jump is checked against."""
+    start, step, value = word_fold(datum)
+    return value_or_message(lambda w: value(reduce(step, w, start), len(w)), word)
+
+
+def ring_units(x):
+    """The zero and one of the ring ``x`` is in."""
+    if type(x) is int:
+        return 0, 1
+    if type(x) is QPoly:
+        return QPoly.from_laurent(ZERO), QPoly.from_laurent(ONE)
+    return ZERO, ONE
+
+
+def q_poly(coeffs):
+    return sum((c * Q**i for i, c in enumerate(coeffs)), ZERO)
+
+
+def u_poly(coeffs):
+    return sum((c * U**i for i, c in enumerate(coeffs)), ZERO)
+
+
+@st.composite
+def jump_datums(draw):
+    """A datum of rank 1-5 with a genus tube and a puncture tube ``a``,
+    and the ring it folds over: small ``int`` entries with e_G = 1, 2 or 3
+    (so many words fail to divide), polynomials in q with e_G = 1, q (the
+    end division kept) or q - 1 times every tube (divided out), or
+    polynomials in u alone with e_G = 1 or 2."""
+    ring = draw(st.sampled_from([int, QPoly, LaurentPoly]))
+    rank = draw(st.integers(1, 5))
+    if ring is int:
+        entry, one, zero, factor = st.integers(-3, 3), 1, 0, 1
+        e_g = LaurentPoly.const(draw(st.sampled_from([1, 2, 3])))
+    else:
+        coeffs = st.lists(st.integers(-2, 2), min_size=1, max_size=3)
+        entry, one, zero = coeffs.map(q_poly if ring is QPoly else u_poly), ONE, ZERO
+        e_g = draw(st.sampled_from([ONE, Q, Q - 1] if ring is QPoly else [ONE, 2 * ONE]))
+        factor = e_g if len(e_g) > 1 else ONE
+
+    def matrix(label):
+        row = st.lists(entry, min_size=rank, max_size=rank)
+        rows = draw(st.lists(row, min_size=rank, max_size=rank), label=label)
+        return tuple(tuple(factor * x for x in row) for row in rows)
+
+    puncture = [list(row) for row in matrix("a")]
+    if ring is QPoly:  # one entry that is not constant, so that it folds as QPoly
+        puncture[0][0] += factor * Q
+    tail = tuple(draw(entry, label="disc_in tail") for _ in range(rank - 1))
+    datum = TqftDatum(
+        e_g=e_g,
+        tubes={GENUS_TUBE: matrix("L"), puncture_tube("a"): puncture},
+        disc_in=(one,) + tail,
+        disc_out=(one,) + (zero,) * (rank - 1),
+    )
+    return datum, ring
+
+
+def nilpotent_datum():
+    """A 3 x 3 nilpotent genus tube: every genus from 3 on folds to 0."""
+    return TqftDatum(
+        e_g=ONE,
+        tubes={GENUS_TUBE: ((0, 1, 0), (0, 0, 1), (0, 0, 0))},
+        disc_in=(1, 2, 3),
+        disc_out=(1, 0, 0),
+    )
+
+
+def singular_datum():
+    """A rank-2 q-datum whose genus tube has determinant 0, with a
+    single-term e_G = q, which ``fold_form`` keeps for the end division."""
+    return TqftDatum(
+        e_g=Q,
+        tubes={
+            GENUS_TUBE: ((Q**2, Q**3), (Q, Q**2)),
+            puncture_tube("a"): ((Q, ONE), (ZERO, 2 * Q)),
+        },
+        disc_in=(ONE, Q - 1),
+        disc_out=(ONE, ZERO),
+    )
+
+
+def acyclic_cap_datum():
+    """A diagonal genus tube with the cap on one eigenvector, so that the
+    Krylov vectors L^i . cap are all multiples of the cap."""
+    return TqftDatum(
+        e_g=LaurentPoly.const(2),
+        tubes={
+            GENUS_TUBE: ((2, 0, 0), (0, 4, 0), (0, 0, 6)),
+            puncture_tube("a"): ((2, 2, 0), (0, 2, 0), (4, 0, 2)),
+        },
+        disc_in=(1, 0, 0),
+        disc_out=(1, 5, 7),
+    )
+
+
+def failing_datum():
+    """affc with q^3 in place of L[0][0]: e_G = q^2 - q no longer divides
+    the genus tube, so the division comes at the end and fails."""
+    data = datum_to_json_dict(affc_datum())
+    data["L"][0][0] = "q^3"
+    return datum_from_json_dict(data)
+
+
+JUMP_DATA = {
+    "nilpotent": nilpotent_datum(),
+    "singular": singular_datum(),
+    "acyclic-cap": acyclic_cap_datum(),
+    "failing": failing_datum(),
+    "s3_classes.json": load_datum(S3_CLASSES_FILE),
+    **WORD_DATA,
+}
+
+
+class TestGenusJump:
+    """``word_epoly`` jumps a genus run longer than ``_jump_threshold`` of
+    the rank with the genus tube's characteristic polynomial; the value,
+    or the ``NonExactDivision`` message, is the walk's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_the_jump_lands_where_the_walk_does(self, data):
+        datum, ring = data.draw(jump_datums(), label="datum")
+        assert {type(x) for x in fold_entries(datum)} == {ring}
+        threshold = _jump_threshold(datum.rank)
+        genus = data.draw(st.integers(0, 3 * threshold), label="genus")
+        punctures = data.draw(st.integers(0, 2), label="punctures")
+        word = (GENUS_TUBE,) * genus + (puncture_tube("a"),) * punctures
+        assert value_or_message(word_epoly(datum), word) == walked(datum, word)
+
+    @pytest.mark.parametrize("name", JUMP_DATA)
+    def test_every_genus_on_both_sides_of_the_threshold(self, name):
+        datum = JUMP_DATA[name]
+        epoly = word_epoly(datum)
+        labels = [tube for tube in datum.tubes if tube.kind == "puncture"][:1]
+        outcomes = set()
+        for genus in range(3 * _jump_threshold(datum.rank) + 1):
+            for tail in ((), *((tube,) for tube in labels), tuple(labels * 2)):
+                word = (GENUS_TUBE,) * genus + tail
+                expected = walked(datum, word)
+                assert value_or_message(epoly, word) == expected
+                outcomes.add(type(expected))
+        # Only the sphere divides when the division fails.
+        assert outcomes == ({LaurentPoly, str} if name == "failing" else {LaurentPoly})
+
+    def test_the_end_division_is_kept(self):
+        for datum in (singular_datum(), acyclic_cap_datum(), failing_datum()):
+            assert fold_form(datum)[0] == datum.e_g != ONE
+
+    def test_a_nilpotent_tube_folds_to_zero(self):
+        epoly = word_epoly(nilpotent_datum())
+        assert char_poly(nilpotent_datum().tubes[GENUS_TUBE]) == (0, 0, 0)
+        assert epoly((GENUS_TUBE,) * 60) == ZERO
+
+    def test_the_failing_message_names_the_raw_scalar(self):
+        datum = failing_datum()
+        genus = 3 * _jump_threshold(datum.rank)
+        message = value_or_message(word_epoly(datum), (GENUS_TUBE,) * genus)
+        assert message.endswith(f"is not divisible by ({datum.e_g ** genus})")
+
+    def test_the_polynomial_is_computed_once_and_only_for_a_jump(self, monkeypatch):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return char_poly(matrix)
+
+        monkeypatch.setattr(repvar.tqft, "char_poly", counted)
+        datum = affc_datum()
+        epoly = word_epoly(datum)
+        threshold = _jump_threshold(datum.rank)
+        for genus in range(threshold + 1):
+            epoly((GENUS_TUBE,) * genus)
+        assert calls == []
+        for genus in (threshold + 1, 3 * threshold):
+            assert epoly((GENUS_TUBE,) * genus) == affc_closed_form(genus)
+        assert calls == [fold_form(datum)[1][GENUS_TUBE]]
+        # A run of genus tubes equal to GENUS_TUBE but not it is jumped too.
+        word = tuple(TubeGenerator("genus") for _ in range(2 * threshold))
+        assert word_epoly(datum)(word) == affc_closed_form(len(word))
+        assert len(calls) == 2
+
+    def test_affc_characteristic_polynomial(self):
+        expected = (Q**6 - 2 * Q**5 + Q**4, -(Q**4 - 2 * Q**3 + 2 * Q**2))
+        assert char_poly(affc_inner_genus_matrix()) == expected
+        folded = char_poly(fold_form(affc_datum())[1][GENUS_TUBE])
+        assert {type(c) for c in folded} == {QPoly}
+        assert folded == expected
+
+    @pytest.mark.parametrize("name", WORD_DATA)
+    def test_cayley_hamilton(self, name):
+        # chi(L) = L^r + sum of c_i L^i is the zero matrix, column by
+        # column, over the ring the fold runs in.
+        tube = fold_form(WORD_DATA[name])[1][GENUS_TUBE]
+        coeffs = char_poly(tube)
+        rank = len(tube)
+        zero, one = ring_units(tube[0][0])
+        for j in range(rank):
+            powers = [tuple(one if i == j else zero for i in range(rank))]
+            for _ in range(rank):
+                powers.append(mat_vec(tube, powers[-1]))
+            for k in range(rank):
+                products = (c * power[k] for c, power in zip(coeffs, powers))
+                total = reduce(add, products, powers[-1][k])
+                assert total == zero
+
+    def test_matches_the_determinant(self):
+        # det(x*I - M) by cofactor expansion, at several integer x.
+        def det(m):
+            if not m:
+                return 1
+            return sum(
+                (-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+                for j in range(len(m))
+            )
+
+        rng = random.Random(5)
+        for rank in range(1, 6):
+            m = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(rank)]
+            coeffs = char_poly(m)
+            for x in range(-2, 3):
+                shifted = [[(i == j) * x - m[i][j] for j in range(rank)] for i in range(rank)]
+                assert det(shifted) == x**rank + sum(c * x**i for i, c in enumerate(coeffs))
 
 
 class TestDatumFiles:
