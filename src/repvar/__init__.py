@@ -49,6 +49,6 @@ from .finite_group import (
     group_from_json_dict,
     load_group,
 )
-from .affc import affc_closed_form, affc_datum, xk_epoly
+from .affc import affc_closed_form, affc_datum
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Built-in datum for the group of affine transformations of the complex
 line, together with its two independent checks: a closed-form genus
-formula and a recursion that computes the same values along a different
-route.
+formula (``affc_closed_form``) and a recursion that computes the same
+values along a different route (``xk_values``, whose value e(X_2g) is
+the genus-g one).
 
 The coefficient module has rank 2; its generators are the class supported
 at the identity and the class of the nontrivial translations.  All
@@ -9,12 +10,11 @@ outputs are polynomials in q.
 """
 
 from collections.abc import Iterator
-from itertools import islice
 
 from .poly import LaurentPoly, ONE, Q, ZERO
 from .tqft import GENUS_TUBE, TqftDatum
 
-__all__ = ["affc_datum", "affc_closed_form", "xk_epoly", "xk_values", "AFFC_E_GROUP"]
+__all__ = ["affc_datum", "affc_closed_form", "xk_values", "AFFC_E_GROUP"]
 
 #: Class of the group itself: C* x C has class q(q - 1).
 AFFC_E_GROUP = Q * (Q - 1)
@@ -66,18 +66,12 @@ def affc_closed_form(genus: int) -> LaurentPoly:
 def xk_values() -> Iterator[LaurentPoly]:
     """The recursion e(X_1) = 2q - 2 and
     e(X_k) = (q-2) q^(k-1) (q-1)^(k-1) + q e(X_(k-1)), yielding e(X_1),
-    e(X_2), ... in turn, one step each."""
+    e(X_2), ... in turn, one step each.  e(X_2g) must agree with
+    affc_closed_form(g); e(X_k) alone is
+    ``next(islice(xk_values(), k - 1, None))``."""
     value = 2 * Q - 2
     power = ONE  # q^(k-1) (q-1)^(k-1), carried from one index to the next
     while True:
         yield value
         power *= Q * (Q - 1)
         value = (Q - 2) * power + Q * value
-
-
-def xk_epoly(k: int) -> LaurentPoly:
-    """e(X_k) from ``xk_values``; xk_epoly(2g) must agree with
-    affc_closed_form(g)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return next(islice(xk_values(), k - 1, None))

@@ -1,14 +1,15 @@
 """Command-line front end: compute invariants, verify a backend against
 its independent oracle, and inspect conjugacy classes.
 
-Each command declares its options in one table (``_COMMANDS``), and
-the command line follows argparse's rules: an option takes its value as
-``--opt value`` or ``--opt=value``, any unique prefix names it, a
-repeated option keeps its last value (``--puncture`` appends), a
-negative number is a value, and ``-h``/``--help`` prints the help text
-to stdout, before or after the command.  The form every request uses,
-full option names each with a separate value, is read without importing
-argparse; argparse, built from the same tables, reads every other form
+Each command declares its options in one table (``_COMMANDS``) of
+argparse's own ``add_argument`` keywords, and the command line follows
+argparse's rules: an option takes its value as ``--opt value`` or
+``--opt=value``, any unique prefix names it, a repeated option keeps
+its last value (``--puncture`` appends), a negative number is a value,
+and ``-h``/``--help`` prints the help text to stdout, before or after
+the command.  The form every request uses, full option names each with
+a separate value, is read without importing argparse, by a fast reader
+of the same table; argparse, given its keywords, reads every other form
 and formats every help and usage text from them.
 
 As the process entry (``main()`` with no argv), the front end ends the
@@ -62,95 +63,77 @@ EXIT_INPUT = 2
 EXIT_DIVISION = 3
 EXIT_VERIFY = 4
 
-class _Option:
-    """One row of a command's option table: ``--name VALUE``, with the value
-    converted by ``convert`` and checked against ``choices``; a repeated
-    option keeps the last value, or appends when it ``repeats``."""
-
-    __slots__ = ("name", "help", "convert", "choices", "default", "required", "repeats", "metavar")
-
-    def __init__(self, name, help, convert=str, *, choices=None, default=None,
-                 required=False, repeats=False, metavar=None):
-        self.name = name
-        self.help = help
-        self.convert = convert
-        self.choices = choices
-        self.default = default
-        self.required = required
-        self.repeats = repeats
-        self.metavar = metavar
-
-    @property
-    def dest(self) -> str:
-        return self.name[2:].replace("-", "_")
-
-
 _BACKEND_OPTIONS = (
-    _Option("--backend", "the backend that builds the datum",
-            choices=("finite", "affc", "custom"), required=True),
-    _Option("--group", "group JSON file (finite backend)"),
-    _Option("--datum", "datum JSON file (custom backend)"),
+    ("--backend", dict(help="the backend that builds the datum",
+                       choices=("finite", "affc", "custom"), required=True)),
+    ("--group", dict(help="group JSON file (finite backend)")),
+    ("--datum", dict(help="datum JSON file (custom backend)")),
 )
 
 # The width of every help and usage text: wider than any of their lines, so
 # none wraps and the text is the same at every terminal width.
 _HELP_WIDTH = 10_000
 
-# command -> (help, option table)
+# command -> (help, option table); each row is an option's name and its
+# keywords to argparse's ``add_argument``.
 _COMMANDS = {
     "compute": ("compute the E-polynomial of one decorated surface", (
         *_BACKEND_OPTIONS,
-        _Option("--genus", "genus, >= 0", int, required=True),
-        _Option("--puncture", "add one puncture; finite backend: rep=INDEX or "
-                "elements=i,j,k (rep= closes the class automatically); custom "
-                "backend: a tube label from the datum file; repeatable, order "
-                "preserved", repeats=True, metavar="SPEC"),
-        _Option("--format", "output form (default: q form when the result is diagonal)",
-                choices=("q-text", "uv-text", "json"), default="q-text"),
+        ("--genus", dict(help="genus, >= 0", type=int, required=True)),
+        ("--puncture", dict(
+            help="add one puncture; finite backend: rep=INDEX or elements=i,j,k (rep= "
+                 "closes the class automatically); custom backend: a tube label from the "
+                 "datum file; repeatable, order preserved",
+            action="append", default=[], metavar="SPEC")),
+        ("--format", dict(help="output form (default: q form when the result is diagonal)",
+                          choices=("q-text", "uv-text", "json"), default="q-text")),
     )),
     "verify": ("cross-check a backend against its independent oracle", (
         *_BACKEND_OPTIONS,
-        _Option("--max-genus", "highest genus checked", int, default=2),
-        _Option("--max-punctures", "finite backend only", int, default=2),
-        _Option("--budget", "cap on the brute-force tuple count n^(2g) * prod |class| "
-                "(the oracle folds prefix-product distributions, so its work is far "
-                "smaller); a check over the cap is marked SKIP", int, default=DEFAULT_BUDGET),
+        ("--max-genus", dict(help="highest genus checked", type=int, default=2)),
+        ("--max-punctures", dict(help="finite backend only", type=int, default=2)),
+        ("--budget", dict(
+            help="cap on the brute-force tuple count n^(2g) * prod |class| (the oracle "
+                 "folds prefix-product distributions, so its work is far smaller); a check "
+                 "over the cap is marked SKIP",
+            type=int, default=DEFAULT_BUDGET)),
     )),
     "classes": ("print the conjugacy classes of a finite group", (
-        _Option("--group", "group JSON file", required=True),
+        ("--group", dict(help="group JSON file", required=True)),
     )),
 }
 
 
 def _parse_args(argv: Sequence[str]):
-    """``command`` plus one attribute per option of that command.
+    """``command`` plus one attribute per option of that command, named
+    as argparse names it: ``--max-genus`` gives ``max_genus``.
 
     ``COMMAND (--full-name VALUE)*``, with no value starting with ``-``, is
     read here without importing argparse; every other command line goes to
     argparse, which prints the help text or a usage error and raises
-    SystemExit.  Both read the same tables, so they accept the same
-    command lines with the same result.
+    SystemExit.  Both read the same argparse keywords from the same
+    tables, so they accept the same command lines with the same result.
+    An appended value makes a new list, so a table's default is never
+    changed.
     """
     if argv and argv[0] in _COMMANDS and len(argv) % 2:
-        options = {o.name: o for o in _COMMANDS[argv[0]][1]}
-        values = {o.dest: [] if o.repeats else o.default for o in options.values()}
+        options = dict(_COMMANDS[argv[0]][1])
+        values = {name: keywords.get("default") for name, keywords in options.items()}
         for name, value in zip(argv[1::2], argv[2::2]):
-            option = options.get(name)
-            if option is None or value.startswith("-"):
+            keywords = options.get(name)
+            if keywords is None or value.startswith("-"):
                 break
             try:
-                value = option.convert(value)
+                value = keywords.get("type", str)(value)
             except ValueError:
                 break
-            if option.choices and value not in option.choices:
+            if "choices" in keywords and value not in keywords["choices"]:
                 break
-            if option.repeats:
-                values[option.dest].append(value)
-            else:
-                values[option.dest] = value
+            values[name] = [*values[name], value] if keywords.get("action") == "append" else value
         else:
-            if {name for name, o in options.items() if o.required} <= set(argv[1::2]):
-                return SimpleNamespace(command=argv[0], **values)
+            if {name for name, k in options.items() if k.get("required")} <= set(argv[1::2]):
+                dests = {name[2:].replace("-", "_"): value for name, value in values.items()}
+                return SimpleNamespace(command=argv[0], **dests)
     return _argparse_parser().parse_args(argv)
 
 
@@ -167,12 +150,8 @@ def _argparse_parser():
     commands = parser.add_subparsers(dest="command", required=True, title="commands")
     for name, (text, options) in _COMMANDS.items():
         command = commands.add_parser(name, help=text, description=text, formatter_class=formatter)
-        for o in options:
-            command.add_argument(
-                o.name, action="append" if o.repeats else "store", type=o.convert,
-                choices=o.choices, default=[] if o.repeats else o.default,
-                required=o.required, help=o.help, metavar=o.metavar,
-            )
+        for name, keywords in options:
+            command.add_argument(name, **keywords)
     return parser
 
 
@@ -321,22 +300,14 @@ def _cmd_compute(args) -> int:
 # ----------------------------------------------------------------------
 
 
-class _Report:
-    def __init__(self):
-        self.passed = 0
-        self.failed = 0
-        self.skipped = 0
+class _Report(Counter):
+    """The rows ``verify`` has printed, counted by status: PASS, FAIL or SKIP."""
 
     def record(self, description: str, status: str, detail: str | None = None) -> None:
         print(f"CHECK {description} ... {status}")
         if detail:
             print(f"  {detail}")
-        if status == "PASS":
-            self.passed += 1
-        elif status == "SKIP":
-            self.skipped += 1
-        else:
-            self.failed += 1
+        self[status] += 1
 
     def compare(self, description: str, engine, oracle: str, expected) -> None:
         """PASS if the engine's value equals the oracle's, else FAIL with
@@ -349,11 +320,8 @@ class _Report:
             )
 
     def finish(self) -> int:
-        print(
-            f"SUMMARY: {self.passed} passed, {self.failed} failed, "
-            f"{self.skipped} skipped"
-        )
-        return EXIT_OK if self.failed == 0 else EXIT_VERIFY
+        print(f"SUMMARY: {self['PASS']} passed, {self['FAIL']} failed, {self['SKIP']} skipped")
+        return EXIT_OK if self["FAIL"] == 0 else EXIT_VERIFY
 
 
 def _cmd_verify(args) -> int:

@@ -101,12 +101,6 @@ class FiniteGroup(Record):
         # x y == x only for y = e.
         return self.mult[0].index(0)
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
     def conjugate(self, h: int, g: int) -> int:
         """h g h^-1."""
         return self.mult[self.mult[h][g]][self.inverse[h]]
@@ -301,7 +295,7 @@ def _classes_met(group: FiniteGroup, elements: Iterable[int]):
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
     class_of = [-1] * group.order
     members: list[tuple[int, ...]] = []
-    for _, conjugates in _classes_met(group, (group.identity, *group.elements())):
+    for _, conjugates in _classes_met(group, (group.identity, *range(group.order))):
         orbit = tuple(sorted(conjugates))
         for y in orbit:
             class_of[y] = len(members)
@@ -518,6 +512,8 @@ def group_from_json_dict(data: dict) -> FiniteGroup:
     if not isinstance(data, dict):
         raise NotAGroup("group file must contain a JSON object")
     if "table" in data:
+        if "degree" in data or "generators" in data:
+            raise NotAGroup("group file needs either 'table' or 'degree' + 'generators', not both")
         table = data["table"]
         if not isinstance(table, list):
             raise NotAGroup("'table' must be a list of rows")

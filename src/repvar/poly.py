@@ -143,9 +143,6 @@ class LaurentPoly:
         a view of them, without the sort that ``items`` makes."""
         return self._terms.keys()
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_constant(self) -> bool:
         return all(key == (0, 0) for key in self._terms)
 
@@ -245,9 +242,9 @@ class LaurentPoly:
         and so does a quotient that grows past ``max_terms`` terms, when
         that is given.
         """
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return ZERO
 
         sa = min(a for a, _ in self._terms)
@@ -492,7 +489,7 @@ class QPoly:
         that list are nonzero."""
         if not poly.is_diagonal():
             raise ValueError(f"not a polynomial in q: {poly}")
-        if poly.is_zero():
+        if not poly:
             return cls(0, 0, _spacing(0), 0, ())
         exponents = [a for a, _ in poly._terms]
         low = min(exponents)

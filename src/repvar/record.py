@@ -40,11 +40,11 @@ _LOADS_OPTIONS = SimpleNamespace(
 _JSON_SPACE = " \t\n\r"
 
 
-def echo(value) -> str:
-    """``repr(value)``, cut after ``ECHO_LIMIT`` characters, where the
-    length of the whole is given: a long row or a deeply nested value in
-    an input file makes a short error message."""
-    text = repr(value)
+def echo(value, form=repr) -> str:
+    """``form(value)``, ``repr`` unless given, cut after ``ECHO_LIMIT``
+    characters, where the length of the whole is given: a long row or a
+    deeply nested value in an input file makes a short error message."""
+    text = form(value)
     if len(text) <= ECHO_LIMIT:
         return text
     return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"

@@ -243,7 +243,7 @@ class TqftDatum(Record):
             raise InvalidDatum(f"disc_out must have length {self.rank}")
         if type(self.e_g) is not LaurentPoly:
             raise InvalidDatum(f"e_G must be a LaurentPoly, got {echo(self.e_g)}")
-        if self.e_g.is_zero():
+        if not self.e_g:
             raise InvalidDatum("e_G must be nonzero")
         # The first cap entry sets the ring, and the discs are checked
         # before the tubes, so the entry named is the first that differs.
@@ -261,13 +261,17 @@ class TqftDatum(Record):
                         "tube and disc entries must be all int or all LaurentPoly: "
                         f"{place}{j} is {echo(x)}"
                     )
-        if dot(self.disc_out, self.disc_in) != ONE:
-            raise InvalidDatum("sphere normalization fails: disc_out . disc_in != 1")
+        sphere = dot(self.disc_out, self.disc_in)
+        if sphere != ONE:
+            raise InvalidDatum(
+                f"sphere normalization fails: disc_out . disc_in = {echo(sphere, str)}, not 1"
+            )
         if IDENTITY_TUBE in self.tubes:
             through = dot(self.disc_out, mat_vec(self.tubes[IDENTITY_TUBE], self.disc_in))
             if through != self.e_g:
                 raise InvalidDatum(
-                    "identity-tube consistency fails: disc_out . P . disc_in != e_G"
+                    "identity-tube consistency fails: disc_out . P . disc_in = "
+                    f"{echo(through, str)}, not e_G = {echo(self.e_g, str)}"
                 )
 
     def tube_matrix(self, generator: TubeGenerator) -> tuple:

@@ -1,3 +1,4 @@
+from itertools import islice
 from math import comb
 
 import pytest
@@ -7,7 +8,6 @@ from repvar.affc import (
     affc_closed_form,
     affc_datum,
     affc_inner_genus_matrix,
-    xk_epoly,
     xk_values,
 )
 from repvar.poly import ONE, LaurentPoly, Q, ZERO
@@ -85,30 +85,31 @@ class TestClosedForm:
             assert affc_closed_form(genus) == expected
 
 
+def xk(k):
+    """e(X_k), the k-th value of the recursion."""
+    return next(islice(xk_values(), k - 1, None))
+
+
 class TestRecursion:
     def test_base_case(self):
-        assert xk_epoly(1) == 2 * Q - 2
+        assert xk(1) == 2 * Q - 2
 
     def test_second_value(self):
-        assert xk_epoly(2) == Q**2 * (Q - 1)
-        assert xk_epoly(2) == affc_closed_form(1)
-
-    def test_index_must_be_positive(self):
-        with pytest.raises(ValueError):
-            xk_epoly(0)
+        assert xk(2) == Q**2 * (Q - 1)
+        assert xk(2) == affc_closed_form(1)
 
     @pytest.mark.parametrize("genus", range(1, 7))
     def test_even_index_matches_closed_form(self, genus):
-        assert xk_epoly(2 * genus) == affc_closed_form(genus)
+        assert xk(2 * genus) == affc_closed_form(genus)
 
     def test_running_product_matches_the_recursion_as_written(self):
         # The recursion exactly as stated, recomputing q^(i-1) (q-1)^(i-1)
-        # at every step; xk_epoly carries that product instead.
+        # at every step; xk_values carries that product instead.
         value = 2 * Q - 2
         for k in range(1, 41):
             if k > 1:
                 value = (Q - 2) * Q ** (k - 1) * (Q - 1) ** (k - 1) + Q * value
-            assert xk_epoly(k) == value
+            assert xk(k) == value
 
 
 class TestEngineAgreement:

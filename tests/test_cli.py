@@ -14,7 +14,7 @@ import pytest
 import repvar.cli
 import repvar.finite_group
 import repvar.tqft
-from repvar.affc import affc_closed_form, affc_datum, xk_epoly
+from repvar.affc import affc_closed_form, affc_datum, xk_values
 from repvar.cli import main
 from repvar.finite_group import (
     BudgetExceeded,
@@ -255,9 +255,25 @@ class TestComputeErrors:
             ),
             ({"L": ["1"]}, "error: L must be a list of rows"),
             ({"punctures": [["1"]]}, "error: punctures must be an object of label -> matrix"),
+            (
+                {"disc_in": ["q"]},
+                "error: sphere normalization fails: disc_out . disc_in = q, not 1",
+            ),
+            (
+                {"e_G": "2", "L": [["2"]], "P": [["1"]]},
+                "error: identity-tube consistency fails: disc_out . P . disc_in = 1, not e_G = 2",
+            ),
+            (
+                {"disc_in": [f"q^{k}" for k in range(40)], "disc_out": ["1"] * 40, "rank": 40,
+                 "L": [["0"] * 40] * 40},
+                "error: sphere normalization fails: disc_out . disc_in = "
+                "q^39 + q^38 + q^37 + q^36 + q^35 + q^34 + q^33 + q^32 + q^31 + q^30 + q^29 + q^2... "
+                "(263 characters), not 1",
+            ),
         ],
         ids=["bad-polynomial", "superscript-digit", "non-square-tube", "long-integer",
-             "long-exponent", "L-not-rows", "punctures-not-object"],
+             "long-exponent", "L-not-rows", "punctures-not-object", "sphere", "identity-tube",
+             "long-witness"],
     )
     def test_malformed_datum_exits_two(self, capsys, tmp_path, override, message):
         data = {
@@ -331,7 +347,7 @@ class TestVerify:
             engine = epoly_rep_variety(affc_datum(), SurfaceSpec(genus))
             for name, value in (
                 ("closed-form", affc_closed_form(genus)),
-                ("recursion", xk_epoly(2 * genus)),
+                ("recursion", next(itertools.islice(xk_values(), 2 * genus - 1, None))),
             ):
                 status = "PASS" if engine == value else "FAIL"
                 expected.append(f"CHECK affc {name} genus={genus} ... {status}")
@@ -624,7 +640,7 @@ def s3_identity_not_first():
     table = [[0] * 6 for _ in range(6)]
     for a in range(6):
         for b in range(6):
-            table[rename[a]][rename[b]] = rename[group.mul(a, b)]
+            table[rename[a]][rename[b]] = rename[group.mult[a][b]]
     return {"table": table}
 
 
@@ -1306,6 +1322,16 @@ def tampered_datum(tmp_path):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_a_group_file_in_both_forms_exits_two_at_the_process_level(tmp_path):
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"table": [[0]], "degree": 2, "generators": [[1, 0]]}))
+    done = run_process(ENTRY, ["compute", "--backend", "finite", "--group", str(path), "--genus", "1"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: group file needs either 'table' or 'degree' + 'generators', not both\n"
+    )
 
 
 def run_process(entry, argv, stdout=subprocess.PIPE, **env):

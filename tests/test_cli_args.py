@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repvar.cli
 from argparse_reference import build_parser
 from repvar.cli import _COMMANDS, _parse_args
 from test_cli import modules_after, run
@@ -83,7 +84,20 @@ def test_documented_argv_parses_as_argparse_did(argv):
     assert outcome(argv) == reference_outcome(argv)
 
 
-OPTIONS = sorted({o.name for _, options in _COMMANDS.values() for o in options})
+def test_no_parse_changes_the_tables_puncture_default(monkeypatch):
+    # The fast reader and argparse both start from the table's one []:
+    # an append in place would hand the next command line old punctures.
+    default = dict(_COMMANDS["compute"][1])["--puncture"]["default"]
+    argv = ["compute", "--backend", "custom", "--datum", "d.json", "--genus", "1"]
+    with monkeypatch.context() as patch:
+        patch.setattr(repvar.cli, "_argparse_parser", None)  # the fast reader only
+        assert _parse_args(argv + ["--puncture", "a", "--puncture", "b"]).puncture == ["a", "b"]
+    assert _parse_args(argv + ["--puncture=a"]).puncture == ["a"]
+    assert default == []
+    assert _parse_args(argv).puncture == []
+
+
+OPTIONS = sorted({name for _, options in _COMMANDS.values() for name, _ in options})
 NAMES = st.sampled_from(
     OPTIONS + ["-h", "--help", "--h", "--he", "--g", "--gen", "--gr", "--max", "--max-g",
                "--max-p", "--pun", "--b", "--back", "--f", "--d", "--bud", "--bogus", "-x", "--",
@@ -110,13 +124,14 @@ def command_lines(draw):
     command = draw(st.sampled_from(list(_COMMANDS)))
     options = _COMMANDS[command][1]
     chosen = draw(st.lists(st.sampled_from(options), max_size=4))
-    chosen = draw(st.permutations(chosen + [o for o in options if o.required]))
+    chosen = draw(st.permutations(chosen + [o for o in options if o[1].get("required")]))
     plain = draw(st.booleans())
     argv = [command]
-    for option in chosen:
-        names = [option.name[:k] for k in range(3, len(option.name) + 1)]
-        name = option.name if plain else draw(st.sampled_from(names))
-        good = st.sampled_from(option.choices) if option.choices else GOOD[option.convert]
+    for option, keywords in chosen:
+        names = [option[:k] for k in range(3, len(option) + 1)]
+        name = option if plain else draw(st.sampled_from(names))
+        good = (st.sampled_from(keywords["choices"]) if "choices" in keywords
+                else GOOD[keywords.get("type", str)])
         value = draw(st.one_of(good, VALUES, NAMES))
         argv += [f"{name}={value}"] if not plain and draw(st.booleans()) else [name, value]
     for _ in range(0 if plain else draw(st.integers(0, 2))):
@@ -220,8 +235,8 @@ def test_help_lists_every_option(capsys, argv, command):
     else:
         text, options = _COMMANDS[command]
         assert text in out
-        for option in options:
-            assert re.search(rf"^  {option.name}[^\n]*\s+{re.escape(option.help)}$", out, re.M)
+        for option, keywords in options:
+            assert re.search(rf"^  {option}[^\n]*\s+{re.escape(keywords['help'])}$", out, re.M)
 
 
 @pytest.mark.parametrize("columns", ["20", "300"])

@@ -75,19 +75,19 @@ def relabel(group, perm):
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            table[perm[a]][perm[b]] = perm[group.mul(a, b)]
+            table[perm[a]][perm[b]] = perm[group.mult[a][b]]
     return table
 
 
 def scan_orbit(group, x):
     """The conjugates of x, conjugating by every element."""
-    return tuple(sorted({group.conjugate(h, x) for h in group.elements()}))
+    return tuple(sorted({group.conjugate(h, x) for h in range(group.order)}))
 
 
 def scan_classes(group):
     """The classes from every element's orbit: the identity's first, then
     by smallest member."""
-    orbits = {scan_orbit(group, x) for x in group.elements()}
+    orbits = {scan_orbit(group, x) for x in range(group.order)}
     return sorted(orbits, key=lambda m: (group.identity not in m, m[0]))
 
 
@@ -102,7 +102,7 @@ def scan_witness(group, subset):
     it; None for a union of classes."""
     member = set(subset)
     for x in sorted(member):
-        for h in group.elements():
+        for h in range(group.order):
             y = group.conjugate(h, x)
             if y not in member:
                 return f"conjugate {y} of {x} is missing from the subset"
@@ -168,7 +168,7 @@ class TestConstruction:
         n = group.order
         a = data.draw(st.integers(0, n - 1))
         b = data.draw(st.integers(0, n - 1))
-        wrong = data.draw(st.integers(0, n - 1).filter(lambda x: x != group.mul(a, b)))
+        wrong = data.draw(st.integers(0, n - 1).filter(lambda x: x != group.mult[a][b]))
         table = [list(row) for row in group.mult]
         table[a][b] = wrong
         with pytest.raises(NotAGroup):
@@ -194,7 +194,7 @@ class TestConstruction:
         group = from_cayley_table(S3_SHUFFLED)
         e = group.identity
         assert e == 1
-        assert all(group.mul(e, x) == x == group.mul(x, e) for x in group.elements())
+        assert all(group.mult[e][x] == x == group.mult[x][e] for x in range(group.order))
         assert group.mult == tuple(map(tuple, S3_SHUFFLED))
         assert sorted(len(m) for m in conjugacy_classes(group).members) == [1, 2, 3]
 
@@ -253,10 +253,10 @@ class TestConstruction:
         q8 = named_group("q8")
         d4 = named_group("d4")
         q8_involutions = sum(
-            1 for x in q8.elements() if x != 0 and q8.mul(x, x) == 0
+            1 for x in range(q8.order) if x != 0 and q8.mult[x][x] == 0
         )
         d4_involutions = sum(
-            1 for x in d4.elements() if x != 0 and d4.mul(x, x) == 0
+            1 for x in range(d4.order) if x != 0 and d4.mult[x][x] == 0
         )
         assert q8_involutions == 1
         assert d4_involutions == 5
@@ -276,7 +276,7 @@ class TestConjugacy:
                 assert len(members) * cent == group.order
                 x = members[0]
                 assert cent == sum(
-                    1 for h in group.elements() if group.mul(h, x) == group.mul(x, h)
+                    1 for h in range(group.order) if group.mult[h][x] == group.mult[x][h]
                 )
 
     def test_identity_class_first(self, suite_groups):
@@ -320,7 +320,7 @@ class TestGenusMatrix:
         for g in range(n):
             for g1 in range(n):
                 for g2 in range(n):
-                    core = group.mul(g, group.commutator(g1, g2))
+                    core = group.mult[g][group.commutator(g1, g2)]
                     for h in range(n):
                         naive[group.conjugate(h, core)][g] += 1
         assert genus_matrix(group) == tuple(tuple(row) for row in naive)
@@ -358,7 +358,7 @@ class TestPlainCylinderMatrix:
     def test_diagonal_positive(self, suite_groups):
         for group in suite_groups.values():
             matrix = tube_matrix_P(group)
-            assert all(matrix[g][g] >= 1 for g in group.elements())
+            assert all(matrix[g][g] >= 1 for g in range(group.order))
 
     def test_abelian_is_scalar(self):
         group = named_group("z4")
@@ -377,9 +377,9 @@ class TestPlainCylinderMatrix:
         group = named_group("s3")
         classes = conjugacy_classes(group)
         matrix = tube_matrix_P(group)
-        for g in group.elements():
+        for g in range(group.order):
             cls = classes.class_of[g]
-            for a in group.elements():
+            for a in range(group.order):
                 expected = (
                     classes.centralizer_orders[cls]
                     if classes.class_of[a] == cls
@@ -621,7 +621,7 @@ class TestClassDatum:
             expected = scan_classes(g)
             assert list(classes.members) == expected
             assert classes.class_of == tuple(
-                next(i for i, m in enumerate(expected) if y in m) for y in g.elements()
+                next(i for i, m in enumerate(expected) if y in m) for y in range(g.order)
             )
             elements = data.draw(st.lists(st.integers(0, g.order - 1), max_size=6))
             assert conjugacy_closure(g, elements) == scan_closure(g, elements)
@@ -665,14 +665,14 @@ class TestConjugationWork:
 def literal_count(group, genus, subsets):
     """Walk every tuple (a_1, b_1, ..., a_g, b_g, c_1, ..., c_s) and
     multiply it out: the definition, sharing no logic with the oracle."""
-    factors = [group.elements()] * (2 * genus) + [tuple(lam) for lam in subsets]
+    factors = [range(group.order)] * (2 * genus) + [tuple(lam) for lam in subsets]
     count = 0
     for t in itertools.product(*factors):
         product = group.identity
         for i in range(genus):
-            product = group.mul(product, group.commutator(t[2 * i], t[2 * i + 1]))
+            product = group.mult[product][group.commutator(t[2 * i], t[2 * i + 1])]
         for c in t[2 * genus:]:
-            product = group.mul(product, c)
+            product = group.mult[product][c]
         count += product == group.identity
     return count
 
@@ -828,6 +828,18 @@ class TestGroupFiles:
             group_from_json_dict([1, 2])
         with pytest.raises(NotAGroup, match="list of rows"):
             group_from_json_dict({"table": 5})
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"degree": 2}, {"generators": [[1, 0]]}, {"degree": 2, "generators": [[1, 0]]}],
+        ids=["degree", "generators", "both"],
+    )
+    def test_rejects_a_table_with_the_generators_form(self, other):
+        # Once the table was used and the rest ignored.
+        message = "group file needs either 'table' or 'degree' + 'generators', not both"
+        with pytest.raises(NotAGroup) as err:
+            group_from_json_dict({"table": [[0]], **other})
+        assert str(err.value) == message
 
     def test_order_above_sampling_threshold(self):
         # Order 72 was once above the limit for exhaustive associativity

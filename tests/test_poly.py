@@ -27,7 +27,7 @@ coefficients = st.integers(min_value=-9, max_value=9)
 polys = st.dictionaries(
     st.tuples(exponents, exponents), coefficients, max_size=6
 ).map(LaurentPoly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
+nonzero_polys = polys.filter(bool)
 monomials = st.builds(
     LaurentPoly.monomial, exponents, exponents, coefficients.filter(bool)
 )
@@ -47,9 +47,9 @@ def max_scan_exact_div(dividend, divisor, max_terms=None):
     term is found by scanning the whole remainder at every step.  The
     reference the sorted loop must equal, quotient and message alike."""
     order_key = repvar.poly._order_key
-    if divisor.is_zero():
+    if not divisor:
         raise ZeroDivisionError("division by the zero polynomial")
-    if dividend.is_zero():
+    if not dividend:
         return ZERO
     sa = min(a for (a, _), _ in dividend.items())
     sb = min(b for (_, b), _ in dividend.items())

@@ -142,6 +142,11 @@ def test_echo_quotes_a_short_value_whole_and_cuts_a_long_one():
     assert len(cut) < 120
 
 
+def test_echo_cuts_another_form_of_the_value_the_same_way():
+    assert echo("x", str) == "x"
+    assert echo("x" * 5000, str) == "x" * 80 + "... (5000 characters)"
+
+
 def test_a_record_pickled_in_another_process_hashes_as_here():
     # A cached hash would travel with the pickle, but a string's hash
     # differs between processes, so the tube could not be looked up.

@@ -178,7 +178,10 @@ class TestDatumValidation:
     def test_sphere_normalization(self):
         with pytest.raises(InvalidDatum) as err:
             rank_one_datum(disc_in=(Q,))
-        assert "sphere" in str(err.value)
+        assert str(err.value) == "sphere normalization fails: disc_out . disc_in = q, not 1"
+        with pytest.raises(InvalidDatum) as err:
+            TqftDatum(e_g=ONE, tubes={GENUS_TUBE: ((1,),)}, disc_in=(2,), disc_out=(3,))
+        assert str(err.value) == "sphere normalization fails: disc_out . disc_in = 6, not 1"
 
     @pytest.mark.parametrize("e_g", [Q * (Q - 1), LaurentPoly.const(2)], ids=["q(q-1)", "2"])
     def test_int_tube_with_polynomial_discs_rejected(self, e_g):
@@ -226,7 +229,9 @@ class TestDatumValidation:
         # cup . P . cap must equal e_G
         with pytest.raises(InvalidDatum) as err:
             rank_one_datum(e_g=LaurentPoly.const(2), tubes={IDENTITY_TUBE: ((ONE,),)})
-        assert "identity-tube" in str(err.value)
+        assert str(err.value) == (
+            "identity-tube consistency fails: disc_out . P . disc_in = 1, not e_G = 2"
+        )
         rank_one_datum(e_g=LaurentPoly.const(2), tubes={IDENTITY_TUBE: ((LaurentPoly.const(2),),)})
 
 
