@@ -12,23 +12,24 @@ of genus g with s ordered punctures is the word
 and its E-polynomial is the evaluated scalar divided by ``e_G`` raised to
 the number of tubes in the word.  A word is a tuple of tube generators,
 and ``word_fold`` gives the fold of words over a datum in three parts:
-the cap vector to start from, a step that applies one tube, and the
-value of a folded vector at the cup.  The one evaluator,
-``word_epoly``, folds a word through them.  By functoriality a surface
-with one more tube glued on is its parent's vector moved by one step,
-so a caller that evaluates many words keeps each parent's vector and
-pays one matrix-vector product per word (``verify`` walks the genera,
-and the puncture multisets level by level).
+the cap vector to start from, a step that applies a run of one tube,
+and the value of a folded vector at the cup.  The one evaluator,
+``word_epoly``, folds a word through them, one step per run.  By
+functoriality a surface with one more tube glued on is its parent's
+vector moved by one step, so a caller that evaluates many words keeps
+each parent's vector and pays one matrix-vector product per word
+(``verify`` walks the genera, and the puncture multisets level by
+level).
 
-A long genus run is jumped instead of stepped.  When a word starts with
-g genus tubes and g > (r + 4)^2 / 4 for the datum's rank r (the measured
-crossover), ``word_epoly`` moves the cap vector through them by the
-companion recurrence of the genus tube's characteristic polynomial
-(``char_poly``, Berkowitz's division-free algorithm): r products per
-genus in place of the r^2 of a matrix-vector product.  By Cayley and
-Hamilton it reaches the vector the steps reach, in the same ring, so the
-value and any division failure are the same.  The rest of the word is
-stepped.  ``verify`` steps every genus, since each genus is a row.
+A long run of one tube is jumped.  When the step is given a run of k
+equal tubes with k > (r + 4)^2 / 4 for the datum's rank r (the measured
+crossover), it moves the vector through them by the companion
+recurrence of that tube's characteristic polynomial (``char_poly``,
+Berkowitz's division-free algorithm): r products per tube in place of
+the r^2 of a matrix-vector product.  By Cayley and Hamilton it reaches
+the vector the single steps reach, in the same ring, so the value and
+any division failure are the same.  ``verify`` steps one tube at a
+time, since each genus is a row.
 
 The division is exact for any datum that comes from an actual group; a
 failure means the datum is inconsistent.  The datum's tube and disc
@@ -60,6 +61,7 @@ compares by value.
 import os
 from collections.abc import Mapping, Sequence
 from functools import reduce
+from itertools import groupby
 from operator import add, mul
 
 from .poly import LaurentPoly, NonExactDivision, ONE, PolyParseError, QPoly, parse_poly
@@ -230,17 +232,21 @@ class TqftDatum(Record):
         return len(self.disc_in)
 
     def _validate(self) -> None:
-        if self.rank < 1:
+        r = self.rank
+        if r < 1:
             raise InvalidDatum("rank must be a positive integer: disc_in is empty")
         for generator, matrix in self.tubes.items():
             if not isinstance(generator, TubeGenerator):
                 raise InvalidDatum(f"tubes must be keyed by TubeGenerator, got {generator!r}")
-            if len(matrix) != self.rank or any(len(row) != self.rank for row in matrix):
-                raise InvalidDatum(f"{generator} must be a {self.rank}x{self.rank} matrix")
+            found = [f"{len(matrix)} row{'s' * (len(matrix) != 1)}"] if len(matrix) != r else [
+                f"row {i} of length {len(row)}" for i, row in enumerate(matrix) if len(row) != r
+            ]
+            if found:
+                raise InvalidDatum(f"{generator} must be a {r}x{r} matrix, got {found[0]}")
         if GENUS_TUBE not in self.tubes:
             raise InvalidDatum("tubes must include the genus tube")
-        if len(self.disc_out) != self.rank:
-            raise InvalidDatum(f"disc_out must have length {self.rank}")
+        if len(self.disc_out) != r:
+            raise InvalidDatum(f"disc_out must have length {r}, got {len(self.disc_out)}")
         if type(self.e_g) is not LaurentPoly:
             raise InvalidDatum(f"e_G must be a LaurentPoly, got {echo(self.e_g)}")
         if not self.e_g:
@@ -353,29 +359,36 @@ def fold_form(datum: TqftDatum) -> tuple:
 def word_fold(datum: TqftDatum) -> tuple:
     """The fold of words over ``fold_form(datum)``, built once, as
     ``(start, step, value)``: ``start`` is the cap vector, ``step(vec,
-    tube)`` applies one tube generator to a vector, and ``value(vec, t)``
-    is the E-polynomial of a t-tube word whose folded vector is ``vec``.
+    tube, times=1)`` applies a tube generator ``times`` times to a vector,
+    and ``value(vec, t)`` is the E-polynomial of a t-tube word whose
+    folded vector is ``vec``.
+
+    A run longer than ``_jump_threshold`` is jumped (``_jump``) with its
+    tube's characteristic polynomial, computed on its first jump and kept;
+    a shorter run, or a walk that needs every genus's vector (``verify``),
+    pays one matrix-vector product per tube.
 
     ``value`` takes the cup's scalar and divides it by the form's e_G once
     per tube, or by nothing when that e_G is 1.  An ``int`` scalar over a
     constant e_G is divided with ``divmod``; any other scalar, or one that
     leaves a remainder, is divided as a ``LaurentPoly`` (which raises
     ``NonExactDivision`` on a remainder).  The E-polynomial is a
-    ``LaurentPoly`` either way.  The parts step one tube at a time, so a
-    walk that needs every genus's vector (``verify``) pays one
-    matrix-vector product per genus; only ``word_epoly`` jumps a long
-    genus run."""
-    return _fold_parts(datum, fold_form(datum))
-
-
-def _fold_parts(datum: TqftDatum, form: tuple) -> tuple:
-    """``word_fold``'s three parts over the given fold form."""
-    e_g, tubes, cap, cup = form
+    ``LaurentPoly`` either way."""
+    e_g, tubes, cap, cup = fold_form(datum)
     e_g_int = e_g.constant_value() if e_g.is_constant() else None
+    longest = _jump_threshold(len(cap))
+    minus_cs: dict = {}  # -c for each tube's char_poly c, on its first jump
 
-    def step(vec, tube: TubeGenerator) -> tuple:
+    def step(vec, tube: TubeGenerator, times: int = 1) -> tuple:
         # A matrix is never empty; a tube the datum lacks raises there.
-        return mat_vec(tubes.get(tube) or datum.tube_matrix(tube), vec)
+        matrix = tubes.get(tube) or datum.tube_matrix(tube)
+        if times > longest:
+            if tube not in minus_cs:
+                minus_cs[tube] = [-c for c in char_poly(matrix)]
+            return _jump(matrix, vec, times, minus_cs[tube])
+        for _ in range(times):
+            vec = mat_vec(matrix, vec)
+        return vec
 
     def value(vec, t: int) -> LaurentPoly:
         raw = dot(cup, vec)
@@ -393,76 +406,48 @@ def _fold_parts(datum: TqftDatum, form: tuple) -> tuple:
 
 
 def _jump_threshold(rank: int) -> int:
-    """The longest genus run ``word_epoly`` steps through at this rank,
-    (r + 4)^2 / 4 rounded down; a longer one is jumped.  It sits at the
-    measured crossover, where the jump, its characteristic polynomial
-    included, starts to beat the walk: about 4r genera up to rank 12 over
+    """The longest run of one tube that ``word_fold``'s step walks at this
+    rank, (r + 4)^2 / 4 rounded down; a longer run is jumped.  It sits at
+    the measured crossover, where the jump, its characteristic polynomial
+    included, starts to beat the walk: about 4r tubes up to rank 12 over
     ``int``, ``QPoly`` and constant ``LaurentPoly`` data, growing as the
     polynomial's r^4/4 products take over (about 115 at rank 21)."""
     return (rank + 4) ** 2 // 4
 
 
-def _genus_jump(genus_tube: tuple, start: tuple, step):
-    """The cap vector moved through g genus tubes, L^g . cap, as a
-    function of g >= r for the fold's r x r genus tube L, computed
-    without a matrix-vector product per genus.
+def _jump(matrix: tuple, vec: tuple, times: int, minus_c: list) -> tuple:
+    """L^n . vec for the r x r ``matrix`` L and n = ``times`` >= r, given
+    ``minus_c`` = -c for det(x*I - L) = x^r + sum of c_i x^i (``char_poly``).
 
-    With K_i = L^i . cap for i < r (the first r - 1 steps of the walk)
-    and det(x*I - L) = x^r + sum of c_i x^i (``char_poly``), Cayley and
-    Hamilton give L^r = sum of -c_i L^i over any commutative ring.  So
-    L^g . cap = sum of y_i K_i, where y = -c at g = r and one more genus
-    shifts y up by one place and adds its top coordinate times -c: r
-    products per genus, not r^2.  The vector is then the same vector the
-    walk reaches, in the same ring."""
-    krylov = [start]
-    for _ in range(1, len(start)):
-        krylov.append(step(krylov[-1], GENUS_TUBE))
-    columns = tuple(zip(*krylov))
-    minus_c = [-c for c in char_poly(genus_tube)]
-
-    def jump(genus: int) -> tuple:
-        y = minus_c
-        for _ in range(genus - len(minus_c)):
-            top = y[-1]
-            y = [top * minus_c[0], *(a + top * b for a, b in zip(y, minus_c[1:]))]
-        return tuple(dot(y, column) for column in columns)
-
-    return jump
+    With K_i = L^i . vec for i < r, Cayley and Hamilton give L^r = sum of
+    -c_i L^i over any commutative ring.  So L^n . vec = sum of y_i K_i,
+    where y = -c at n = r and each further tube shifts y up by one place
+    and adds its top coordinate times -c: r products per tube, not r^2,
+    and the vector the walk reaches, in the same ring."""
+    krylov = [vec]
+    for _ in range(1, len(vec)):
+        krylov.append(mat_vec(matrix, krylov[-1]))
+    y = minus_c
+    for _ in range(times - len(minus_c)):
+        top = y[-1]
+        y = [top * minus_c[0], *(a + top * b for a, b in zip(y, minus_c[1:]))]
+    return tuple(dot(y, column) for column in zip(*krylov))
 
 
 def word_epoly(datum: TqftDatum):
     """The evaluator of words over ``datum``: a callable from a word (a
     tuple of tube generators, as from ``assemble_word``) to its
     E-polynomial, the ``word_fold`` value of the cap vector folded through
-    the word's tubes.
-
-    A word's leading run of g genus tubes is stepped through one tube at
-    a time while g <= (r + 4)^2 / 4 for the datum's rank r, and jumped
-    when it is longer (``_genus_jump``, whose characteristic polynomial is
-    computed on the first such word): the jump's r products per genus
-    beat the step's r^2 once they have paid for the polynomial.  Both
-    reach the same vector, so the value, and any ``NonExactDivision``
-    message, is the same either way."""
-    form = fold_form(datum)
-    start, step, value = _fold_parts(datum, form)
-    longest = _jump_threshold(len(start))
-    jump = None
+    the word with one step per run of one tube, so that a long run is
+    jumped.  A jumped run reaches the vector its walk reaches, so the
+    value, and any ``NonExactDivision`` message, is the same either way."""
+    start, step, value = word_fold(datum)
 
     def epoly(word: tuple) -> LaurentPoly:
-        nonlocal jump
-        vec, rest = start, word
-        if len(word) > longest:
-            # assemble_word repeats the one GENUS_TUBE, so identity settles
-            # the run without a Record comparison per tube.
-            genus = next(
-                (i for i, t in enumerate(word) if t is not GENUS_TUBE and t != GENUS_TUBE),
-                len(word),
-            )
-            if genus > longest:
-                if jump is None:
-                    jump = _genus_jump(form[1][GENUS_TUBE], start, step)
-                vec, rest = jump(genus), word[genus:]
-        return value(reduce(step, rest, vec), len(word))
+        vec = start
+        for tube, run in groupby(word):
+            vec = step(vec, tube, len(list(run)))
+        return value(vec, len(word))
 
     return epoly
 

@@ -242,7 +242,8 @@ class TestComputeErrors:
                 {"e_G": "q² - q"},
                 "error: bad polynomial in datum file: unexpected character '²' at position 1",
             ),
-            ({"L": [["1", "0"]]}, "error: genus tube must be a 1x1 matrix"),
+            ({"L": [["1", "0"]]}, "error: genus tube must be a 1x1 matrix, got row 0 of length 2"),
+            ({"disc_out": ["1", "0"]}, "error: disc_out must have length 1, got 2"),
             (
                 {"e_G": "1" * 5000},
                 "error: bad polynomial in datum file: integer of 5000 digits at position 0 "
@@ -271,9 +272,9 @@ class TestComputeErrors:
                 "(263 characters), not 1",
             ),
         ],
-        ids=["bad-polynomial", "superscript-digit", "non-square-tube", "long-integer",
-             "long-exponent", "L-not-rows", "punctures-not-object", "sphere", "identity-tube",
-             "long-witness"],
+        ids=["bad-polynomial", "superscript-digit", "non-square-tube", "disc-out-length",
+             "long-integer", "long-exponent", "L-not-rows", "punctures-not-object", "sphere",
+             "identity-tube", "long-witness"],
     )
     def test_malformed_datum_exits_two(self, capsys, tmp_path, override, message):
         data = {
@@ -753,10 +754,12 @@ class TestVerifyWork:
         (("compute", "--backend", "affc", "--genus", "40"), 1),
         (("compute", "--backend", "custom", "--datum", str(S3_CLASSES), "--genus", "40",
           "--puncture", "c1"), 1),
+        (("compute", "--backend", "custom", "--datum", str(S3_CLASSES), "--genus", "0",
+          *("--puncture", "c1") * 20), 1),
     ]
     COMMAND_IDS = [
         "affc-verify", "custom-verify", "finite-verify", "affc-compute", "affc-compute-jump",
-        "custom-compute-jump",
+        "custom-compute-jump", "custom-compute-puncture-jump",
     ]
 
     @pytest.mark.parametrize("argv, polys", COMMANDS, ids=COMMAND_IDS)
@@ -768,7 +771,7 @@ class TestVerifyWork:
         assert len(fold_forms) == 1
 
     @pytest.mark.parametrize("argv, polys", COMMANDS, ids=COMMAND_IDS)
-    def test_only_a_long_genus_run_computes_a_characteristic_polynomial(
+    def test_only_a_long_run_computes_a_characteristic_polynomial(
         self, capsys, char_polys, argv, polys
     ):
         # verify steps every genus, since every genus is a row; only

@@ -149,13 +149,31 @@ class TestDatumValidation:
         with pytest.raises(InvalidDatum):
             rank_one_datum(tubes={GENUS_TUBE: ()}, disc_in=(), disc_out=())
 
-    def test_square_matrices_required(self):
-        with pytest.raises(InvalidDatum, match="genus tube must be a 1x1 matrix"):
-            rank_one_datum(tubes={GENUS_TUBE: ((ONE, ONE),)})
-        with pytest.raises(InvalidDatum):
-            rank_one_datum(tubes={puncture_tube("t"): ((ONE, ZERO), (ZERO, ONE))})
-        with pytest.raises(InvalidDatum):
-            rank_one_datum(tubes={IDENTITY_TUBE: ((ONE, ZERO),)})
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"tubes": {GENUS_TUBE: ((ONE, ONE),)}},
+                "genus tube must be a 1x1 matrix, got row 0 of length 2",
+            ),
+            (
+                {"tubes": {puncture_tube("t"): ((ONE, ZERO), (ZERO, ONE))}},
+                "puncture tube 't' must be a 1x1 matrix, got 2 rows",
+            ),
+            (
+                {"tubes": {IDENTITY_TUBE: ((ONE, ZERO),)}},
+                "identity tube must be a 1x1 matrix, got row 0 of length 2",
+            ),
+            ({"tubes": {GENUS_TUBE: ()}}, "genus tube must be a 1x1 matrix, got 0 rows"),
+        ],
+        ids=["long-row", "extra-row", "identity-long-row", "no-rows"],
+    )
+    def test_square_matrices_required(self, overrides, message):
+        # The message names the shape found: the row count when it is
+        # wrong, else the first row of the wrong length.
+        with pytest.raises(InvalidDatum) as err:
+            rank_one_datum(**overrides)
+        assert str(err.value) == message
 
     def test_genus_generator_required(self):
         with pytest.raises(InvalidDatum, match="tubes must include the genus tube"):
@@ -165,11 +183,20 @@ class TestDatumValidation:
         with pytest.raises(InvalidDatum, match="tubes must be keyed by TubeGenerator, got 't'"):
             rank_one_datum(tubes={"t": ((ONE,),)})
 
-    def test_disc_lengths(self):
-        with pytest.raises(InvalidDatum):
-            rank_one_datum(disc_in=(ONE, ZERO))
-        with pytest.raises(InvalidDatum):
-            rank_one_datum(disc_out=())
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # A longer cap raises the rank, so the 1x1 genus tube is short.
+            ({"disc_in": (ONE, ZERO)}, "genus tube must be a 2x2 matrix, got 1 row"),
+            ({"disc_out": ()}, "disc_out must have length 1, got 0"),
+            ({"disc_out": (ONE, ZERO)}, "disc_out must have length 1, got 2"),
+        ],
+        ids=["long-disc-in", "empty-disc-out", "long-disc-out"],
+    )
+    def test_disc_lengths(self, overrides, message):
+        with pytest.raises(InvalidDatum) as err:
+            rank_one_datum(**overrides)
+        assert str(err.value) == message
 
     def test_group_class_nonzero(self):
         with pytest.raises(InvalidDatum):
@@ -803,7 +830,7 @@ class TestWordFold:
 def walked(datum, word):
     """The value of ``word``, or its ``NonExactDivision`` message, with
     every tube stepped one at a time: the walk ``verify`` makes, and the
-    reference the genus jump is checked against."""
+    reference the jump is checked against."""
     start, step, value = word_fold(datum)
     return value_or_message(lambda w: value(reduce(step, w, start), len(w)), word)
 
@@ -918,19 +945,20 @@ JUMP_DATA = {
 
 
 class TestGenusJump:
-    """``word_epoly`` jumps a genus run longer than ``_jump_threshold`` of
-    the rank with the genus tube's characteristic polynomial; the value,
-    or the ``NonExactDivision`` message, is the walk's."""
+    """``word_epoly`` jumps a run of one tube longer than
+    ``_jump_threshold`` of the rank with that tube's characteristic
+    polynomial; the value, or the ``NonExactDivision`` message, is the
+    walk's."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_property_the_jump_lands_where_the_walk_does(self, data):
         datum, ring = data.draw(jump_datums(), label="datum")
         assert {type(x) for x in fold_entries(datum)} == {ring}
-        threshold = _jump_threshold(datum.rank)
-        genus = data.draw(st.integers(0, 3 * threshold), label="genus")
-        punctures = data.draw(st.integers(0, 2), label="punctures")
-        word = (GENUS_TUBE,) * genus + (puncture_tube("a"),) * punctures
+        run = st.integers(0, 3 * _jump_threshold(datum.rank))
+        before, genus, after = (data.draw(run, label=part) for part in ("a^p", "genus^g", "a^s"))
+        a = puncture_tube("a")
+        word = (a,) * before + (GENUS_TUBE,) * genus + (a,) * after
         assert value_or_message(word_epoly(datum), word) == walked(datum, word)
 
     @pytest.mark.parametrize("name", JUMP_DATA)
@@ -984,6 +1012,18 @@ class TestGenusJump:
         word = tuple(TubeGenerator("genus") for _ in range(2 * threshold))
         assert word_epoly(datum)(word) == affc_closed_form(len(word))
         assert len(calls) == 2
+        # A long run of a puncture tube computes that tube's polynomial,
+        # once per evaluator; runs no longer than the threshold compute none.
+        calls.clear()
+        datum, a = singular_datum(), puncture_tube("a")
+        epoly = word_epoly(datum)
+        threshold = _jump_threshold(datum.rank)
+        for word in ((a,) * threshold, (a, GENUS_TUBE) * threshold, (GENUS_TUBE, a) * threshold):
+            assert value_or_message(epoly, word) == walked(datum, word)
+        assert calls == []
+        for word in ((a,) * (threshold + 1), (GENUS_TUBE,) + (a,) * (3 * threshold)):
+            assert value_or_message(epoly, word) == walked(datum, word)
+        assert calls == [fold_form(datum)[1][a]]
 
     def test_affc_characteristic_polynomial(self):
         expected = (Q**6 - 2 * Q**5 + Q**4, -(Q**4 - 2 * Q**3 + 2 * Q**2))
