@@ -19,14 +19,12 @@ from .tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
     InvalidDatum,
-    SurfaceSpec,
     TqftDatum,
     TubeGenerator,
     UnknownPunctureLabel,
     assemble_word,
     datum_from_json_dict,
     datum_to_json_dict,
-    epoly_rep_variety,
     load_datum,
     puncture_tube,
     save_datum,

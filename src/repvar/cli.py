@@ -49,10 +49,10 @@ from .poly import LaurentPoly, NonExactDivision
 from .tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
-    SurfaceSpec,
-    epoly_rep_variety,
+    assemble_word,
     load_datum,
     puncture_tube,
+    word_epoly,
     word_fold,
 )
 
@@ -240,16 +240,17 @@ def _input_file(args) -> str:
     return path
 
 
-def _build_datum_and_spec(args) -> tuple:
+def _build_datum_and_labels(args) -> tuple:
+    """The backend's datum and each puncture's tube label.  A finite
+    puncture's label is its subset (closed for ``rep=``), sorted and without
+    repeats, so equal punctures, however spelt, share one tube."""
     puncture_specs = [_parse_puncture_spec(s) for s in args.puncture]
 
     if args.backend == "finite":
         group = load_group(_input_file(args))
         subsets = {}
         labels = []
-        for i, (text, (kind, value)) in enumerate(
-            zip(args.puncture, puncture_specs), start=1
-        ):
+        for text, (kind, value) in zip(args.puncture, puncture_specs):
             if kind == "label":
                 raise ValueError(
                     "finite backend punctures must use rep= or elements="
@@ -260,20 +261,21 @@ def _build_datum_and_spec(args) -> tuple:
                         f"puncture spec {text!r}: element index {x} is out of "
                         f"range for a group of order {group.order}"
                     )
-            label = f"p{i}"
-            subsets[label] = conjugacy_closure(group, value) if kind == "rep" else value
+            if kind == "rep":
+                value = conjugacy_closure(group, value)
+            label = ",".join(map(str, sorted(set(value))))
+            subsets[label] = value
             labels.append(label)
-        datum = class_datum(group, subsets)
-        return datum, SurfaceSpec(args.genus, tuple(labels))
+        return class_datum(group, subsets), labels
 
     if any(kind != "label" for kind, _ in puncture_specs):
         raise ValueError("rep= and elements= punctures require --backend finite")
-    labels = tuple(value for _, value in puncture_specs)
+    labels = [value for _, value in puncture_specs]
 
     if args.backend == "affc":
-        return affc_datum(), SurfaceSpec(args.genus, labels)
+        return affc_datum(), labels
 
-    return load_datum(_input_file(args)), SurfaceSpec(args.genus, labels)
+    return load_datum(_input_file(args)), labels
 
 
 def _format_poly(poly: LaurentPoly, fmt: str) -> str:
@@ -289,8 +291,8 @@ def _format_poly(poly: LaurentPoly, fmt: str) -> str:
 def _cmd_compute(args) -> int:
     if args.genus < 0:
         raise ValueError("--genus must be >= 0")
-    datum, spec = _build_datum_and_spec(args)
-    result = epoly_rep_variety(datum, spec)
+    datum, labels = _build_datum_and_labels(args)
+    result = word_epoly(datum)(assemble_word(args.genus, labels))
     print(_format_poly(result, args.format))
     return EXIT_OK
 

@@ -5,7 +5,7 @@ operators act on: one mapping ``tubes`` from tube generator to square
 matrix (the genus tube always; the plain cylinder and one cylinder per
 puncture label optionally), the cap vector, the cup covector, and the
 group class ``e_G`` that normalizes the final answer.  A closed surface
-of genus g with s ordered punctures is the word
+of genus g with s ordered punctures is the word (``assemble_word``)
 
     cup . puncture_s . ... . puncture_1 . genus^g . cap
 
@@ -52,10 +52,9 @@ a ``LaurentPoly`` before the division, and the result is a
 Matrices follow the column convention: column j holds the image of
 generator j, so words act by left multiplication on column vectors.
 
-``TubeGenerator``, ``SurfaceSpec`` and ``TqftDatum`` are
-immutable value classes (``record.Record``): each checks its arguments
-on construction, stores sequences as tuples, refuses assignment, and
-compares by value.
+``TubeGenerator`` and ``TqftDatum`` are immutable value classes
+(``record.Record``): each checks its arguments on construction, stores
+sequences as tuples, refuses assignment, and compares by value.
 """
 
 import os
@@ -74,13 +73,11 @@ __all__ = [
     "GENUS_TUBE",
     "IDENTITY_TUBE",
     "puncture_tube",
-    "SurfaceSpec",
     "TqftDatum",
     "assemble_word",
     "fold_form",
     "word_fold",
     "word_epoly",
-    "epoly_rep_variety",
     "mat_vec",
     "dot",
     "char_poly",
@@ -176,21 +173,12 @@ def puncture_tube(label: str) -> TubeGenerator:
     return TubeGenerator("puncture", label)
 
 
-class SurfaceSpec(Record):
-    """A closed oriented surface: genus plus ordered puncture labels."""
-
-    _fields = ("genus", "punctures")
-
-    def __init__(self, genus: int, punctures: Sequence[str] = ()):
-        if genus < 0:
-            raise ValueError("genus must be >= 0")
-        self.__dict__.update(genus=genus, punctures=tuple(punctures))
-
-
-def assemble_word(spec: SurfaceSpec) -> tuple:
-    """The surface's word: genus tubes first, then the punctures in their
-    listed order."""
-    return (GENUS_TUBE,) * spec.genus + tuple(map(puncture_tube, spec.punctures))
+def assemble_word(genus: int, punctures: Sequence[str] = ()) -> tuple:
+    """The word of the closed surface of this genus with these puncture
+    labels: genus tubes first, then the punctures in their listed order."""
+    if genus < 0:
+        raise ValueError("genus must be >= 0")
+    return (GENUS_TUBE,) * genus + tuple(map(puncture_tube, punctures))
 
 
 # ----------------------------------------------------------------------
@@ -279,15 +267,6 @@ class TqftDatum(Record):
                     "identity-tube consistency fails: disc_out . P . disc_in = "
                     f"{echo(through, str)}, not e_G = {echo(self.e_g, str)}"
                 )
-
-    def tube_matrix(self, generator: TubeGenerator) -> tuple:
-        matrix = self.tubes.get(generator)
-        if matrix is not None:
-            return matrix
-        if generator.kind == "puncture":
-            labels = [tube.label for tube in self.tubes if tube.kind == "puncture"]
-            raise UnknownPunctureLabel(generator.label, labels)
-        raise InvalidDatum("word uses the plain cylinder but the datum has no identity tube")
 
 
 # ----------------------------------------------------------------------
@@ -380,8 +359,8 @@ def word_fold(datum: TqftDatum) -> tuple:
     minus_cs: dict = {}  # -c for each tube's char_poly c, on its first jump
 
     def step(vec, tube: TubeGenerator, times: int = 1) -> tuple:
-        # A matrix is never empty; a tube the datum lacks raises there.
-        matrix = tubes.get(tube) or datum.tube_matrix(tube)
+        # A matrix is never empty, so only a tube the datum lacks is refused.
+        matrix = tubes.get(tube) or _refuse(datum, tube)
         if times > longest:
             if tube not in minus_cs:
                 minus_cs[tube] = [-c for c in char_poly(matrix)]
@@ -403,6 +382,15 @@ def word_fold(datum: TqftDatum) -> tuple:
         return raw if e_g == ONE else raw.exact_div(e_g ** t)
 
     return cap, step, value
+
+
+def _refuse(datum: TqftDatum, tube: TubeGenerator):
+    """Raise for a tube that ``datum`` lacks: an unknown puncture label, or
+    the plain cylinder of a datum without one."""
+    if tube.kind == "puncture":
+        labels = [t.label for t in datum.tubes if t.kind == "puncture"]
+        raise UnknownPunctureLabel(tube.label, labels)
+    raise InvalidDatum("word uses the plain cylinder but the datum has no identity tube")
 
 
 def _jump_threshold(rank: int) -> int:
@@ -450,12 +438,6 @@ def word_epoly(datum: TqftDatum):
         return value(vec, len(word))
 
     return epoly
-
-
-def epoly_rep_variety(datum: TqftDatum, spec: SurfaceSpec) -> LaurentPoly:
-    """E-polynomial of the representation variety of the decorated
-    surface, computed over the given datum."""
-    return word_epoly(datum)(assemble_word(spec))
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,7 @@ import time
 from repvar.affc import affc_datum, xk_values
 from repvar.finite_group import brute_force_count, conjugacy_classes
 from repvar.poly import LaurentPoly, ONE, Q
-from repvar.tqft import (
-    SurfaceSpec,
-    assemble_word,
-    epoly_rep_variety,
-    word_epoly,
-)
+from repvar.tqft import assemble_word, word_epoly
 
 from conftest import named_group
 from full_rank import (
@@ -35,29 +30,31 @@ def _report(number: int, description: str, ok: bool):
 
 
 def _class_sweep(name, max_genus=2, max_punctures=2):
-    """Datum with one labeled tube per conjugacy class, plus every
-    (genus, puncture-class multiset) spec in range."""
+    """Datum with one labeled tube per conjugacy class, plus the genus,
+    word and puncture subsets of every (genus, puncture-class multiset)
+    surface in range."""
     group = named_group(name)
     classes = conjugacy_classes(group)
     labels = {f"c{i}": classes.members[i] for i in range(len(classes))}
     datum = to_tqft_datum(group, labels)
-    specs = []
+    surfaces = []
     for genus in range(max_genus + 1):
         for s in range(max_punctures + 1):
             for combo in itertools.combinations_with_replacement(
                 range(len(classes)), s
             ):
-                spec = SurfaceSpec(genus, tuple(f"c{i}" for i in combo))
+                word = assemble_word(genus, [f"c{i}" for i in combo])
                 subsets = [classes.members[i] for i in combo]
-                specs.append((spec, subsets))
-    return group, datum, specs
+                surfaces.append((genus, word, subsets))
+    return group, datum, surfaces
 
 
 def test_criterion_1_affc_closed_form():
     datum = affc_datum()
     start = time.perf_counter()
+    epoly = word_epoly(datum)
     ok = all(
-        epoly_rep_variety(datum, SurfaceSpec(g))
+        epoly(assemble_word(g))
         == Q ** (2 * g - 1) * ((Q - 1) ** (2 * g) + Q - 1)
         for g in range(1, 7)
     )
@@ -67,8 +64,8 @@ def test_criterion_1_affc_closed_form():
 
 
 def test_criterion_2_affc_recursions():
-    datum = affc_datum()
-    engine = {g: epoly_rep_variety(datum, SurfaceSpec(g)) for g in range(1, 7)}
+    epoly = word_epoly(affc_datum())
+    engine = {g: epoly(assemble_word(g)) for g in range(1, 7)}
     ok = all(engine[g] == next(itertools.islice(xk_values(), 2 * g - 1, None)) for g in range(1, 7))
     ok = ok and engine[1] == Q**3 - Q**2
     for g in range(2, 7):
@@ -81,24 +78,23 @@ def test_criterion_3_finite_oracle_equivalence():
     checked = 0
     ok = True
     for name in SUITE:
-        group, datum, specs = _class_sweep(name)
-        for spec, subsets in specs:
-            expected = brute_force_count(
-                group, spec.genus, subsets, budget=BRUTE_BUDGET
-            )
-            ok = ok and epoly_rep_variety(datum, spec) == LaurentPoly.const(expected)
+        group, datum, surfaces = _class_sweep(name)
+        epoly = word_epoly(datum)
+        for genus, word, subsets in surfaces:
+            expected = brute_force_count(group, genus, subsets, budget=BRUTE_BUDGET)
+            ok = ok and epoly(word) == LaurentPoly.const(expected)
             checked += 1
-    _report(3, f"finite oracle equivalence on {checked} specs over {len(SUITE)} groups", ok)
+    _report(3, f"finite oracle equivalence on {checked} surfaces over {len(SUITE)} groups", ok)
 
 
 def test_criterion_4_sphere_normalization():
-    sphere = SurfaceSpec(0)
-    ok = epoly_rep_variety(affc_datum(), sphere) == ONE
+    sphere = assemble_word(0)
+    ok = word_epoly(affc_datum())(sphere) == ONE
     for name in SUITE:
         group = named_group(name)
         datum = to_tqft_datum(group)
-        ok = ok and epoly_rep_variety(datum, sphere) == ONE
-        ok = ok and epoly_rep_variety(class_reduce(datum, group), sphere) == ONE
+        ok = ok and word_epoly(datum)(sphere) == ONE
+        ok = ok and word_epoly(class_reduce(datum, group))(sphere) == ONE
     _report(4, "sphere evaluates to exactly 1 on every backend", ok)
 
 
@@ -106,10 +102,9 @@ def test_criterion_5_cylinder_insertion_invariance():
     checked = 0
     ok = True
     for name in SUITE:
-        _, datum, specs = _class_sweep(name)
+        _, datum, surfaces = _class_sweep(name)
         epoly = word_epoly(datum)
-        for spec, _ in specs:
-            word = assemble_word(spec)
+        for _, word, _ in surfaces:
             base = epoly(word)
             for k in (1, 2):
                 padded = insert_identity_tubes(word, k)
@@ -121,26 +116,25 @@ def test_criterion_5_cylinder_insertion_invariance():
 def test_criterion_6_class_reduction():
     ok = True
     for name in SUITE:
-        group, datum, specs = _class_sweep(name)
-        reduced = class_reduce(datum, group)
-        for spec, _ in specs:
-            ok = ok and epoly_rep_variety(reduced, spec) == epoly_rep_variety(
-                datum, spec
-            )
+        group, datum, surfaces = _class_sweep(name)
+        reduced, full = word_epoly(class_reduce(datum, group)), word_epoly(datum)
+        for _, word, _ in surfaces:
+            ok = ok and reduced(word) == full(word)
 
     # Timing gate: reduced A4 genus run at least 5x faster than full rank.
     a4 = named_group("a4")
     full = to_tqft_datum(a4)
     reduced = class_reduce(full, a4)
-    spec = SurfaceSpec(8)
+    word = assemble_word(8)
 
     def sample(datum):
-        """Seconds per evaluation, over a loop of at least 20 ms: one
+        """Seconds per evaluation, its fold built each time as one
+        ``compute`` builds it, over a loop of at least 20 ms: one
         evaluation takes well under a millisecond, so a single timed call
         is at the mercy of every scheduler hiccup."""
         calls, t0 = 0, time.perf_counter()
         while (elapsed := time.perf_counter() - t0) < 0.02:
-            epoly_rep_variety(datum, spec)
+            word_epoly(datum)(word)
             calls += 1
         return elapsed / calls
 
@@ -154,7 +148,7 @@ def test_criterion_6_class_reduction():
     ok = ok and speedup >= 5.0
     _report(
         6,
-        f"class reduction sound on all specs; A4 speedup {speedup:.1f}x (>=5x)",
+        f"class reduction sound on all surfaces; A4 speedup {speedup:.1f}x (>=5x)",
         ok,
     )
 

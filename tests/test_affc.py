@@ -14,9 +14,8 @@ from repvar.poly import ONE, LaurentPoly, Q, ZERO
 from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
-    SurfaceSpec,
+    assemble_word,
     dot,
-    epoly_rep_variety,
     mat_vec,
     word_epoly,
 )
@@ -115,25 +114,25 @@ class TestRecursion:
 class TestEngineAgreement:
     @pytest.mark.parametrize("genus", [*range(1, 9), 200, 512])
     def test_engine_equals_closed_form(self, genus):
-        result = epoly_rep_variety(affc_datum(), SurfaceSpec(genus))
+        result = word_epoly(affc_datum())(assemble_word(genus))
         assert result == affc_closed_form(genus)
 
     @pytest.mark.parametrize("genus", range(2, 7))
     def test_genus_step_recursion(self, genus):
         # e(g) = q^(2g) (q-1)^(2g-2) (q-2) + q^2 e(g-1), rooted at q^3 - q^2.
-        datum = affc_datum()
-        current = epoly_rep_variety(datum, SurfaceSpec(genus))
-        previous = epoly_rep_variety(datum, SurfaceSpec(genus - 1))
+        epoly = word_epoly(affc_datum())
+        current = epoly(assemble_word(genus))
+        previous = epoly(assemble_word(genus - 1))
         step = Q ** (2 * genus) * (Q - 1) ** (2 * genus - 2) * (Q - 2)
         assert current == step + Q**2 * previous
-        assert epoly_rep_variety(datum, SurfaceSpec(1)) == Q**3 - Q**2
+        assert epoly(assemble_word(1)) == Q**3 - Q**2
 
     def test_engine_equals_closed_form_at_genus_64(self):
-        assert epoly_rep_variety(affc_datum(), SurfaceSpec(64)) == affc_closed_form(64)
+        assert word_epoly(affc_datum())(assemble_word(64)) == affc_closed_form(64)
 
     @pytest.mark.parametrize("genus", range(0, 7))
     def test_outputs_are_pure_q_polynomials(self, genus):
-        assert epoly_rep_variety(affc_datum(), SurfaceSpec(genus)).is_diagonal()
+        assert word_epoly(affc_datum())(assemble_word(genus)).is_diagonal()
 
     @pytest.mark.parametrize("genus", range(1, 7))
     def test_precancelled_route_agrees(self, genus):
@@ -145,4 +144,4 @@ class TestEngineAgreement:
         for _ in range(genus):
             vec = mat_vec(inner, vec)
         direct = dot(datum.disc_out, vec)
-        assert direct == epoly_rep_variety(datum, SurfaceSpec(genus))
+        assert direct == word_epoly(datum)(assemble_word(genus))

@@ -28,11 +28,9 @@ from repvar.record import MAX_JSON_DEPTH
 from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
-    SurfaceSpec,
     TqftDatum,
     assemble_word,
     datum_to_json_dict,
-    epoly_rep_variety,
     load_datum,
     puncture_tube,
     save_datum,
@@ -344,8 +342,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--backend", "affc", "--max-genus", "60")
         assert code == 0
         expected = []
+        epoly = word_epoly(affc_datum())
         for genus in range(1, 61):
-            engine = epoly_rep_variety(affc_datum(), SurfaceSpec(genus))
+            engine = epoly(assemble_word(genus))
             for name, value in (
                 ("closed-form", affc_closed_form(genus)),
                 ("recursion", next(itertools.islice(xk_values(), 2 * genus - 1, None))),
@@ -575,11 +574,11 @@ def report_text(rows) -> tuple[str, int]:
 
 def finite_rows_one_spec_at_a_time(group, max_genus, max_punctures, budget, cache):
     """The finite verify rows with every spec computed on its own: one
-    brute_force_count and one epoly_rep_variety per spec.  ``cache``
+    brute_force_count and one word evaluation per spec.  ``cache``
     keeps a spec's row across calls with the same group and budget."""
     classes = conjugacy_classes(group)
     labels = [f"c{i}" for i in range(len(classes))]
-    datum = class_datum(group, dict(zip(labels, classes.members)))
+    epoly = word_epoly(class_datum(group, dict(zip(labels, classes.members))))
     for genus in range(max_genus + 1):
         for s in range(max_punctures + 1):
             for combo in itertools.combinations_with_replacement(range(len(classes)), s):
@@ -595,8 +594,7 @@ def finite_rows_one_spec_at_a_time(group, max_genus, max_punctures, budget, cach
                     except BudgetExceeded as exc:
                         cache[genus, combo] = ("SKIP", str(exc))
                     else:
-                        spec = SurfaceSpec(genus, tuple(labels[i] for i in combo))
-                        engine = epoly_rep_variety(datum, spec)
+                        engine = epoly(assemble_word(genus, [labels[i] for i in combo]))
                         cache[genus, combo] = (
                             ("PASS", None)
                             if engine == LaurentPoly.const(expected)
@@ -608,11 +606,12 @@ def finite_rows_one_spec_at_a_time(group, max_genus, max_punctures, budget, cach
 def custom_rows_one_genus_at_a_time(datum, max_genus):
     """The custom verify rows with every genus, padded or not, evaluated
     as its own word."""
+    epoly = word_epoly(datum)
     for genus in range(max_genus + 1):
-        spec = SurfaceSpec(genus)
+        word = assemble_word(genus)
         desc = f"custom normalization genus={genus}"
         try:
-            result = epoly_rep_variety(datum, spec)
+            result = epoly(word)
         except NonExactDivision as exc:
             yield desc, "FAIL", f"counterexample: genus={genus}: {exc}"
             continue
@@ -623,7 +622,7 @@ def custom_rows_one_genus_at_a_time(datum, max_genus):
         if IDENTITY_TUBE in datum.tubes:
             desc = f"custom cylinder-insertion genus={genus}"
             try:
-                padded = word_epoly(datum)(insert_identity_tubes(assemble_word(spec), 1))
+                padded = epoly(insert_identity_tubes(word, 1))
             except NonExactDivision as exc:
                 yield desc, "FAIL", f"counterexample: genus={genus}: {exc}"
                 continue
@@ -780,6 +779,30 @@ class TestVerifyWork:
         assert code == 0
         assert len(char_polys) == polys
 
+    @pytest.mark.parametrize("spellings", [("rep=1",), ("rep=1", "elements=4,3,1,3")])
+    def test_equal_finite_punctures_share_one_jumped_tube(
+        self, capsys, monkeypatch, char_polys, spellings
+    ):
+        # 20 transpositions on the sphere, however spelt, are one run of one
+        # tube, past rank 3's threshold of 12: the character formula gives
+        # 3^20/6 * (1 + 1 + 0) = 3^19.
+        data = []
+
+        def recorded(group, subsets):
+            data.append(class_datum(group, subsets))
+            return data[-1]
+
+        monkeypatch.setattr(repvar.cli, "class_datum", recorded)
+        punctures = [("--puncture", spellings[i % len(spellings)]) for i in range(20)]
+        code, out, _ = run(
+            capsys, "compute", "--backend", "finite", "--group", str(ROOT / "data/groups/s3.json"),
+            "--genus", "0", *itertools.chain.from_iterable(punctures),
+        )
+        assert (code, out) == (0, f"{3**19}\n")
+        [datum] = data
+        assert [tube.kind for tube in datum.tubes].count("puncture") == 1
+        assert len(char_polys) == 1
+
     def test_finite_s3(
         self, capsys, group_file_factory, mat_vec_calls, oracle_slots, commutator_slots
     ):
@@ -858,14 +881,14 @@ class TestVerifyWork:
         assert code == 0
         group = load_group(path)
         members = conjugacy_classes(group).members
-        datum = class_datum(group, {f"c{i}": m for i, m in enumerate(members)})
+        epoly = word_epoly(class_datum(group, {f"c{i}": m for i, m in enumerate(members)}))
         expected = []
         for genus in range(3):
             for s in range(4):
                 for combo in itertools.combinations_with_replacement(range(len(members)), s):
-                    spec = SurfaceSpec(genus, tuple(f"c{i}" for i in combo))
+                    word = assemble_word(genus, [f"c{i}" for i in combo])
                     count = brute_force_count(group, genus, [members[i] for i in combo])
-                    expected.append((epoly_rep_variety(datum, spec), count))
+                    expected.append((epoly(word), count))
         assert [(engine, count) for _, engine, count in compared] == expected
 
     def test_affc(self, capsys, mat_vec_calls):

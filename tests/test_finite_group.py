@@ -24,7 +24,7 @@ from repvar.finite_group import (
     puncture_slot,
 )
 from repvar.poly import LaurentPoly, ZERO
-from repvar.tqft import SurfaceSpec, epoly_rep_variety
+from repvar.tqft import assemble_word, word_epoly
 
 from conftest import DATA_GROUPS, GROUP_FILES, GROUP_NAMES, SUITE_GROUP_NAMES, named_group
 from full_rank import class_reduce, genus_matrix, puncture_matrix, to_tqft_datum, tube_matrix_P
@@ -409,22 +409,22 @@ class TestEquivariance:
 class TestDatum:
     def test_z2_torus(self):
         datum = to_tqft_datum(named_group("z2"))
-        assert epoly_rep_variety(datum, SurfaceSpec(1)) == LaurentPoly.const(4)
+        assert word_epoly(datum)(assemble_word(1)) == LaurentPoly.const(4)
 
     def test_s3_torus(self):
         datum = to_tqft_datum(named_group("s3"))
-        assert epoly_rep_variety(datum, SurfaceSpec(1)) == LaurentPoly.const(18)
+        assert word_epoly(datum)(assemble_word(1)) == LaurentPoly.const(18)
 
     def test_s3_sphere_with_transposition_puncture(self):
         group = named_group("s3")
         datum = to_tqft_datum(group, {"t": (1, 3, 4)})
-        assert epoly_rep_variety(datum, SurfaceSpec(0, ("t",))) == ZERO
+        assert word_epoly(datum)(assemble_word(0, ("t",))) == ZERO
 
     def test_frozen_genus_counts(self, suite_groups):
         for name, by_genus in GENUS_COUNTS.items():
-            datum = to_tqft_datum(suite_groups[name])
+            epoly = word_epoly(to_tqft_datum(suite_groups[name]))
             for genus, count in by_genus.items():
-                result = epoly_rep_variety(datum, SurfaceSpec(genus))
+                result = epoly(assemble_word(genus))
                 assert result == LaurentPoly.const(count), (name, genus)
 
     def test_frozen_punctured_counts(self, suite_groups):
@@ -443,18 +443,14 @@ class TestDatum:
             classes = conjugacy_classes(group)
             labels = {f"c{i}": classes.members[i] for i in set(combo)}
             datum = to_tqft_datum(group, labels)
-            spec = SurfaceSpec(genus, tuple(f"c{i}" for i in combo))
-            assert epoly_rep_variety(datum, spec) == LaurentPoly.const(count), (
-                name,
-                genus,
-                combo,
-            )
+            word = assemble_word(genus, [f"c{i}" for i in combo])
+            assert word_epoly(datum)(word) == LaurentPoly.const(count), (name, genus, combo)
 
     def test_results_are_nonnegative_constants(self, suite_groups):
         for group in suite_groups.values():
-            datum = to_tqft_datum(group)
+            epoly = word_epoly(to_tqft_datum(group))
             for genus in range(4):
-                result = epoly_rep_variety(datum, SurfaceSpec(genus))
+                result = epoly(assemble_word(genus))
                 assert result.is_constant()
                 assert result.constant_value() >= 0
 
@@ -480,15 +476,13 @@ class TestClassReduce:
             classes = conjugacy_classes(group)
             labels = {f"c{i}": classes.members[i] for i in range(len(classes))}
             datum = to_tqft_datum(group, labels)
-            reduced = class_reduce(datum, group)
+            reduced, full = word_epoly(class_reduce(datum, group)), word_epoly(datum)
             for genus in range(3):
                 for combo in itertools.combinations_with_replacement(
                     range(len(classes)), 2
                 ):
-                    spec = SurfaceSpec(genus, tuple(f"c{i}" for i in combo))
-                    assert epoly_rep_variety(reduced, spec) == epoly_rep_variety(
-                        datum, spec
-                    )
+                    word = assemble_word(genus, [f"c{i}" for i in combo])
+                    assert reduced(word) == full(word)
 
 
 class TestClassDatum:
@@ -527,8 +521,9 @@ class TestClassDatum:
         assert datum == class_reduce(to_tqft_datum(relabelled, tubes), relabelled)
         # Invariants do not depend on the labelling.
         assert datum.rank == len(conjugacy_classes(group))
+        epoly = word_epoly(datum)
         for genus, count in GENUS_COUNTS[name].items():
-            assert epoly_rep_variety(datum, SurfaceSpec(genus)) == count
+            assert epoly(assemble_word(genus)) == count
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -549,25 +544,25 @@ class TestClassDatum:
         assert mapped[0] == (relabelled.identity,)
         assert [m[0] for m in mapped[1:]] == sorted(m[0] for m in mapped[1:])
         tubes = {f"c{i}": m for i, m in enumerate(members)}
-        datum = class_datum(group, tubes)
+        epoly = word_epoly(class_datum(group, tubes))
         moved = {label: [perm[x] for x in m] for label, m in tubes.items()}
-        moved_datum = class_datum(relabelled, moved)
+        moved_epoly = word_epoly(class_datum(relabelled, moved))
         for genus in range(3):
             for combo in [(), *((label,) for label in tubes)]:
                 count = brute_force_count(group, genus, [tubes[c] for c in combo])
                 assert brute_force_count(relabelled, genus, [moved[c] for c in combo]) == count
-                spec = SurfaceSpec(genus, combo)
-                assert epoly_rep_variety(datum, spec) == count
-                assert epoly_rep_variety(moved_datum, spec) == count
+                word = assemble_word(genus, combo)
+                assert epoly(word) == count
+                assert moved_epoly(word) == count
 
     def test_class_union_puncture_counts(self):
         # Transpositions or 3-cycles in S3: the sum of the two counts.
         group = named_group("s3")
         tubes = {"t": (1, 3, 4), "r": (2, 5), "u": (1, 2, 3, 4, 5)}
-        datum = class_datum(group, tubes)
+        epoly = word_epoly(class_datum(group, tubes))
         for genus in range(3):
-            union = epoly_rep_variety(datum, SurfaceSpec(genus, ("u",)))
-            parts = [epoly_rep_variety(datum, SurfaceSpec(genus, (x,))) for x in "tr"]
+            union = epoly(assemble_word(genus, ("u",)))
+            parts = [epoly(assemble_word(genus, (x,))) for x in "tr"]
             assert union == parts[0] + parts[1]
             assert union == brute_force_count(group, genus, [tubes["u"]])
 
@@ -784,7 +779,7 @@ class TestBruteForce:
             group = suite_groups[name]
             classes = conjugacy_classes(group)
             labels = {f"c{i}": classes.members[i] for i in range(len(classes))}
-            datum = to_tqft_datum(group, labels)
+            epoly = word_epoly(to_tqft_datum(group, labels))
             for genus in range(3):
                 for combo in itertools.combinations_with_replacement(
                     range(len(classes)), 2
@@ -792,10 +787,8 @@ class TestBruteForce:
                     expected = brute_force_count(
                         group, genus, [classes.members[i] for i in combo]
                     )
-                    spec = SurfaceSpec(genus, tuple(f"c{i}" for i in combo))
-                    assert epoly_rep_variety(datum, spec) == LaurentPoly.const(
-                        expected
-                    )
+                    word = assemble_word(genus, [f"c{i}" for i in combo])
+                    assert epoly(word) == LaurentPoly.const(expected)
 
 
 class TestGroupFiles:

@@ -1,4 +1,4 @@
-"""Value semantics of the five record classes: construction checks, tuple
+"""Value semantics of the four record classes: construction checks, tuple
 storage, equality, hashing, repr and read-only fields; and ``read_json``,
 which must read a file as ``json.loads`` reads its text."""
 
@@ -18,11 +18,11 @@ from repvar.poly import ONE, Q
 from repvar.record import MAX_JSON_DEPTH, echo, read_json
 from repvar.tqft import (
     GENUS_TUBE,
-    SurfaceSpec,
     TqftDatum,
     TubeGenerator,
-    epoly_rep_variety,
+    assemble_word,
     puncture_tube,
+    word_epoly,
 )
 
 # name -> (builder from list arguments, the value each field must hold)
@@ -30,10 +30,6 @@ RECORDS = {
     "TubeGenerator": (
         lambda: TubeGenerator("puncture", "t"),
         {"kind": "puncture", "label": "t"},
-    ),
-    "SurfaceSpec": (
-        lambda: SurfaceSpec(2, ["a", "b"]),
-        {"genus": 2, "punctures": ("a", "b")},
     ),
     "TqftDatum": (
         lambda: TqftDatum(
@@ -101,17 +97,16 @@ def test_fields_are_read_only(record):
 
 
 def test_values_differ_by_field():
-    assert SurfaceSpec(2) != SurfaceSpec(3)
-    assert SurfaceSpec(1, ("a",)) != SurfaceSpec(1, ("b",))
     assert TubeGenerator("genus") != TubeGenerator("identity")
+    assert puncture_tube("a") != puncture_tube("b")
     assert FiniteGroup([[0]], [0]) != FiniteGroup([[0, 1], [1, 0]], [0, 1])
     # A record never equals a tuple of its fields.
-    assert SurfaceSpec(0) != (0, ())
+    assert TubeGenerator("genus") != ("genus", None)
 
 
 def test_repr_names_every_field():
     assert repr(TubeGenerator("genus")) == "TubeGenerator(kind='genus', label=None)"
-    assert repr(SurfaceSpec(1, ["t"])) == "SurfaceSpec(genus=1, punctures=('t',))"
+    assert repr(puncture_tube("t")) == "TubeGenerator(kind='puncture', label='t')"
     assert repr(ConjugacyClasses([0], [[0]])) == "ConjugacyClasses(class_of=(0,), members=((0,),))"
 
 
@@ -122,14 +117,12 @@ def test_validation_messages():
         TubeGenerator("genus", "spurious-label")
     with pytest.raises(ValueError, match="exactly puncture tubes carry a label"):
         TubeGenerator("puncture")
-    with pytest.raises(ValueError, match="genus must be >= 0"):
-        SurfaceSpec(-1)
 
 
 def test_evaluating_a_datum_leaves_its_value_and_repr_unchanged():
     datum = affc_datum()
     before = repr(datum)
-    assert epoly_rep_variety(datum, SurfaceSpec(2)) == affc_closed_form(2)
+    assert word_epoly(datum)(assemble_word(2)) == affc_closed_form(2)
     assert datum == affc_datum()
     assert repr(datum) == before
     assert sorted(vars(datum)) == sorted(TqftDatum._fields)  # nothing is cached on it

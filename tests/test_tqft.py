@@ -16,7 +16,6 @@ from repvar.tqft import (
     GENUS_TUBE,
     IDENTITY_TUBE,
     InvalidDatum,
-    SurfaceSpec,
     TqftDatum,
     TubeGenerator,
     UnknownPunctureLabel,
@@ -26,7 +25,6 @@ from repvar.tqft import (
     datum_from_json_dict,
     datum_to_json_dict,
     dot,
-    epoly_rep_variety,
     fold_form,
     load_datum,
     mat_vec,
@@ -55,16 +53,16 @@ def rank_one_datum(e_g=None, genus_entry=None, tubes={}, **overrides):
 
 class TestWords:
     def test_assemble_closed_surface(self):
-        word = assemble_word(SurfaceSpec(2))
+        word = assemble_word(2)
         assert word == (GENUS_TUBE, GENUS_TUBE)
         assert len(word) == 2
 
     def test_assemble_sphere(self):
-        word = assemble_word(SurfaceSpec(0))
+        word = assemble_word(0)
         assert word == ()
 
     def test_assemble_punctured_torus(self):
-        word = assemble_word(SurfaceSpec(1, ("t",)))
+        word = assemble_word(1, ("t",))
         assert word == (GENUS_TUBE, puncture_tube("t"))
 
     def test_insert_identity_tubes(self):
@@ -73,8 +71,8 @@ class TestWords:
         assert word == (GENUS_TUBE, IDENTITY_TUBE, IDENTITY_TUBE)
 
     def test_negative_genus_rejected(self):
-        with pytest.raises(ValueError):
-            SurfaceSpec(-1)
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            assemble_word(-1)
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
@@ -269,7 +267,7 @@ class TestEvaluation:
 
     def test_sphere_normalizes_to_one(self):
         for datum in (affc_datum(), to_tqft_datum(named_group("q8"))):
-            assert epoly_rep_variety(datum, SurfaceSpec(0)) == ONE
+            assert word_epoly(datum)(assemble_word(0)) == ONE
 
     def test_plain_cylinder_counts_group_order(self):
         group = named_group("s3")
@@ -280,12 +278,12 @@ class TestEvaluation:
     def test_unknown_puncture_label(self):
         datum = affc_datum()
         with pytest.raises(UnknownPunctureLabel):
-            epoly_rep_variety(datum, SurfaceSpec(0, ("nope",)))
+            word_epoly(datum)(assemble_word(0, ("nope",)))
 
     def test_unknown_puncture_label_names_the_provided_labels(self):
         datum = rank_one_datum(tubes={puncture_tube("b"): ((ONE,),), puncture_tube("a"): ((ONE,),)})
         with pytest.raises(UnknownPunctureLabel) as err:
-            epoly_rep_variety(datum, SurfaceSpec(0, ("nope",)))
+            word_epoly(datum)(assemble_word(0, ("nope",)))
         assert str(err.value) == (
             "unknown puncture label 'nope'; the datum provides: 'a', 'b'"
         )
@@ -305,7 +303,7 @@ class TestEvaluation:
         # and the tube count rises in step, so the quotient is unchanged.
         group = named_group("d4")
         datum = to_tqft_datum(group)
-        word = assemble_word(SurfaceSpec(1))
+        word = assemble_word(1)
         epoly = word_epoly(datum)
         base = epoly(word)
         for k in (1, 2):
@@ -315,25 +313,26 @@ class TestEvaluation:
     def test_inconsistent_datum_divides_inexactly(self):
         datum = rank_one_datum(e_g=Q - 1)
         with pytest.raises(NonExactDivision):
-            epoly_rep_variety(datum, SurfaceSpec(1))
+            word_epoly(datum)(assemble_word(1))
 
     def test_unit_group_class_divides_into_negative_exponents(self):
         # Unit monomials are invertible in the Laurent ring, so a raw value
         # of 1 normalized by e_G = q is legal and lands at q^-1.
         datum = rank_one_datum(e_g=Q)
-        result = epoly_rep_variety(datum, SurfaceSpec(1))
+        result = word_epoly(datum)(assemble_word(1))
         assert result == LaurentPoly.monomial(-1, -1)
 
     def test_division_exactness_across_backends(self):
         # No NonExactDivision anywhere in g <= 6, s <= 3.
+        epoly = word_epoly(affc_datum())
         for g in range(7):
-            epoly_rep_variety(affc_datum(), SurfaceSpec(g))
+            epoly(assemble_word(g))
         group = named_group("s3")
         classes = conjugacy_classes(group)
-        datum = to_tqft_datum(group, {"t": classes.members[1], "r": classes.members[2]})
+        epoly = word_epoly(to_tqft_datum(group, {"t": classes.members[1], "r": classes.members[2]}))
         for g in range(7):
             for punctures in [(), ("t",), ("t", "r"), ("t", "r", "t")]:
-                result = epoly_rep_variety(datum, SurfaceSpec(g, punctures))
+                result = epoly(assemble_word(g, punctures))
                 assert result.is_constant()
 
     def test_puncture_order_does_not_change_the_scalar(self):
@@ -343,16 +342,17 @@ class TestEvaluation:
         datum = to_tqft_datum(
             group, {"a": classes.members[1], "b": classes.members[4]}
         )
+        epoly = word_epoly(datum)
         results = set()
         for punctures in [("a", "b"), ("b", "a")]:
-            results.add(epoly_rep_variety(datum, SurfaceSpec(2, punctures)))
+            results.add(epoly(assemble_word(2, punctures)))
         assert len(results) == 1
 
     def test_interleaving_punctures_with_genus_tubes(self):
         group = named_group("s3")
         classes = conjugacy_classes(group)
         datum = to_tqft_datum(group, {"t": classes.members[1]})
-        straight = assemble_word(SurfaceSpec(2, ("t",)))
+        straight = assemble_word(2, ("t",))
         shuffled = (GENUS_TUBE, puncture_tube("t"), GENUS_TUBE)
         epoly = word_epoly(datum)
         assert epoly(straight) == epoly(shuffled)
@@ -432,13 +432,13 @@ class TestEgFreeForm:
         assert (e_g, tubes[GENUS_TUBE]) == (
             (ONE, ((quotient,),)) if divides else (datum.e_g, datum.tubes[GENUS_TUBE])
         )
-        assert epoly_rep_variety(datum, SurfaceSpec(1)) == quotient
+        assert word_epoly(datum)(assemble_word(1)) == quotient
 
     def test_a_huge_quotient_is_not_divided_out(self):
         # Dividing out e_G would build a quotient of 10^9 terms.
         datum = rank_one_datum(e_g=Q - 1, genus_entry=Q**1_000_000_000 - 1)
         assert fold_form(datum)[:2] == (datum.e_g, datum.tubes)
-        assert epoly_rep_variety(datum, SurfaceSpec(0)) == ONE
+        assert word_epoly(datum)(assemble_word(0)) == ONE
 
     @pytest.mark.parametrize(
         "make",
@@ -578,7 +578,7 @@ class TestFoldRing:
         )
         assert fold_form(datum) == stored_form(datum)
         assert {type(x) for x in fold_entries(datum)} == {LaurentPoly}
-        assert epoly_rep_variety(datum, SurfaceSpec(3)).to_text() == genus_3
+        assert word_epoly(datum)(assemble_word(3)).to_text() == genus_3
 
     @pytest.mark.parametrize("scale", [True, False], ids=["e_g-free", "end-division"])
     def test_inverse_q_entries_agree_on_both_rings(self, scale):
@@ -619,7 +619,7 @@ class TestFoldRing:
             dense, sparse = fold(dense_tubes, dense, genus), fold(sparse_tubes, sparse, genus)
         assert checked == 61 * 62 // 2
         for g in (0, 30, 60):
-            word = assemble_word(SurfaceSpec(g, ("a",) * (60 - g)))
+            word = assemble_word(g, ("a",) * (60 - g))
             assert raw_scalar(dense_form, word) == raw_scalar(sparse_form, word)
 
 
@@ -823,7 +823,7 @@ class TestWordFold:
         epoly = word_epoly(datum)
         vec, step, value = word_fold(datum)
         for genus in range(21):
-            assert value(vec, genus) == epoly(assemble_word(SurfaceSpec(genus, ())))
+            assert value(vec, genus) == epoly(assemble_word(genus))
             vec = step(vec, GENUS_TUBE)
 
 
@@ -1082,7 +1082,7 @@ class TestDatumFiles:
         save_datum(datum, path)
         loaded = load_datum(path)
         assert loaded == datum
-        assert epoly_rep_variety(loaded, SurfaceSpec(1)) == Q**3 - Q**2
+        assert word_epoly(loaded)(assemble_word(1)) == Q**3 - Q**2
 
     def test_identity_tube_key_is_optional(self):
         data = datum_to_json_dict(affc_datum())
